@@ -2,8 +2,8 @@
 
 Programs are networks of cells holding lattice values; monotone propagators
 work out the implications of every write. Recursive definitions expand
-lazily and without bound, search branches over explicit choice points with
-snapshot restore, and a hierarchy of autoencoders compresses frame states to
+lazily and without bound, search branches over explicit choice points by
+cloning, and a hierarchy of autoencoders compresses frame states to
 guide value ordering in search, planning, and scheduling queries.
 """
 
@@ -44,7 +44,6 @@ from fifth.hierarchy import (
 from fifth.search import (
     OptimizeResult,
     Query,
-    SnapshotStore,
     SolutionSet,
     UniformOracle,
     collect_garbage,
@@ -101,7 +100,6 @@ __all__ = [
     "RealInterval",
     "refines",
     "save_bundle",
-    "SnapshotStore",
     "SolutionSet",
     "solve",
     "TraceLog",

@@ -18,9 +18,7 @@ import json
 import os
 import statistics
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from fifth import selftest
 from fifth.errors import FifthError
@@ -51,20 +49,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    inputs: tuple = ()
-    seed: int = 0
-    depth: Optional[int] = None
-    steps: Optional[int] = None
-    nodes: Optional[int] = None
-    precision: Optional[float] = None
-    oracle: str = "uniform"
-    model: Optional[str] = None
-    trace: bool = False
-    out: Optional[str] = None
-    gc: bool = False
+def _budget(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def _build_parser():
@@ -73,9 +62,9 @@ def _build_parser():
 
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--depth", type=int, default=None)
-        sp.add_argument("--steps", type=int, default=None)
-        sp.add_argument("--nodes", type=int, default=None)
+        sp.add_argument("--depth", type=_budget, default=None)
+        sp.add_argument("--steps", type=_budget, default=None)
+        sp.add_argument("--nodes", type=_budget, default=None)
         sp.add_argument("--precision", type=float, default=None)
         sp.add_argument("--oracle", choices=("uniform", "learned"),
                         default="uniform")
@@ -94,25 +83,6 @@ def _build_parser():
     sp.add_argument("eval_dir")
     common(sub.add_parser("check", help="run self-test suites"))
     return parser
-
-
-def _config(ns):
-    positional = [getattr(ns, k) for k in ("program", "corpus", "train_dir",
-                                           "eval_dir") if hasattr(ns, k)]
-    return RunConfig(
-        command=ns.command,
-        inputs=tuple(positional),
-        seed=ns.seed,
-        depth=ns.depth,
-        steps=ns.steps,
-        nodes=ns.nodes,
-        precision=ns.precision,
-        oracle=ns.oracle,
-        model=ns.model,
-        trace=ns.trace,
-        out=ns.out,
-        gc=ns.gc,
-    )
 
 
 def _resolve(path_str):
@@ -186,7 +156,7 @@ def _trace_summary(log):
 
 
 def cmd_solve(cfg):
-    program = _load_program(cfg.inputs[0])
+    program = _load_program(cfg.program)
     query = _query(program, cfg)
     if cfg.oracle == "learned":
         if cfg.model is None:
@@ -243,7 +213,7 @@ def _fit_bundle(cfg, corpus_dir, model_out):
 def cmd_train(cfg):
     if cfg.model is None:
         raise UsageError("train needs --model")
-    names, report = _fit_bundle(cfg, cfg.inputs[0], cfg.model)
+    names, report = _fit_bundle(cfg, cfg.corpus, cfg.model)
     payload = {
         "command": "train",
         "instances": names,
@@ -274,16 +244,15 @@ def _answers_equal(query, a, b):
 def cmd_measure(cfg):
     if cfg.model is None:
         raise UsageError("measure needs --model")
-    train_dir, eval_dir = cfg.inputs
     model_dir = Path(cfg.model)
     trained = False
     if not (model_dir / "manifest.json").is_file():
-        _fit_bundle(cfg, train_dir, model_dir)
+        _fit_bundle(cfg, cfg.train_dir, model_dir)
         trained = True
     tree = load_bundle(str(model_dir))
-    files = _corpus_files(eval_dir)
+    files = _corpus_files(cfg.eval_dir)
     if not files:
-        raise UsageError(f"no instances in {eval_dir}")
+        raise UsageError(f"no instances in {cfg.eval_dir}")
     rows = []
     for f in files:
         program = parse(f.read_text())
@@ -338,8 +307,7 @@ def cmd_check(cfg):
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        cfg = _config(ns)
+        cfg = parser.parse_args(argv)
         handler = {
             "solve": cmd_solve,
             "train": cmd_train,

@@ -156,9 +156,6 @@ class AugmentationTree:
         self.codes[frame.id] = code
         return code
 
-    def on_expand(self, inst, frame):
-        self.encode_frame(inst, frame)
-
     def compose_path(self, inst, frame):
         """Fold codes along root..frame into one; returns (Code, hops).
 

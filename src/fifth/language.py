@@ -6,6 +6,7 @@ demanded, so recursion is unbounded but only paid for where information
 actually flows.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -92,10 +93,6 @@ class Definition:
     params: tuple
     body: tuple
 
-    @property
-    def boundary(self):
-        return self.params
-
 
 @dataclass(frozen=True)
 class QuerySpec:
@@ -112,10 +109,6 @@ class QuerySpec:
 class Program:
     definitions: dict
     query: Optional[QuerySpec] = None
-
-    @property
-    def main(self):
-        return self.query.entry if self.query else None
 
 
 # -- tokenizer / reader ------------------------------------------------------
@@ -201,9 +194,12 @@ def _number_atom(node):
     except ValueError:
         pass
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         raise ParseError(f"expected number, got {tok!r}", node[1], node[2])
+    if not math.isfinite(value):
+        raise ParseError(f"number {tok!r} is not finite", node[1], node[2])
+    return value
 
 
 # -- parsing ------------------------------------------------------------------
@@ -341,6 +337,8 @@ def _parse_query(node):
         key = _atom(opt[0][0])
         if key in ("depth", "steps"):
             opts[key] = _int_atom(opt[0][1])
+            if opts[key] < 0:
+                raise ParseError(f"{key} must be >= 0", opt[1], opt[2])
         elif key == "precision":
             opts[key] = float(_number_atom(opt[0][1]))
         elif key == "minimize":
@@ -427,24 +425,21 @@ SUMMARIZED = "summarized"
 class Frame:
     """One activation of a definition; a unit of laziness and summarization."""
 
-    __slots__ = ("id", "defname", "parent", "depth", "callsite_index",
-                 "cellmap", "state", "guards")
+    __slots__ = ("id", "defname", "parent", "depth", "cellmap", "state",
+                 "guards")
 
-    def __init__(self, fid, defname, parent, depth, callsite_index,
-                 cellmap, state, guards):
+    def __init__(self, fid, defname, parent, depth, cellmap, state, guards):
         self.id = fid
         self.defname = defname
         self.parent = parent
         self.depth = depth
-        self.callsite_index = callsite_index
         self.cellmap = cellmap
         self.state = state
         self.guards = guards
 
     def copy(self):
         return Frame(self.id, self.defname, self.parent, self.depth,
-                     self.callsite_index, dict(self.cellmap), self.state,
-                     self.guards)
+                     dict(self.cellmap), self.state, self.guards)
 
     def boundary_cells(self, program):
         params = program.definitions[self.defname].params
@@ -482,13 +477,12 @@ class Instance:
     """A program wired into a live network plus its frame tree."""
 
     def __init__(self, program, network, frames, choices, expansions=0,
-                 on_expand=None, guard_cache=None):
+                 guard_cache=None):
         self.program = program
         self.network = network
         self.frames = frames
         self.choices = choices
         self.expansions = expansions
-        self.on_expand = on_expand
         # truths of guard cells that storage management has since dropped
         self.guard_cache = {} if guard_cache is None else guard_cache
 
@@ -536,7 +530,6 @@ class Instance:
             [f.copy() for f in self.frames],
             list(self.choices),
             self.expansions,
-            self.on_expand,
             dict(self.guard_cache),
         )
 
@@ -548,7 +541,7 @@ def instantiate(program: Program, name: str, bindings=None) -> Instance:
         raise StructuralError(f"unknown definition {name!r}")
     net = Network()
     cellmap = {}
-    root = Frame(0, name, None, 0, 0, cellmap, EXPANDED, ())
+    root = Frame(0, name, None, 0, cellmap, EXPANDED, ())
     inst = Instance(program, net, [root], [])
     for p in d.params:
         cellmap[p] = net.add_cell((0, p))
@@ -623,16 +616,8 @@ def _elaborate_call(inst, frame, stmt, guards):
     boundary = {}
     for p in target.params:
         boundary[p] = net.add_cell((child_id, p))
-    child = Frame(
-        child_id,
-        stmt.target,
-        frame.id,
-        frame.depth + 1,
-        sum(1 for f in inst.frames if f.parent == frame.id),
-        boundary,
-        UNEXPANDED,
-        guards,
-    )
+    child = Frame(child_id, stmt.target, frame.id, frame.depth + 1, boundary,
+                  UNEXPANDED, guards)
     inst.frames.append(child)
     # fresh boundary cells keep the callee identifiable; gated equality links
     # them to the caller's argument cells
@@ -653,8 +638,6 @@ def expand(inst: Instance, frame_id: int) -> Frame:
     _elaborate_body(inst, frame, d.body, ())
     frame.state = EXPANDED
     inst.expansions += 1
-    if inst.on_expand is not None:
-        inst.on_expand(inst, frame)
     return frame
 
 

@@ -22,10 +22,6 @@ REAL_SAT = float(2**62)
 # Two Exact reals closer than this merge instead of contradicting.
 REAL_TOL = 1e-9
 
-# Test hook: when set, cmd_check's fault-injection path routes merges through
-# this callable to prove the self-test actually detects broken lattice laws.
-_FAULT_HOOK = None
-
 
 class PartialInfo:
     """Base class; holds nothing itself."""
@@ -255,11 +251,6 @@ def merge(a: PartialInfo, b: PartialInfo) -> PartialInfo:
     Contradiction carrying the union of any input provenance. Callers that
     know the responsible write identifiers attach them afterwards.
     """
-    if _FAULT_HOOK is not None:
-        patched = _FAULT_HOOK(a, b)
-        if patched is not None:
-            return patched
-
     ka, kb = a.kind, b.kind
 
     if ka == "contradiction" and kb == "contradiction":

@@ -5,8 +5,7 @@ cell merges new partial information into its content; any actual refinement
 alerts the watching propagators through a FIFO queue with a membership set,
 so the queue never holds duplicates. Scheduling order is semantically
 irrelevant (the catalog propagators are monotone, so the quiescent state is
-confluent) but FIFO keeps runs reproducible; tests may inject a different
-dequeue order through `dequeue_chooser`.
+confluent) but FIFO keeps runs reproducible.
 
 Gating: every propagator carries a list of guard conditions (cell, polarity).
 A propagator behind a refuted guard never runs; behind an undecided guard it
@@ -119,7 +118,6 @@ class Network:
         self.contradiction = None  # cell id
         self.detached = set()  # propagator ids dropped by storage management
         self.trace_sink = None  # callable(dict) or None
-        self.dequeue_chooser = None  # test hook: callable(list of ids) -> index
 
     # -- structure -------------------------------------------------------
 
@@ -214,12 +212,7 @@ class Network:
         while self.queue:
             if step_budget is not None and steps >= step_budget:
                 return QuiescenceReport(steps, False, None)
-            if self.dequeue_chooser is None:
-                pid = self.queue.popleft()
-            else:
-                idx = self.dequeue_chooser(list(self.queue))
-                pid = self.queue[idx]
-                del self.queue[idx]
+            pid = self.queue.popleft()
             self.pending.discard(pid)
             steps += 1
             self.steps_total += 1
@@ -247,7 +240,7 @@ class Network:
             if result is WriteResult.CONTRADICTION:
                 return
 
-    # -- snapshots -----------------------------------------------------------
+    # -- cloning and storage management ----------------------------------
 
     def clone(self):
         net = Network()
@@ -260,7 +253,6 @@ class Network:
         net.contradiction = self.contradiction
         net.detached = set(self.detached)
         net.trace_sink = self.trace_sink
-        net.dequeue_chooser = self.dequeue_chooser
         return net
 
     def detach(self, pid):
@@ -269,9 +261,11 @@ class Network:
         self.pending.discard(pid)
         if pid in self.queue:
             self.queue.remove(pid)
-        for cell in self.cells:
-            if cell is not None:
-                cell.watchers.discard(pid)
+        # attach() registered the pid on these cells and nowhere else
+        prop = self.propagators[pid]
+        for cid in prop.cells + tuple(g[0] for g in prop.guards):
+            if self.cells[cid] is not None:
+                self.cells[cid].watchers.discard(pid)
 
     def drop_cell(self, cid):
         """Remove a cell from the store. Only storage management calls this,

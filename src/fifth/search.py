@@ -1,5 +1,5 @@
-"""Branching search over choice cells, branch-and-bound, snapshots, and
-summarization of decided frames.
+"""Branching search over choice cells, branch-and-bound, and summarization
+of decided frames.
 
 Branching never guesses structure: the only splittable things are `choose`
 cells, and a branch is just a clone of the instance plus one exact write.
@@ -21,7 +21,6 @@ from .language import (
     UNEXPANDED,
     demand_loop,
     instantiate,
-    targets_met,
 )
 from .lattice import bounds_of, exact, truth_value
 
@@ -102,7 +101,6 @@ class _SearchState:
     complete: bool = True
     solutions: list = field(default_factory=list)
     incumbent: Optional[object] = None
-    seed: int = 0
 
 
 def _active_choices(inst):
@@ -118,15 +116,6 @@ def _active_choices(inst):
         if inst.guard_state(cp.guards) is True:
             out.append(cp)
     return out
-
-
-def _undecided_guard_choices(inst):
-    for cp in inst.choices:
-        if inst.frames[cp.frame].state != EXPANDED:
-            continue
-        if inst.guard_state(cp.guards) is None:
-            return True
-    return False
 
 
 def _branch_candidates(inst, cp):
@@ -168,11 +157,16 @@ def _resolve_targets(inst, names):
 
 
 def _fully_chosen(inst):
+    """No live choice point is still open, and none hangs on an undecided
+    guard chain (that choice may yet become part of the problem)."""
     net = inst.network
-    for cp in _active_choices(inst):
-        if net.content(cp.cell).kind != "exact":
+    for cp in inst.choices:
+        if inst.frames[cp.frame].state != EXPANDED:
+            continue
+        live = inst.guard_state(cp.guards)
+        if live is None or (live and net.content(cp.cell).kind != "exact"):
             return False
-    return not _undecided_guard_choices(inst)
+    return True
 
 
 def _target_values(inst, names):
@@ -204,24 +198,26 @@ def _run_node(inst, query, state):
     return report
 
 
-def solve(program: Program, query: Query, oracle=None, trace=None,
-          gc: bool = False, write_sink=None) -> SolutionSet:
-    """Depth-first enumeration of every solution reachable within budgets.
+def _stats(state):
+    return {
+        "nodes": state.nodes,
+        "steps": state.steps,
+        "expansions": state.expansions,
+        "summarized": state.summarized,
+        "complete": state.complete,
+    }
 
-    `trace`, when given, must offer node/solution/deadend callbacks; the
-    solver reports every quiesced node to it so guidance can be trained
-    from what the search actually saw.
 
-    `gc` summarizes decided frames after each node quiesces, so clones stay
-    small on deep recursions. Summarization only folds frames whose boundary
-    is exact, which on well-formed programs implies their interior choices
-    are decided too; answers must not depend on the flag.
+def _dfs(program, query, state, leaf, oracle, trace, gc, write_sink,
+         prune=None):
+    """The depth-first search loop behind solve() and optimize().
 
-    `write_sink` taps every cell write made during the search (clones
-    inherit it); instantiation writes happen before it is installed.
+    Every popped node is quiesced and reported to `trace`; contradicted
+    and half-run nodes go no further. A surviving node is dropped when
+    `prune` says so, handed to `leaf` when every live choice is decided,
+    and otherwise split on one choice cell, one clone per value.
     """
     oracle = oracle or UniformOracle()
-    state = _SearchState()
     root = instantiate(program, query.entry, dict(query.bindings))
     if write_sink is not None:
         root.network.trace_sink = write_sink
@@ -246,11 +242,10 @@ def solve(program: Program, query: Query, oracle=None, trace=None,
             folded = collect_garbage(
                 inst, _resolve_targets(inst, query.targets))
             state.summarized += len(folded.summarized)
-        solved = report.targets_met and _fully_chosen(inst)
-        if solved:
-            if trace is not None:
-                trace.solution(inst)
-            state.solutions.append({"cells": _target_values(inst, query.targets)})
+        if prune is not None and prune(inst):
+            continue
+        if report.targets_met and _fully_chosen(inst):
+            leaf(inst)
             continue
         cp, values = _pick_choice(inst)
         if cp is None:
@@ -262,20 +257,37 @@ def solve(program: Program, query: Query, oracle=None, trace=None,
             child = inst.clone()
             child.network.write(cp.cell, exact(v), f"branch:{cp.cell}={v}")
             state.stack.append(child)
-    return SolutionSet(
-        solutions=state.solutions,
-        stats={
-            "nodes": state.nodes,
-            "steps": state.steps,
-            "expansions": state.expansions,
-            "summarized": state.summarized,
-            "complete": state.complete,
-        },
-    )
 
 
-def _objective_lower_bound(inst, obj_cell):
-    content = inst.network.content(obj_cell)
+def solve(program: Program, query: Query, oracle=None, trace=None,
+          gc: bool = False, write_sink=None) -> SolutionSet:
+    """Depth-first enumeration of every solution reachable within budgets.
+
+    `trace`, when given, must offer node/solution/deadend callbacks; the
+    solver reports every quiesced node to it so guidance can be trained
+    from what the search actually saw.
+
+    `gc` summarizes decided frames after each node quiesces, so clones stay
+    small on deep recursions. Summarization only folds frames whose boundary
+    is exact, which on well-formed programs implies their interior choices
+    are decided too; answers must not depend on the flag.
+
+    `write_sink` taps every cell write made during the search (clones
+    inherit it); instantiation writes happen before it is installed.
+    """
+    state = _SearchState()
+
+    def record(inst):
+        if trace is not None:
+            trace.solution(inst)
+        state.solutions.append({"cells": _target_values(inst, query.targets)})
+
+    _dfs(program, query, state, record, oracle, trace, gc, write_sink)
+    return SolutionSet(solutions=state.solutions, stats=_stats(state))
+
+
+def _objective_lower_bound(inst, obj_name):
+    content = inst.network.content(inst.cell_of(0, obj_name))
     if content.kind == "exact":
         return content.value
     r = bounds_of(content)
@@ -294,112 +306,51 @@ def optimize(program: Program, query: Query, oracle=None,
              trace=None, gc: bool = False, write_sink=None) -> OptimizeResult:
     """Branch-and-bound minimization of the objective cell.
 
-    `trace`, `gc`, and `write_sink` behave exactly as in solve().
+    `trace`, `gc`, and `write_sink` behave exactly as in solve(). Each
+    improving solution is kept in order; the last one is the optimum.
     """
     if query.objective is None:
         raise StructuralError("optimize needs an objective")
-    oracle = oracle or UniformOracle()
-    state = _SearchState()
-    best_solution = None
-    bound_trace = []
-    root = instantiate(program, query.entry, dict(query.bindings))
-    if write_sink is not None:
-        root.network.trace_sink = write_sink
     obj_name = query.objective
-    state.stack.append(root)
-    while state.stack:
-        if state.nodes >= query.node_budget:
-            state.complete = False
-            break
-        inst = state.stack.pop()
-        report = _run_node(inst, query, state)
-        if trace is not None:
-            trace.node(inst)
-        if report.contradiction is not None:
-            if trace is not None:
-                trace.deadend(inst)
-            continue
-        if report.steps_exhausted:
-            continue  # same rule as solve: no judgement on a half-run
-        if gc:
-            folded = collect_garbage(
-                inst, _resolve_targets(inst, query.targets))
-            state.summarized += len(folded.summarized)
+    state = _SearchState()
+    bound_trace = []
+
+    def beaten(inst):
+        # cannot beat the incumbent anywhere below this node
+        lb = _objective_lower_bound(inst, obj_name)
+        return (lb is not None and state.incumbent is not None
+                and lb >= state.incumbent)
+
+    def improve(inst):
+        lb = _objective_lower_bound(inst, obj_name)
+        if lb is None:
+            return
         obj_cell = inst.cell_of(0, obj_name)
-        lb = _objective_lower_bound(inst, obj_cell)
-        if lb is not None and state.incumbent is not None and lb >= state.incumbent:
-            continue  # cannot beat the incumbent anywhere below this node
-        if report.targets_met and _fully_chosen(inst):
-            if lb is None:
-                continue
-            content = inst.network.content(obj_cell)
-            if content.kind != "exact" and not _probe_bound(
-                inst, obj_cell, lb, query.step_budget
-            ):
-                # bound not attainable in this branch; the leaf is decided,
-                # so there is nothing further to branch on
-                continue
-            if state.incumbent is None or lb < state.incumbent:
-                state.incumbent = lb
-                pinned = inst.clone()
-                pinned.network.write(obj_cell, exact(lb), "probe:objective")
-                pinned.network.run_to_quiescence(query.step_budget)
-                best_solution = {"cells": _target_values(pinned, query.targets)}
-                bound_trace.append({"nodes": state.nodes, "bound": lb})
-                if trace is not None:
-                    trace.solution(pinned)
-            continue
-        cp, values = _pick_choice(inst)
-        if cp is None:
-            continue
-        ordered = _order_values(inst, cp, values, oracle)
-        for v in reversed(ordered):
-            child = inst.clone()
-            child.network.write(cp.cell, exact(v), f"branch:{cp.cell}={v}")
-            state.stack.append(child)
+        if inst.network.content(obj_cell).kind != "exact" and not _probe_bound(
+            inst, obj_cell, lb, query.step_budget
+        ):
+            # bound not attainable in this branch; the leaf is decided,
+            # so there is nothing further to branch on
+            return
+        # beaten() has already dropped this leaf unless lb improves
+        state.incumbent = lb
+        pinned = inst.clone()
+        pinned.network.write(obj_cell, exact(lb), "probe:objective")
+        pinned.network.run_to_quiescence(query.step_budget)
+        state.solutions.append({"cells": _target_values(pinned, query.targets)})
+        bound_trace.append({"nodes": state.nodes, "bound": lb})
+        if trace is not None:
+            trace.solution(pinned)
+
+    _dfs(program, query, state, improve, oracle, trace, gc, write_sink,
+         prune=beaten)
     return OptimizeResult(
-        solution=best_solution,
+        solution=state.solutions[-1] if state.solutions else None,
         objective=state.incumbent,
         proven=state.complete and state.incumbent is not None,
         bound_trace=bound_trace,
-        stats={
-            "nodes": state.nodes,
-            "steps": state.steps,
-            "expansions": state.expansions,
-            "summarized": state.summarized,
-            "complete": state.complete,
-        },
+        stats=_stats(state),
     )
-
-
-class SnapshotStore:
-    """Copying snapshot/restore for branch exploration.
-
-    Snapshots are full clones; restore hands back a fresh clone so one
-    snapshot can be restored any number of times.
-    """
-
-    def __init__(self):
-        self._snaps = {}
-        self._next = 0
-
-    def snapshot(self, obj) -> int:
-        sid = self._next
-        self._next += 1
-        self._snaps[sid] = obj.clone()
-        return sid
-
-    def restore(self, sid):
-        try:
-            return self._snaps[sid].clone()
-        except KeyError:
-            raise StructuralError(f"unknown snapshot {sid}")
-
-    def drop(self, sid):
-        self._snaps.pop(sid, None)
-
-    def __len__(self):
-        return len(self._snaps)
 
 
 @dataclass
@@ -420,10 +371,6 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
     """
     net = inst.network
     targets = set(target_cells)
-    children = {}
-    for f in inst.frames:
-        if f.parent is not None:
-            children.setdefault(f.parent, []).append(f)
 
     # Guard chains outlive the frames that declared their cells: a child's
     # gate may test a parent's local. Dropping such a cell is only safe once
@@ -434,15 +381,19 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
     for cp in inst.choices:
         guard_refs.update(cid for cid, _ in cp.guards)
 
-    def has_pending_descendant(frame):
-        for ch in children.get(frame.id, ()):
-            if ch.state == UNEXPANDED:
-                if inst.gate_state(ch) is not False:
-                    return True
-            elif ch.state == EXPANDED:
-                if has_pending_descendant(ch):
-                    return True
-        return False
+    # A frame has a pending descendant when some child still awaits
+    # expansion behind a gate that is not refuted, or some expanded child
+    # has one. Children always have larger ids than their parents, so one
+    # sweep from the last frame back settles every frame.
+    pending = [False] * len(inst.frames)
+    for f in reversed(inst.frames):
+        if f.parent is None:
+            continue
+        if f.state == UNEXPANDED:
+            if inst.gate_state(f) is not False:
+                pending[f.parent] = True
+        elif f.state == EXPANDED and pending[f.id]:
+            pending[f.parent] = True
 
     summarized = []
     dropped = 0
@@ -454,7 +405,7 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
         interior = [c for c in f.cellmap.values() if c not in boundary]
         if any(net.content(c).kind != "exact" for c in boundary):
             continue
-        if has_pending_descendant(f):
+        if pending[f.id]:
             continue
         if targets & set(interior):
             continue

@@ -7,6 +7,8 @@ seed and returns a report dict with a boolean `ok`.
 
 from __future__ import annotations
 
+from collections import deque
+
 from fifth import lattice
 from fifth.lattice import (
     NOTHING,
@@ -123,10 +125,25 @@ def random_network(rng, max_cells=40, max_propagators=60):
 _PROBE_STEPS = 20_000
 
 
+class _ShuffledQueue(deque):
+    """An alert queue whose popleft takes a seeded random entry, so the
+    scheduler runs in a permuted order."""
+
+    def __init__(self, items, rng):
+        super().__init__(items)
+        self.rng = rng
+
+    def popleft(self):
+        idx = self.rng.randint(len(self))
+        pid = self[idx]
+        del self[idx]
+        return pid
+
+
 def _quiescent_fingerprint(net, writes, order_rng, step_budget=_PROBE_STEPS):
     run = net.clone()
     if order_rng is not None:
-        run.dequeue_chooser = lambda pending: order_rng.randint(len(pending))
+        run.queue = _ShuffledQueue(run.queue, order_rng)
     for cid, info in writes:
         run.write(cid, info, f"init:{cid}")
         if run.contradiction is not None:
@@ -198,15 +215,18 @@ def gradient_sample(n_configs=20, seed=11):
 
 
 def install_merge_fault():
-    """Fault hook for verifying that the self-test catches a broken merge:
-    identity writes are silently dropped."""
+    """Swap the merge this module checks for a broken one, to verify that
+    the self-test catches it: identity writes are silently dropped."""
+    global merge
+
     def bad(a, b):
         if a.kind == "nothing" and b.kind != "nothing":
             return a  # wrong: discards b's information
-        return None
+        return lattice.merge(a, b)
 
-    lattice._FAULT_HOOK = bad
+    merge = bad
 
 
 def clear_merge_fault():
-    lattice._FAULT_HOOK = None
+    global merge
+    merge = lattice.merge

@@ -288,3 +288,44 @@ def test_check_catches_injected_fault(monkeypatch, capsys):
         selftest.clear_merge_fault()
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--nodes", -1),
+    ("--depth", -5),
+    ("--steps", -1),
+])
+def test_solve_negative_budget_is_a_usage_error(flag, value, capsys):
+    code, out, err = run(
+        ["solve", flag, value, CORPUS / "queens" / "q4.5th"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and flag in err
+
+
+def test_solve_negative_query_option_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "neg.5th"
+    f.write_text("(def (t x) (choose x 1 2))\n(query (t) (show x) (depth -5))\n")
+    code, out, err = run(["solve", f], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "2:21" in err
+
+
+@pytest.mark.parametrize("program,where", [
+    # a NaN constant used to contradict its own equality and exit 2
+    ("(def (t k) (cell y) (const k nan) (equal k y))\n(query (t) (show k))\n",
+     "1:30"),
+    # a bare NaN constant used to print as NaN, which is not JSON
+    ("(def (t k) (const k nan))\n(query (t) (show k))\n", "1:21"),
+    ("(def (t k) (const k 1e400))\n(query (t) (show k))\n", "1:21"),
+    ("(def (t k) (equal k k))\n(query (t (k inf)) (show k))\n", "2:14"),
+])
+def test_solve_non_finite_literal_is_a_parse_error(program, where, tmp_path,
+                                                  capsys):
+    f = tmp_path / "nonfinite.5th"
+    f.write_text(program)
+    code, out, err = run(["solve", f], capsys)
+    assert code == 1
+    assert out == ""
+    assert "not finite" in err and where in err

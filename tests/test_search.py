@@ -1,10 +1,9 @@
-"""Search, optimization, snapshots, and frame summarization."""
+"""Search, optimization, and frame summarization."""
 
 import pytest
 
 from fifth import (
     Query,
-    SnapshotStore,
     UniformOracle,
     collect_garbage,
     demand_loop,
@@ -374,72 +373,6 @@ def test_optimize_node_budget_unproven():
     assert not res.proven
 
 
-# -- snapshots ---------------------------------------------------------------
-
-
-def test_snapshot_restore_returns_original_state():
-    prog = parse(queens_text(4))
-    inst = instantiate(prog, "queens")
-    inst.network.run_to_quiescence(100_000)
-    store = SnapshotStore()
-    sid = store.snapshot(inst)
-    before = inst.network.content(inst.cell_of(0, "q1"))
-    inst.network.write(inst.cell_of(0, "q1"), exact(2), "user:probe")
-    back = store.restore(sid)
-    assert back.network.content(back.cell_of(0, "q1")) == before
-    # and the mutated instance kept its write
-    assert inst.network.content(inst.cell_of(0, "q1")) == exact(2)
-
-
-def test_snapshot_restore_is_repeatable():
-    prog = parse(queens_text(4))
-    inst = instantiate(prog, "queens")
-    store = SnapshotStore()
-    sid = store.snapshot(inst)
-    one = store.restore(sid)
-    one.network.write(one.cell_of(0, "q1"), exact(1), "user:probe")
-    two = store.restore(sid)
-    assert two.network.content(two.cell_of(0, "q1")) != exact(1)
-
-
-def test_snapshot_of_quiescent_state_restores_quiescent():
-    prog = parse(queens_text(4))
-    inst = instantiate(prog, "queens")
-    inst.network.run_to_quiescence(100_000)
-    store = SnapshotStore()
-    sid = store.snapshot(inst)
-    back = store.restore(sid)
-    rep = back.network.run_to_quiescence(100_000)
-    assert rep.steps_used == 0
-
-
-def test_interleaved_snapshots():
-    prog = parse(queens_text(4))
-    inst = instantiate(prog, "queens")
-    store = SnapshotStore()
-    s0 = store.snapshot(inst)
-    inst.network.write(inst.cell_of(0, "q1"), exact(2), "user:a")
-    s1 = store.snapshot(inst)
-    inst.network.write(inst.cell_of(0, "q2"), exact(4), "user:b")
-    r0 = store.restore(s0)
-    r1 = store.restore(s1)
-    assert r0.network.content(r0.cell_of(0, "q1")).kind == "finite_domain"
-    assert r1.network.content(r1.cell_of(0, "q1")) == exact(2)
-    assert r1.network.content(r1.cell_of(0, "q2")).kind == "finite_domain"
-
-
-def test_snapshot_drop_forgets():
-    prog = parse(queens_text(4))
-    inst = instantiate(prog, "queens")
-    store = SnapshotStore()
-    sid = store.snapshot(inst)
-    assert len(store) == 1
-    store.drop(sid)
-    assert len(store) == 0
-    with pytest.raises(StructuralError):
-        store.restore(sid)
-
-
 # -- summarization -----------------------------------------------------------
 
 
@@ -515,3 +448,26 @@ def test_collect_garbage_then_clone_still_works():
     rep = fresh.network.run_to_quiescence(10_000)
     assert fresh.network.contradiction is None
     assert rep.steps_used == 0
+
+
+COUNT = """
+(def (count n r)
+  (cell nm1)
+  (cell rest)
+  (const one 1)
+  (sum nm1 one n)
+  (if n
+    ((call count nm1 rest)
+     (sum rest one r))
+    ((const r 0))))
+"""
+
+
+def test_solve_gc_on_a_long_chain():
+    # deeper than the Python stack limit: summarization must not recurse
+    # along the chain
+    prog = parse(COUNT)
+    q = Query(entry="count", bindings=(("n", 1200),), targets=("r",))
+    res = solve(prog, q, gc=True)
+    assert res.assignments() == [{"r": 1200}]
+    assert res.stats["summarized"] == 1200
