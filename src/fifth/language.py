@@ -23,6 +23,10 @@ from .lattice import (
 from .network import Network
 
 REF_WIDTH = 1024  # reference width for "how pinned down is this cell" scoring
+# deepest `if` nesting a definition may have; parsing, checking and
+# elaboration recurse once per level, so this keeps them off the Python
+# stack limit
+MAX_IF_NESTING = 200
 
 
 # -- AST -------------------------------------------------------------------
@@ -153,20 +157,28 @@ class _Reader:
         return self.pos >= len(self.toks)
 
     def read(self):
-        tok, line, col = self.toks[self.pos]
-        self.pos += 1
-        if tok == "(":
-            items = []
-            while True:
-                if self.at_end():
-                    raise ParseError("unterminated list", line, col)
-                if self.toks[self.pos][0] == ")":
-                    self.pos += 1
-                    return (items, line, col)
-                items.append(self.read())
-        if tok == ")":
-            raise ParseError("unexpected )", line, col)
-        return (tok, line, col)
+        """One datum: an atom as (token, line, col), a list as (items, line,
+        col). Open lists sit on an explicit stack, so nesting depth is not
+        limited by the Python stack."""
+        open_lists = []
+        while True:
+            if self.at_end():
+                _, line, col = open_lists[-1]
+                raise ParseError("unterminated list", line, col)
+            tok, line, col = self.toks[self.pos]
+            self.pos += 1
+            if tok == "(":
+                open_lists.append(([], line, col))
+                continue
+            if tok == ")":
+                if not open_lists:
+                    raise ParseError("unexpected )", line, col)
+                node = open_lists.pop()
+            else:
+                node = (tok, line, col)
+            if not open_lists:
+                return node
+            open_lists[-1][0].append(node)
 
 
 def _is_list(node):
@@ -249,7 +261,7 @@ def _parse_def(node):
     return Definition(name, params, body)
 
 
-def _parse_stmt(node):
+def _parse_stmt(node, nesting=0):
     if not _is_list(node) or not node[0]:
         raise ParseError("expected a statement", node[1], node[2])
     items, line, col = node
@@ -293,13 +305,16 @@ def _parse_stmt(node):
                           pos=pos)
     if head == "if":
         need(3)
+        if nesting >= MAX_IF_NESTING:
+            raise ParseError(f"if nested more than {MAX_IF_NESTING} deep",
+                             line, col)
         cond = _atom(args[0])
         for branch in (args[1], args[2]):
             if not _is_list(branch):
                 raise ParseError("if branches must be statement lists",
                                  branch[1], branch[2])
-        then_body = tuple(_parse_stmt(s) for s in args[1][0])
-        else_body = tuple(_parse_stmt(s) for s in args[2][0])
+        then_body = tuple(_parse_stmt(s, nesting + 1) for s in args[1][0])
+        else_body = tuple(_parse_stmt(s, nesting + 1) for s in args[2][0])
         return IfStmt(cond, then_body, else_body, pos=pos)
     if head == "call":
         if not args:
@@ -423,7 +438,15 @@ SUMMARIZED = "summarized"
 
 
 class Frame:
-    """One activation of a definition; a unit of laziness and summarization."""
+    """One activation of a definition; a unit of laziness and summarization.
+
+    `guards` is the frame's gate: () for an ungated call, else one
+    (cell, polarity) pair living in the parent frame, either the condition
+    of an `if` the call sits in or the derived gate cell of that branch when
+    the `if` itself was gated. `cellmap` also names those gate cells, under
+    names the parser cannot produce, so summarization treats them like any
+    other interior cell.
+    """
 
     __slots__ = ("id", "defname", "parent", "depth", "cellmap", "state",
                  "guards")
@@ -451,7 +474,8 @@ class Frame:
 
 class ChoicePoint:
     """A cell the search module may branch on, with the gate context that
-    decides whether the choice is actually part of the problem."""
+    decides whether the choice is actually part of the problem: the one
+    guard of the statement's context, shaped like `Frame.guards`."""
 
     __slots__ = ("cell", "values", "frame", "guards")
 
@@ -477,7 +501,7 @@ class Instance:
     """A program wired into a live network plus its frame tree."""
 
     def __init__(self, program, network, frames, choices, expansions=0,
-                 guard_cache=None):
+                 guard_cache=None, unexpanded=None):
         self.program = program
         self.network = network
         self.frames = frames
@@ -485,6 +509,9 @@ class Instance:
         self.expansions = expansions
         # truths of guard cells that storage management has since dropped
         self.guard_cache = {} if guard_cache is None else guard_cache
+        # ids of frames still awaiting expansion, ascending; refuted ones
+        # leave when the frontier scan meets them
+        self.unexpanded = [] if unexpanded is None else unexpanded
 
     @property
     def root(self):
@@ -500,28 +527,25 @@ class Instance:
             raise StructuralError(f"frame {fid} has no cell {name!r}")
 
     def gate_state(self, frame):
-        """True = all guards hold, False = some guard refuted, None = undecided."""
+        """True = the gate holds, False = refuted, None = undecided."""
         return self.guard_state(frame.guards)
 
     def guard_state(self, guards):
-        """Same three-valued reading for any guard chain, e.g. a choice
-        point's, which may be deeper than its frame's (choices inside if
-        branches carry the branch condition too). A guard cell dropped by
-        summarization answers from the truth recorded when it was dropped.
+        """Same three-valued reading for any context's guards, e.g. a
+        choice point's, which differ from its frame's inside if branches.
+        A guard cell dropped by summarization answers from the truth
+        recorded when it was dropped.
         """
-        decided_true = True
-        for cid, polarity in guards:
-            try:
-                tv = truth_value(self.network.content(cid))
-            except StructuralError:
-                if cid not in self.guard_cache:
-                    raise
-                tv = self.guard_cache[cid]
-            if tv is None:
-                decided_true = False
-            elif tv != polarity:
-                return False
-        return True if decided_true else None
+        if not guards:
+            return True
+        (cid, polarity), = guards
+        try:
+            tv = truth_value(self.network.content(cid))
+        except StructuralError:
+            if cid not in self.guard_cache:
+                raise
+            tv = self.guard_cache[cid]
+        return None if tv is None else tv == polarity
 
     def clone(self):
         return Instance(
@@ -531,6 +555,7 @@ class Instance:
             list(self.choices),
             self.expansions,
             dict(self.guard_cache),
+            list(self.unexpanded),
         )
 
 
@@ -556,9 +581,9 @@ def instantiate(program: Program, name: str, bindings=None) -> Instance:
     return inst
 
 
-def _elaborate_body(inst, frame, body, local_guards):
+def _elaborate_body(inst, frame, body, guards):
+    """Attach `body` in the context `guards` (at most one guard)."""
     net = inst.network
-    d_guards = frame.guards + local_guards
     for stmt in body:
         if isinstance(stmt, CellDecl):
             frame.cellmap[stmt.name] = net.add_cell((frame.id, stmt.name))
@@ -568,36 +593,53 @@ def _elaborate_body(inst, frame, body, local_guards):
                 cid = net.add_cell((frame.id, stmt.name))
                 frame.cellmap[stmt.name] = cid
             _declare_write(net, cid, int_interval(stmt.lo, stmt.hi),
-                           frame, stmt.name, d_guards)
+                           frame, stmt.name, guards)
         elif isinstance(stmt, ConstDecl):
             cid = frame.cellmap.get(stmt.name)
             if cid is None:
                 cid = net.add_cell((frame.id, stmt.name))
                 frame.cellmap[stmt.name] = cid
-            _declare_write(net, cid, exact(stmt.value), frame, stmt.name, d_guards)
+            _declare_write(net, cid, exact(stmt.value), frame, stmt.name, guards)
         elif isinstance(stmt, PropStmt):
             cells = tuple(frame.cellmap[a] for a in stmt.args)
-            net.attach(stmt.kind, cells, d_guards)
+            net.attach(stmt.kind, cells, guards)
         elif isinstance(stmt, AlldiffStmt):
             cells = tuple(frame.cellmap[a] for a in stmt.names)
-            net.attach("alldifferent", cells, d_guards)
+            net.attach("alldifferent", cells, guards)
         elif isinstance(stmt, ChooseStmt):
             cid = frame.cellmap[stmt.name]
             _declare_write(net, cid, finite_domain(stmt.values),
-                           frame, stmt.name, d_guards)
+                           frame, stmt.name, guards)
             inst.choices.append(
-                ChoicePoint(cid, stmt.values, frame.id, d_guards)
+                ChoicePoint(cid, stmt.values, frame.id, guards)
             )
         elif isinstance(stmt, IfStmt):
             cond = frame.cellmap[stmt.cond]
-            _elaborate_body(inst, frame, stmt.then_body,
-                            local_guards + ((cond, True),))
-            _elaborate_body(inst, frame, stmt.else_body,
-                            local_guards + ((cond, False),))
+            for polarity, branch in ((True, stmt.then_body),
+                                     (False, stmt.else_body)):
+                if branch:
+                    _elaborate_body(inst, frame, branch, _branch_guards(
+                        net, frame, stmt, cond, polarity, guards))
         elif isinstance(stmt, CallStmt):
-            _elaborate_call(inst, frame, stmt, d_guards)
+            _elaborate_call(inst, frame, stmt, guards)
         else:
             raise AssertionError(stmt)
+
+
+def _branch_guards(net, frame, stmt, cond, polarity, guards):
+    """The one guard of an if branch. In an ungated context that is the
+    condition itself; in a gated one it is a fresh 0/1 gate cell, the AND of
+    the enclosing guard and the condition, kept in the frame's cellmap under
+    a name no token can spell."""
+    if not guards:
+        return ((cond, polarity),)
+    (outer, outer_polarity), = guards
+    line, col = stmt.pos
+    name = f"(if {line}:{col}){'+' if polarity else '-'}"
+    gate = net.add_cell((frame.id, name))
+    frame.cellmap[name] = gate
+    net.attach("gate", (outer, cond, gate), payload=(outer_polarity, polarity))
+    return ((gate, True),)
 
 
 def _declare_write(net, cid, info, frame, name, guards):
@@ -619,6 +661,7 @@ def _elaborate_call(inst, frame, stmt, guards):
     child = Frame(child_id, stmt.target, frame.id, frame.depth + 1, boundary,
                   UNEXPANDED, guards)
     inst.frames.append(child)
+    inst.unexpanded.append(child_id)
     # fresh boundary cells keep the callee identifiable; gated equality links
     # them to the caller's argument cells
     for arg, p in zip(stmt.args, target.params):
@@ -634,8 +677,9 @@ def expand(inst: Instance, frame_id: int) -> Frame:
         raise StructuralError(f"frame {frame_id} is already expanded")
     if inst.gate_state(frame) is False:
         return frame
+    inst.unexpanded.remove(frame_id)
     d = inst.program.definitions[frame.defname]
-    _elaborate_body(inst, frame, d.body, ())
+    _elaborate_body(inst, frame, d.body, frame.guards)
     frame.state = EXPANDED
     inst.expansions += 1
     return frame
@@ -643,17 +687,20 @@ def expand(inst: Instance, frame_id: int) -> Frame:
 
 def _frontier(inst):
     """Next frame worth expanding: gate-true frames first (lowest id), then
-    the undecided-gate frame with the most boundary information."""
+    the undecided-gate frame with the most boundary information. Scans only
+    the unexpanded worklist, dropping the refuted frames it meets."""
     best_undecided = None
     best_bits = -1.0
-    for f in inst.frames:
-        if f.state != UNEXPANDED:
-            continue
+    live = []
+    for i, fid in enumerate(inst.unexpanded):
+        f = inst.frames[fid]
         gs = inst.gate_state(f)
         if gs is False:
             continue
         if gs is True:
+            inst.unexpanded[:i] = live
             return f
+        live.append(fid)
         bits = sum(
             info_bits(inst.network.content(c), REF_WIDTH)
             for c in f.boundary_cells(inst.program)
@@ -661,6 +708,7 @@ def _frontier(inst):
         if bits > best_bits:
             best_bits = bits
             best_undecided = f
+    inst.unexpanded = live
     return best_undecided
 
 

@@ -7,10 +7,14 @@ so the queue never holds duplicates. Scheduling order is semantically
 irrelevant (the catalog propagators are monotone, so the quiescent state is
 confluent) but FIFO keeps runs reproducible.
 
-Gating: every propagator carries a list of guard conditions (cell, polarity).
-A propagator behind a refuted guard never runs; behind an undecided guard it
-stays dormant until the guard cell decides. This is what makes recursive
-program fragments inert until their gate opens.
+Gating: a propagator may carry guard conditions (cell, polarity). One behind
+a refuted guard never runs; behind an undecided guard it stays dormant until
+the guard cell decides. This is what makes recursive program fragments inert
+until their gate opens. The language layer gives every propagator at most
+one guard: a context nested inside another gated context reads a derived
+0/1 cell written by an ungated `gate` propagator (the AND of the enclosing
+guard and the local condition), so dormancy costs one check and one watcher
+per propagator however deep the recursion goes.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ PROPAGATOR_KINDS = (
     "less_equal",
     "alldifferent",
     "switch",
+    "gate",
 )
 
 
@@ -484,6 +489,20 @@ def _t_switch(net, prop):
     return writes
 
 
+def _t_gate(net, prop):
+    # out = 1 once outer and cond both read their wanted polarity, 0 as soon
+    # as either reads the other one
+    outer, cond, out = prop.cells
+    want_outer, want_cond = prop.payload
+    t_outer = truth_value(net.content(outer))
+    t_cond = truth_value(net.content(cond))
+    if t_outer == (not want_outer) or t_cond == (not want_cond):
+        return [(out, exact(0))]
+    if t_outer == want_outer and t_cond == want_cond:
+        return [(out, exact(1))]
+    return []
+
+
 _TRANSFER = {
     "constant": _t_constant,
     "element_of": _t_element_of,
@@ -493,4 +512,5 @@ _TRANSFER = {
     "less_equal": _t_less_equal,
     "alldifferent": _t_alldifferent,
     "switch": _t_switch,
+    "gate": _t_gate,
 }

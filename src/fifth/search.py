@@ -22,7 +22,7 @@ from .language import (
     demand_loop,
     instantiate,
 )
-from .lattice import bounds_of, exact, truth_value
+from .lattice import INT_SAT, bounds_of, exact, truth_value
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,10 @@ class _SearchState:
 
 
 def _active_choices(inst):
-    """Choice points whose frame is expanded and whose guard chain holds.
+    """Choice points whose frame is expanded and whose guard holds.
 
-    The chain is the choice point's own, not just its frame's: a choose
-    inside a refuted if branch is dead even though its frame is live.
+    The guard is the choice point's own, not its frame's: a choose inside
+    a refuted if branch is dead even though its frame is live.
     """
     out = []
     for cp in inst.choices:
@@ -158,7 +158,7 @@ def _resolve_targets(inst, names):
 
 def _fully_chosen(inst):
     """No live choice point is still open, and none hangs on an undecided
-    guard chain (that choice may yet become part of the problem)."""
+    guard (that choice may yet become part of the problem)."""
     net = inst.network
     for cp in inst.choices:
         if inst.frames[cp.frame].state != EXPANDED:
@@ -170,14 +170,19 @@ def _fully_chosen(inst):
 
 
 def _target_values(inst, names):
+    """Exact values as numbers, anything else as its [lo, hi] hull. An
+    endpoint at or beyond the saturation limit stands for every value past
+    it, so it is reported open (null), and a saturated exact value becomes
+    the half-open range it stands for."""
     cells = {}
     for n in names:
         content = inst.network.content(inst.cell_of(0, n))
-        if content.kind == "exact":
-            cells[n] = content.value
+        lo, hi = bounds_of(content)
+        if content.kind == "exact" and -INT_SAT < lo < INT_SAT:
+            cells[n] = lo
         else:
-            lo, hi = bounds_of(content)
-            cells[n] = [lo, hi]
+            cells[n] = [None if lo <= -INT_SAT else lo,
+                        None if hi >= INT_SAT else hi]
     return cells
 
 
@@ -363,56 +368,55 @@ class SummarizationReport:
 def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
     """Summarize frames whose work is finished.
 
-    A frame folds up when its boundary is fully decided, no descendant still
-    awaits expansion (refuted descendants are dead, not pending), and no
-    query target lives in its interior. Interior cells are dropped and their
-    propagators detached; boundary contents are untouched, so every already
-    derived answer survives by construction.
+    A frame folds up when its boundary is fully decided, every descendant
+    has folded or waits behind a refuted gate (refuted descendants are dead,
+    not pending), and no query target lives in its interior. Interior cells
+    are dropped and their propagators detached; boundary contents are
+    untouched, so every already derived answer survives by construction.
     """
     net = inst.network
     targets = set(target_cells)
 
-    # Guard chains outlive the frames that declared their cells: a child's
-    # gate may test a parent's local. Dropping such a cell is only safe once
-    # its truth is decided, and the decision has to be remembered.
+    # Guards outlive the frames that declared their cells: a child's gate
+    # is a parent's local (its if condition or derived gate cell). Dropping
+    # such a cell is only safe once its truth is decided, and the decision
+    # has to be remembered.
     guard_refs = set()
     for f in inst.frames:
         guard_refs.update(cid for cid, _ in f.guards)
     for cp in inst.choices:
         guard_refs.update(cid for cid, _ in cp.guards)
 
-    # A frame has a pending descendant when some child still awaits
-    # expansion behind a gate that is not refuted, or some expanded child
-    # has one. Children always have larger ids than their parents, so one
-    # sweep from the last frame back settles every frame.
-    pending = [False] * len(inst.frames)
-    for f in reversed(inst.frames):
-        if f.parent is None:
-            continue
-        if f.state == UNEXPANDED:
-            if inst.gate_state(f) is not False:
-                pending[f.parent] = True
-        elif f.state == EXPANDED and pending[f.id]:
-            pending[f.parent] = True
-
+    # A frame folds bottom-up: only once every descendant is finished too,
+    # that is summarized, or awaiting expansion behind a refuted gate. A
+    # child left expanded still runs propagators that read its parent's
+    # cells (its gate is one of them), so the parent must stay. Children
+    # always have larger ids than their parents, so one sweep from the last
+    # frame back settles every frame. A frame that is finished but holds a
+    # query target in its interior stays expanded without holding up its
+    # parent: folding the parent detaches no more than folding it would.
+    unfinished = [False] * len(inst.frames)
     summarized = []
     dropped = 0
     detached = 0
-    for f in inst.frames:
-        if f.id == 0 or f.state != EXPANDED:
+    for f in reversed(inst.frames):
+        if f.id == 0 or f.state == SUMMARIZED:
+            continue
+        if f.state == UNEXPANDED:
+            if inst.gate_state(f) is not False:
+                unfinished[f.parent] = True
             continue
         boundary = set(f.boundary_cells(inst.program))
         interior = [c for c in f.cellmap.values() if c not in boundary]
-        if any(net.content(c).kind != "exact" for c in boundary):
-            continue
-        if pending[f.id]:
+        if (
+            unfinished[f.id]
+            or any(net.content(c).kind != "exact" for c in boundary)
+            or any(cid in guard_refs and truth_value(net.content(cid)) is None
+                   for cid in interior)
+        ):
+            unfinished[f.parent] = True
             continue
         if targets & set(interior):
-            continue
-        if any(
-            cid in guard_refs and truth_value(net.content(cid)) is None
-            for cid in interior
-        ):
             continue
         for cid in interior:
             if cid in guard_refs:
@@ -428,4 +432,5 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
         }
         f.state = SUMMARIZED
         summarized.append(f.id)
+    summarized.reverse()
     return SummarizationReport(tuple(summarized), dropped, detached)

@@ -329,3 +329,71 @@ def test_solve_non_finite_literal_is_a_parse_error(program, where, tmp_path,
     assert code == 1
     assert out == ""
     assert "not finite" in err and where in err
+
+
+FACT = """\
+(def (fact n r)
+  (cell nm1)
+  (cell rest)
+  (const one 1)
+  (sum nm1 one n)
+  (if n
+    ((call fact nm1 rest)
+     (product n rest r))
+    ((const r 1))))
+
+(query (fact (n {n})) (show r) (depth {depth}))
+"""
+
+SATURATED = [4611686018427387904, None]  # [2^62, unbounded]
+
+
+def test_solve_saturated_target_is_a_range(tmp_path, capsys):
+    # 21! is past 2^62; printing the clamp as an exact value was a wrong answer
+    f = tmp_path / "fact21.5th"
+    f.write_text(FACT.format(n=21, depth=40))
+    code, out, _ = run(["solve", f], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    check_schema(payload, "solution.schema.json")
+    assert payload["solutions"] == [{"cells": {"r": SATURATED}}]
+
+
+def test_solve_saturated_target_deep_under_gc(tmp_path, capsys):
+    f = tmp_path / "fact5000.5th"
+    f.write_text(FACT.format(n=5000, depth=5010))
+    code, out, _ = run(["solve", "--gc", f], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    check_schema(payload, "solution.schema.json")
+    assert payload["solutions"] == [{"cells": {"r": SATURATED}}]
+    assert payload["stats"]["expansions"] == 5000
+    assert payload["stats"]["summarized"] == 5000
+
+
+def _nested_ifs(depth):
+    body = "(const y 1)"
+    for _ in range(depth):
+        body = f"(if x ({body}) ())"
+    return f"(def (f x y) {body})\n(query (f (x 1)) (show y))\n"
+
+
+@pytest.mark.parametrize("program", [
+    "(def (f x) " + "(" * 1200 + ")" * 1200 + ")\n(query (f) (show x))\n",
+    _nested_ifs(400),
+], ids=["parens-1200", "ifs-400"])
+def test_solve_deep_nesting_is_a_parse_error(program, tmp_path, capsys):
+    f = tmp_path / "deep.5th"
+    f.write_text(program)
+    code, out, err = run(["solve", f], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_solve_hundred_nested_ifs(tmp_path, capsys):
+    f = tmp_path / "nested.5th"
+    f.write_text(_nested_ifs(100))
+    code, out, _ = run(["solve", f], capsys)
+    assert code == 0
+    assert json.loads(out)["solutions"] == [{"cells": {"y": 1}}]

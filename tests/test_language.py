@@ -2,6 +2,7 @@ import pytest
 
 from fifth.errors import ParseError, StructuralError
 from fifth.language import (
+    MAX_IF_NESTING,
     CallStmt,
     EXPANDED,
     IfStmt,
@@ -302,3 +303,81 @@ def test_mutual_recursion_parses_and_runs():
     report = demand_loop(inst, [out], 50, 100_000)
     assert inst.network.content(out) == exact(0)
     assert report.expansions == 5
+
+
+def nested_ifs(depth):
+    """A definition whose body nests `depth` ifs on x, innermost (const y 1)."""
+    body = "(const y 1)"
+    for _ in range(depth):
+        body = f"(if x ({body}) ())"
+    return f"(def (f x y)\n{body})\n"
+
+
+def test_if_nesting_up_to_the_limit_parses():
+    program = parse(nested_ifs(MAX_IF_NESTING))
+    inst = instantiate(program, "f", {"x": 1})
+    inst.network.run_to_quiescence()
+    assert inst.network.content(inst.cell_of(0, "y")) == exact(1)
+
+
+def test_if_nesting_past_the_limit_is_a_parse_error():
+    with pytest.raises(ParseError) as e:
+        parse(nested_ifs(MAX_IF_NESTING + 1))
+    # the innermost if starts one "(if x (" further in per level
+    assert (e.value.line, e.value.col) == (2, 1 + 7 * MAX_IF_NESTING)
+
+
+def test_unterminated_list_reports_the_innermost_open_paren():
+    with pytest.raises(ParseError) as e:
+        parse("(def (f x)\n  (sum x x")
+    assert "unterminated" in str(e.value)
+    assert (e.value.line, e.value.col) == (2, 3)
+
+
+def test_nested_gated_ifs_carry_one_guard_each():
+    # below the root, every if sits in a gated context, so its branches
+    # open through derived gate cells and the calls in them inherit one
+    program = parse(COUNTDOWN)
+    inst = instantiate(program, "len", {"n": 6})
+    demand_loop(inst, [inst.cell_of(0, "k")], 100, 100_000)
+    assert inst.network.content(inst.cell_of(0, "k")) == exact(6)
+    gates = [p for p in inst.network.propagators if p.kind == "gate"]
+    assert len(gates) == 2 * 6  # then and else branch of frames 1..6
+    for f in inst.frames[1:]:
+        (cid, polarity), = f.guards
+        assert polarity is True
+        if f.parent > 0:
+            parent_gates = {c for name, c in inst.frames[f.parent].cellmap.items()
+                            if name.startswith("(")}
+            assert cid in parent_gates
+
+
+def test_countdown_structure_is_linear():
+    # exact counters, no wall time: a 1024-deep chain costs each propagator
+    # one guard and a bounded number of watcher registrations
+    program = parse(COUNTDOWN)
+    inst = instantiate(program, "len", {"n": 1024})
+    report = demand_loop(inst, [inst.cell_of(0, "k")], 2000, 1_000_000)
+    assert inst.network.content(inst.cell_of(0, "k")) == exact(1024)
+    assert report.expansions == 1024
+    props = inst.network.propagators
+    assert all(len(p.guards) <= 1 for p in props)
+    watchers = sum(len(c.watchers) for c in inst.network.cells)
+    assert watchers <= 4 * len(props)
+
+
+def test_unexpanded_worklist_tracks_frames():
+    program = parse(FACT)
+    inst = instantiate(program, "fact", {"n": 2})
+    assert inst.unexpanded == [1]
+    inst.network.run_to_quiescence()
+    twin = inst.clone()
+    expand(inst, 1)
+    assert inst.unexpanded == [2]
+    assert twin.unexpanded == [1]
+    demand_loop(inst, [inst.cell_of(0, "r")], 100, 100_000)
+    assert inst.network.content(inst.cell_of(0, "r")) == exact(2)
+    # only the refuted call under fact(0) is left, and it is not expandable
+    left = [f.id for f in inst.frames if f.state == UNEXPANDED]
+    assert left == [3] and inst.gate_state(inst.frames[3]) is False
+    assert set(inst.unexpanded) <= {3}

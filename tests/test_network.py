@@ -290,6 +290,48 @@ def test_guard_blocks_until_true():
     assert net.content(x) == exact(9)
 
 
+@pytest.mark.parametrize("want_outer,want_cond", [
+    (True, True), (True, False), (False, True), (False, False)])
+def test_gate_is_the_and_of_two_polarities(want_outer, want_cond):
+    truth = {True: exact(3), False: exact(0)}
+    for v_outer in (True, False):
+        for v_cond in (True, False):
+            net = Network()
+            outer, cond, out = (net.add_cell() for _ in range(3))
+            net.attach("gate", (outer, cond, out),
+                       payload=(want_outer, want_cond))
+            net.write(outer, truth[v_outer])
+            net.write(cond, truth[v_cond])
+            net.run_to_quiescence()
+            holds = v_outer == want_outer and v_cond == want_cond
+            assert net.content(out) == exact(1 if holds else 0)
+
+
+def test_gate_refutes_on_either_input_alone():
+    for refuted in (0, 1):
+        net = Network()
+        cells = [net.add_cell() for _ in range(3)]
+        net.attach("gate", tuple(cells), payload=(True, True))
+        net.run_to_quiescence()
+        assert net.content(cells[2]) == NOTHING
+        net.write(cells[refuted], exact(0))
+        net.run_to_quiescence()
+        assert net.content(cells[2]) == exact(0)
+
+
+def test_gate_waits_while_the_other_input_is_undecided():
+    net = Network()
+    outer, cond, out = (net.add_cell() for _ in range(3))
+    net.attach("gate", (outer, cond, out), payload=(True, False))
+    net.write(outer, exact(1))
+    net.write(cond, int_interval(-1, 1))  # may still be 0
+    net.run_to_quiescence()
+    assert net.content(out) == NOTHING
+    net.write(cond, exact(0))
+    net.run_to_quiescence()
+    assert net.content(out) == exact(1)
+
+
 def test_refuted_guard_never_fires():
     net = Network()
     g = net.add_cell()

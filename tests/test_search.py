@@ -465,9 +465,38 @@ COUNT = """
 
 def test_solve_gc_on_a_long_chain():
     # deeper than the Python stack limit: summarization must not recurse
-    # along the chain
+    # along the chain, and the whole chain folds
     prog = parse(COUNT)
-    q = Query(entry="count", bindings=(("n", 1200),), targets=("r",))
-    res = solve(prog, q, gc=True)
-    assert res.assignments() == [{"r": 1200}]
-    assert res.stats["summarized"] == 1200
+    for n in (1200, 5000):
+        q = Query(entry="count", bindings=(("n", n),), targets=("r",))
+        res = solve(prog, q, gc=True)
+        assert res.assignments() == [{"r": n}]
+        assert res.stats["expansions"] == res.stats["summarized"] == n
+
+
+# x is pinned in every recursive frame but open at the bottom one, where
+# the choice d hangs on the gate cell of `if x`, derived from the parent's
+# gate; the parent is decided first and must not fold while that child
+# still reads its gate
+OPEN_BOTTOM = """
+(def (f n r)
+  (cell nm1) (cell rest) (cell x) (cell d)
+  (const one 1)
+  (sum nm1 one n)
+  (choose x 0 1)
+  (if n ((const x 1)) ())
+  (if x ((choose d 3 4)) ())
+  (if n ((call f nm1 rest) (sum rest one r)) ((const r 0))))
+"""
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_gc_keeps_a_parent_while_its_child_reads_its_gate(n):
+    prog = parse(OPEN_BOTTOM)
+    q = Query(entry="f", bindings=(("n", n),), targets=("r",))
+    plain = solve(prog, q)
+    folded = solve(prog, q, gc=True)
+    assert len(plain.assignments()) == 3 * 2 ** n
+    assert folded.stats["complete"]
+    assert folded.assignments()
+    assert {s["r"] for s in folded.assignments()} == {n}
