@@ -69,18 +69,6 @@ class Autoencoder:
         self.feat_std = np.ones(f)
         self.unit_activity_ = np.zeros(k)
 
-    # -- estimator surface ---------------------------------------------------
-
-    def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in _HYPER}
-
-    def set_params(self, **params):
-        for name, value in params.items():
-            if name not in _HYPER:
-                raise ValueError(f"unknown parameter {name!r}")
-            setattr(self, name, value)
-        return self
-
     def fit(self, dataset, epochs=200, seed=0):
         """Standardize from the data, initialize, train, record activity."""
         x = self._as_batch(dataset)

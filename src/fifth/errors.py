@@ -20,6 +20,11 @@ class ParseError(FifthError):
         super().__init__(message)
 
 
+class BundleError(FifthError):
+    """A model bundle file that is truncated, incomplete, or in an older
+    layout; the message names the file."""
+
+
 class TrainingDivergence(FifthError):
     """Training produced a non-finite loss; carries the abort report."""
 

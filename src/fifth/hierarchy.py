@@ -5,8 +5,10 @@ boundary state. Frames of one definition share one autoencoder, so frames
 of the same shape inform each other through the shared weights. Codes of
 adjacent frames combine through bridge encoders, and each root-to-leaf
 recursion path carries a balanced pairwise fold (a spine) so information
-crosses d frames in O(log d) bridge applications. A success/deadend memory
-per definition turns the codes into value-ordering advice for search.
+crosses d frames in O(log d) bridge applications; the spine's combiner is
+the root definition's self-bridge. A memory of distinct success and
+deadend codes per definition turns the codes into value-ordering advice
+for search.
 
 Codes are advisory: nothing here writes into cells, so search results never
 depend on what the encoders learned.
@@ -15,11 +17,12 @@ depend on what the encoders learned.
 import json
 import os
 import re
+import struct
 
 import numpy as np
 
-from .autoenc import Autoencoder, Code
-from .errors import StructuralError
+from .autoenc import Autoencoder
+from .errors import BundleError
 from .language import EXPANDED, REF_WIDTH
 from .lattice import bounds_of, info_bits
 
@@ -106,20 +109,20 @@ def spine_audit(depth):
 
 
 class AugmentationTree:
-    """Shared encoders, bridges, spines, codes, and outcome memory.
+    """Shared encoders, bridges, codes, and outcome memory.
 
     The code store keys by frame id, so one tree accompanies one instance
     lineage at a time; re-encoding a frame overwrites its entry. Encoders
-    and memory carry over freely between runs.
+    and memory carry over freely between runs. Each memory value holds the
+    distinct codes seen with that outcome, one per row, rows sorted.
     """
 
     def __init__(self, n_code=8):
         self.n_code = n_code
         self.frame_encoders = {}   # defname -> Autoencoder
         self.bridge_encoders = {}  # (parent defname, child defname) -> Autoencoder
-        self.spine_bridges = {}    # path-root defname -> Autoencoder
         self.codes = {}            # frame id -> Code
-        self.memory = {}           # defname -> [(vector, "success"|"deadend")]
+        self.memory = {}           # (defname, "success"|"deadend") -> rows
 
     # -- encoders ------------------------------------------------------------
 
@@ -138,16 +141,6 @@ class AugmentationTree:
             self.bridge_encoders[key] = br
         return br
 
-    def spine_bridge_for(self, defname):
-        br = self.spine_bridges.get(defname)
-        if br is None:
-            # a self-recursive bridge is the natural spine combiner
-            br = self.bridge_encoders.get((defname, defname))
-        if br is None:
-            br = Autoencoder(n_features=2 * self.n_code, n_code=self.n_code)
-        self.spine_bridges[defname] = br
-        return br
-
     # -- codes ---------------------------------------------------------------
 
     def encode_frame(self, inst, frame):
@@ -160,21 +153,18 @@ class AugmentationTree:
         """Fold codes along root..frame into one; returns (Code, hops).
 
         hops counts the bridge applications separating the queried frame
-        from the root of the fold, the communication cost of interest.
+        from the root of the fold, the communication cost of interest. The
+        fold combines with the root definition's self-bridge.
         """
-        path = []
-        f = frame
-        while True:
-            path.append(f)
-            if f.parent is None:
-                break
-            f = inst.frames[f.parent]
+        path = [frame]
+        while path[-1].parent is not None:
+            path.append(inst.frames[path[-1].parent])
         path.reverse()
         leaves = [self.codes.get(f.id) or self.encode_frame(inst, f)
                   for f in path]
         if len(leaves) == 1:
             return leaves[0], 0
-        bridge = self.spine_bridge_for(path[0].defname)
+        bridge = self.bridge_for(path[0].defname, path[0].defname)
 
         def combine(a, b):
             return bridge.encode(np.concatenate([a.vector, b.vector]))
@@ -182,64 +172,35 @@ class AugmentationTree:
         root, hops = _fold_pairwise(leaves, combine)
         return root, hops[-1]
 
-    def similarity(self, a, b):
-        """Distance between two codes over jointly active units.
-
-        Accepts frames (looked up in the code store) or Code objects
-        directly; the latter lets callers compare frames from different
-        instances, whose ids would collide in the store.
-        """
-        def as_code(x):
-            if isinstance(x, Code):
-                return x
-            try:
-                return self.codes[x.id]
-            except KeyError:
-                raise StructuralError("similarity needs both frames encoded")
-
-        ca, cb = as_code(a), as_code(b)
-        mask = ca.active & cb.active
-        return float(np.linalg.norm(ca.vector[mask] - cb.vector[mask]))
-
-    # -- memory and guidance -----------------------------------------------
-
-    def record_outcome(self, frame, label):
-        if label not in ("success", "deadend"):
-            raise ValueError(f"label must be success or deadend, got {label!r}")
-        code = self.codes.get(frame.id)
-        if code is None:
-            raise StructuralError("record_outcome needs the frame encoded")
-        self.memory.setdefault(frame.defname, []).append(
-            (code.vector.copy(), label))
+    # -- guidance ------------------------------------------------------------
 
     def oracle_scores(self, inst, descriptors):
-        """Deadend-distance minus success-distance per candidate write."""
+        """Deadend-distance minus success-distance per candidate write,
+        each the Euclidean distance to the nearest remembered code."""
         scores = []
         for cell, info, fid in descriptors:
             frame = inst.frames[fid]
-            mem = self.memory.get(frame.defname)
-            if not mem:
+            succ = self.memory.get((frame.defname, "success"))
+            dead = self.memory.get((frame.defname, "deadend"))
+            if succ is None and dead is None:
                 scores.append(0.0)
                 continue
             feats = featurize(frame, inst.network, inst.program,
                               override={cell: info})
             code = self.encoder_for(frame.defname).encode(feats).vector
-            d_succ = [np.linalg.norm(code - v) for v, lab in mem
-                      if lab == "success"]
-            d_dead = [np.linalg.norm(code - v) for v, lab in mem
-                      if lab == "deadend"]
             score = 0.0
-            if d_dead:
-                score += min(d_dead)
-            if d_succ:
-                score -= min(d_succ)
+            if dead is not None:
+                score += np.sqrt(((dead - code) ** 2).sum(axis=1)).min()
+            if succ is not None:
+                score -= np.sqrt(((succ - code) ** 2).sum(axis=1)).min()
             scores.append(float(score))
         return scores
 
     # -- training --------------------------------------------------------------
 
     def train_from_traces(self, traces, seed=0, epochs=150):
-        """Fit frame encoders, bridges, and memory from solver traces."""
+        """Fit frame encoders, bridges, and memory from solver traces. The
+        report counts every outcome seen; the memory keeps distinct codes."""
         logs = [traces] if isinstance(traces, TraceLog) else list(traces)
         states = {}
         edges = {}
@@ -273,14 +234,14 @@ class AugmentationTree:
             bridge = self.bridge_for(pd, cd)
             bridge.fit(pairs, epochs=epochs, seed=seed + 100 + j)
             report["batches"] += 1
-            if pd == cd:
-                self.spine_bridges[pd] = bridge
-        self.memory = {}
+        seen = {}
         for defname, vec, label in outcomes:
             code = self.encoder_for(defname).encode(vec)
-            self.memory.setdefault(defname, []).append(
-                (code.vector.copy(), label))
+            seen.setdefault((defname, label), set()).add(
+                tuple(code.vector.tolist()))
             report["memory"][label] += 1
+        self.memory = {key: np.array(sorted(rows))
+                       for key, rows in seen.items()}
         return report
 
 
@@ -297,8 +258,9 @@ class LearnedOracle:
 class TraceLog:
     """What the solver saw: frame states, tree edges, and outcomes.
 
-    The frame tree (parent links) is one dimension of structure; the spine
-    fold over each root-to-leaf path is the other. `structure` dumps both.
+    `node` logs every expanded frame's features and each parent-child edge
+    between them; `solution` and `deadend` log every expanded frame with
+    that outcome, so the same state recurs once per leaf that reaches it.
     """
 
     def __init__(self):
@@ -334,20 +296,6 @@ class TraceLog:
                 (f.defname, featurize(f, inst.network, inst.program),
                  "deadend"))
 
-    def structure(self, inst):
-        """Both structural dimensions of one instance, as plain data."""
-        frame_edges = [(f.parent, f.id, f.defname)
-                       for f in inst.frames if f.parent is not None]
-        paths = {}
-        for f in inst.frames:
-            depth = 1
-            g = f
-            while g.parent is not None:
-                depth += 1
-                g = inst.frames[g.parent]
-            paths[f.id] = {"depth": depth, "max_hops": spine_audit(depth)}
-        return {"frame_edges": frame_edges, "paths": paths}
-
 
 # -- persistence -------------------------------------------------------------
 
@@ -359,43 +307,51 @@ def _slug(name):
 def save_bundle(tree, directory):
     """One checkpoint file per encoder plus a manifest."""
     os.makedirs(directory, exist_ok=True)
+    memory = {}
+    for (d, label), rows in tree.memory.items():
+        memory.setdefault(d, {})[label] = rows.tolist()
     manifest = {
         "n_code": tree.n_code,
         "feature_schema": 1,
         "definitions": sorted(tree.frame_encoders),
         "bridges": [f"{p}:{c}" for p, c in sorted(tree.bridge_encoders)],
-        "spine_bridges": sorted(tree.spine_bridges),
-        "memory": {
-            d: [{"label": lab, "vector": vec.tolist()} for vec, lab in entries]
-            for d, entries in sorted(tree.memory.items())
-        },
+        "memory": memory,
     }
     for d, enc in tree.frame_encoders.items():
         enc.save(os.path.join(directory, f"enc_{_slug(d)}.aenc"))
     for (p, c), br in tree.bridge_encoders.items():
         br.save(os.path.join(directory, f"bridge_{_slug(p)}__{_slug(c)}.aenc"))
-    for d, br in tree.spine_bridges.items():
-        br.save(os.path.join(directory, f"spine_{_slug(d)}.aenc"))
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
 def load_bundle(directory):
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    tree = AugmentationTree(n_code=manifest["n_code"])
-    for d in manifest["definitions"]:
-        tree.frame_encoders[d] = Autoencoder.load(
-            os.path.join(directory, f"enc_{_slug(d)}.aenc"))
-    for key in manifest["bridges"]:
-        p, c = key.split(":")
-        tree.bridge_encoders[(p, c)] = Autoencoder.load(
-            os.path.join(directory, f"bridge_{_slug(p)}__{_slug(c)}.aenc"))
-    for d in manifest["spine_bridges"]:
-        tree.spine_bridges[d] = Autoencoder.load(
-            os.path.join(directory, f"spine_{_slug(d)}.aenc"))
-    for d, entries in manifest["memory"].items():
-        tree.memory[d] = [(np.array(e["vector"]), e["label"])
-                          for e in entries]
+    """Read a bundle written by save_bundle. A truncated or incomplete
+    file, or a bundle in an older layout, raises BundleError naming the
+    file; retraining is the only upgrade path."""
+    path = os.path.join(directory, "manifest.json")
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+        if "spine_bridges" in manifest:
+            raise ValueError("written in the older layout")
+        tree = AugmentationTree(n_code=manifest["n_code"])
+        tree.memory = {(d, label): np.array(rows, dtype=float)
+                       for d, by_label in manifest["memory"].items()
+                       for label, rows in by_label.items()}
+        checkpoints = [(tree.frame_encoders, d, f"enc_{_slug(d)}.aenc")
+                       for d in manifest["definitions"]]
+        for key in manifest["bridges"]:
+            p, c = key.split(":")
+            checkpoints.append((tree.bridge_encoders, (p, c),
+                                f"bridge_{_slug(p)}__{_slug(c)}.aenc"))
+        for encoders, key, name in checkpoints:
+            path = os.path.join(directory, name)
+            encoders[key] = Autoencoder.load(path)
+    except (AttributeError, KeyError, TypeError, ValueError,
+            struct.error) as e:
+        raise BundleError(
+            f"{path}: cannot read model bundle ({type(e).__name__}: {e});"
+            " retrain it with fifth train") from e
     return tree

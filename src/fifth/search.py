@@ -273,9 +273,10 @@ def solve(program: Program, query: Query, oracle=None, trace=None,
     from what the search actually saw.
 
     `gc` summarizes decided frames after each node quiesces, so clones stay
-    small on deep recursions. Summarization only folds frames whose boundary
-    is exact, which on well-formed programs implies their interior choices
-    are decided too; answers must not depend on the flag.
+    small on deep recursions. Summarization only folds a frame whose
+    boundary is exact and whose live choices are all decided, so search
+    still branches on a choice the boundary no longer depends on; answers,
+    their repeats and node counts must not depend on the flag.
 
     `write_sink` taps every cell write made during the search (clones
     inherit it); instantiation writes happen before it is installed.
@@ -368,9 +369,10 @@ class SummarizationReport:
 def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
     """Summarize frames whose work is finished.
 
-    A frame folds up when its boundary is fully decided, every descendant
-    has folded or waits behind a refuted gate (refuted descendants are dead,
-    not pending), and no query target lives in its interior. Interior cells
+    A frame folds up when its boundary is fully decided, every choice in it
+    is decided or behind a refuted guard, every descendant has folded or
+    waits behind a refuted gate (refuted descendants are dead, not
+    pending), and no query target lives in its interior. Interior cells
     are dropped and their propagators detached; boundary contents are
     untouched, so every already derived answer survives by construction.
     """
@@ -384,8 +386,15 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
     guard_refs = set()
     for f in inst.frames:
         guard_refs.update(cid for cid, _ in f.guards)
+    # An open live choice keeps its frame even when the boundary no longer
+    # depends on it: search has yet to branch on it, once per repeat.
+    open_choice = set()
     for cp in inst.choices:
         guard_refs.update(cid for cid, _ in cp.guards)
+        if (inst.frames[cp.frame].state == EXPANDED
+                and net.content(cp.cell).kind != "exact"
+                and inst.guard_state(cp.guards) is not False):
+            open_choice.add(cp.frame)
 
     # A frame folds bottom-up: only once every descendant is finished too,
     # that is summarized, or awaiting expansion behind a refuted gate. A
@@ -410,6 +419,7 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
         interior = [c for c in f.cellmap.values() if c not in boundary]
         if (
             unfinished[f.id]
+            or f.id in open_choice
             or any(net.content(c).kind != "exact" for c in boundary)
             or any(cid in guard_refs and truth_value(net.content(cid)) is None
                    for cid in interior)

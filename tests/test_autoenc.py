@@ -231,16 +231,6 @@ def test_sparsity_pressure_monotone(plane):
 # -- estimator surface ---------------------------------------------------------
 
 
-def test_get_set_params_roundtrip():
-    ae = Autoencoder(n_code=5)
-    params = ae.get_params()
-    assert params["n_code"] == 5
-    ae.set_params(learning_rate=0.5)
-    assert ae.learning_rate == 0.5
-    with pytest.raises(ValueError):
-        ae.set_params(bogus=1)
-
-
 def test_fit_transform_shapes(plane):
     ae = Autoencoder(n_features=10)
     assert ae.fit(plane, epochs=5, seed=0) is ae

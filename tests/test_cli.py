@@ -269,6 +269,55 @@ def test_measure_untrained_bundle_matches_uniform(tiny_corpus, tmp_path,
         assert row["solutions_equal"] is True
 
 
+def _truncate(path, keep):
+    data = path.read_bytes()
+    path.write_bytes(data[:keep(len(data))])
+
+
+def _edit_manifest(path, change):
+    manifest = json.loads(path.read_text())
+    change(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def _old_layout(manifest):
+    manifest["spine_bridges"] = []
+    manifest["memory"] = {
+        d: [{"label": label, "vector": row}
+            for label, rows in by_label.items() for row in rows]
+        for d, by_label in manifest["memory"].items()}
+
+
+BAD_BUNDLES = {
+    "truncated manifest": ("manifest.json",
+                           lambda p: _truncate(p, lambda n: n // 2)),
+    "manifest missing a key": ("manifest.json", lambda p: _edit_manifest(
+        p, lambda m: m.pop("definitions"))),
+    "old layout": ("manifest.json", lambda p: _edit_manifest(p, _old_layout)),
+    "checkpoint cut in its header": ("enc_csp.aenc",
+                                     lambda p: _truncate(p, lambda n: 40)),
+    "checkpoint cut in its arrays": ("enc_csp.aenc",
+                                     lambda p: _truncate(p, lambda n: n - 8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BUNDLES))
+def test_bad_bundle_is_an_error_naming_the_file(case, tiny_corpus, tmp_path,
+                                               capsys):
+    model = tmp_path / "model"
+    assert run(["train", tiny_corpus, "--model", model], capsys)[0] == 0
+    name, damage = BAD_BUNDLES[case]
+    damage(model / name)
+    for argv in (["solve", "--oracle", "learned", "--model", model,
+                  tiny_corpus / "t-0.5th"],
+                 ["measure", tiny_corpus, tiny_corpus, "--model", model]):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and name in err
+        assert "retrain" in err
+
+
 # -- check ---------------------------------------------------------------------
 
 

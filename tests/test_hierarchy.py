@@ -1,6 +1,7 @@
 """Frame featurization, shared encoders, spine composition, guidance."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from fifth import (
     parse,
     solve,
 )
-from fifth.errors import StructuralError
 from fifth.hierarchy import (
     N_FEATURES,
     featurize,
@@ -26,6 +26,8 @@ from fifth.hierarchy import (
     spine_audit,
 )
 from fifth.language import EXPANDED
+
+CSP_TRAIN = Path(__file__).resolve().parent.parent / "corpus" / "csp" / "train"
 
 FACT = """
 (def (fact n r)
@@ -263,29 +265,7 @@ def test_compose_depends_only_on_path_codes():
     assert np.array_equal(ca.vector, cb.vector)
 
 
-# -- similarity ------------------------------------------------------------------
-
-
-def test_similarity_self_is_zero(fact_tree):
-    inst = fact_chain(6)
-    f = expanded(inst)[2]
-    fact_tree.encode_frame(inst, f)
-    assert fact_tree.similarity(f, f) == 0.0
-
-
-def test_similarity_symmetric(fact_tree):
-    inst = fact_chain(6)
-    fa, fb = expanded(inst)[1], expanded(inst)[4]
-    fact_tree.encode_frame(inst, fa)
-    fact_tree.encode_frame(inst, fb)
-    assert fact_tree.similarity(fa, fb) == fact_tree.similarity(fb, fa)
-
-
-def test_similarity_requires_codes():
-    tree = AugmentationTree()
-    inst = fact_chain(4)
-    with pytest.raises(StructuralError):
-        tree.similarity(inst.root, inst.root)
+# -- code distances ------------------------------------------------------------
 
 
 def test_equal_subproblems_closer_than_different(fact_tree):
@@ -294,23 +274,13 @@ def test_equal_subproblems_closer_than_different(fact_tree):
     same_a = fact_tree.encode_frame(a, expanded(a)[3])
     same_b = fact_tree.encode_frame(b, expanded(b)[3])
     other = fact_tree.encode_frame(a, expanded(a)[6])
-    d_same = fact_tree.similarity(same_a, same_b)
-    d_diff = fact_tree.similarity(same_a, other)
+    d_same = np.linalg.norm(same_a.vector - same_b.vector)
+    d_diff = np.linalg.norm(same_a.vector - other.vector)
     assert d_same == 0.0
     assert d_diff > 0.1  # trained codes separate distinct states
 
 
 # -- memory and guidance -----------------------------------------------------
-
-
-def test_record_outcome_validates_label():
-    tree = AugmentationTree()
-    inst = fact_chain(3)
-    tree.encode_frame(inst, inst.root)
-    with pytest.raises(ValueError):
-        tree.record_outcome(inst.root, "maybe")
-    tree.record_outcome(inst.root, "success")
-    assert len(tree.memory["fact"]) == 1
 
 
 def test_empty_memory_scores_zero():
@@ -331,7 +301,7 @@ def test_remembered_success_scores_highest():
     target = featurize(inst.root, inst.network, inst.program,
                        override={n_cell: exact(3)})
     code = tree.encoder_for("fact").encode(target)
-    tree.memory["fact"] = [(code.vector.copy(), "success")]
+    tree.memory[("fact", "success")] = code.vector[None, :].copy()
     descriptors = [(n_cell, exact(v), 0) for v in (1, 2, 3, 4)]
     scores = tree.oracle_scores(inst, descriptors)
     assert max(range(4), key=lambda i: scores[i]) == 2
@@ -341,7 +311,7 @@ def test_remembered_success_scores_highest():
 def test_scoring_does_not_mutate_network():
     tree = AugmentationTree()
     tree.encoder_for("fact").init_weights(6)
-    tree.memory["fact"] = [(np.ones(8), "deadend")]
+    tree.memory[("fact", "deadend")] = np.ones((1, 8))
     prog = parse(FACT)
     inst = instantiate(prog, "fact")
     n_cell = inst.cell_of(0, "n")
@@ -380,6 +350,64 @@ def queens5():
 
 def _solution_set(result):
     return sorted(tuple(sorted(s["cells"].items())) for s in result.solutions)
+
+
+def _reference_scores(inst, descriptors, tree, memory):
+    """The per-entry scoring loop over a memory that keeps every outcome
+    seen, repeats included, as defname -> [(vector, label)]."""
+    scores = []
+    for cell, info, fid in descriptors:
+        frame = inst.frames[fid]
+        mem = memory[frame.defname]
+        feats = featurize(frame, inst.network, inst.program,
+                          override={cell: info})
+        code = tree.encoder_for(frame.defname).encode(feats).vector
+        d_succ = [np.linalg.norm(code - v) for v, lab in mem
+                  if lab == "success"]
+        d_dead = [np.linalg.norm(code - v) for v, lab in mem
+                  if lab == "deadend"]
+        score = 0.0
+        if d_dead:
+            score += min(d_dead)
+        if d_succ:
+            score -= min(d_succ)
+        scores.append((float(score), max(d_succ + d_dead, default=0.0)))
+    return scores
+
+
+def test_deduplicated_memory_scores_like_every_outcome():
+    log = TraceLog()
+    programs = [parse((CSP_TRAIN / f"train-0{i}.5th").read_text())
+                for i in (0, 5, 7)]
+    for prog in programs:
+        solve(prog, Query.from_spec(prog.query), trace=log)
+    tree = AugmentationTree()
+    report = tree.train_from_traces(log, seed=0)
+    seen = report["memory"]["success"] + report["memory"]["deadend"]
+    assert seen == len(log.outcomes)
+    assert sum(len(rows) for rows in tree.memory.values()) < seen
+    every_outcome = {}
+    for d, vec, lab in log.outcomes:
+        every_outcome.setdefault(d, []).append(
+            (tree.encoder_for(d).encode(vec).vector, lab))
+
+    checked = []
+
+    class Checking:
+        def scores(self, inst, descriptors):
+            got = tree.oracle_scores(inst, descriptors)
+            want = _reference_scores(inst, descriptors, tree, every_outcome)
+            for g, (w, scale) in zip(got, want):
+                # summation order differs from np.linalg.norm's dot product
+                assert g == pytest.approx(w, rel=0,
+                                          abs=8 * np.finfo(float).eps * scale)
+            checked.extend(got)
+            return got
+
+    for prog in programs:
+        solve(prog, Query.from_spec(prog.query), oracle=Checking())
+    assert len(checked) > 20
+    assert len(set(checked)) > 1
 
 
 def test_learned_guidance_is_sound_on_queens():
@@ -427,8 +455,11 @@ def test_training_is_deterministic():
 def test_training_populates_memory_per_solved_instance():
     logs = fact_traces((4, 5, 6))
     tree = AugmentationTree()
-    tree.train_from_traces(logs, seed=1)
-    assert sum(1 for _, lab in tree.memory["fact"] if lab == "success") >= 3
+    report = tree.train_from_traces(logs, seed=1)
+    rows = tree.memory[("fact", "success")]
+    assert report["memory"]["success"] >= 3
+    assert 3 <= len(rows) <= report["memory"]["success"]
+    assert len(np.unique(rows, axis=0)) == len(rows)
 
 
 def test_deadends_are_remembered():
@@ -447,21 +478,22 @@ def test_deadends_are_remembered():
     assert report["memory"]["deadend"] > 0
 
 
-def test_self_recursive_bridge_doubles_as_spine(fact_tree):
-    assert ("fact", "fact") in fact_tree.bridge_encoders
-    assert fact_tree.spine_bridge_for("fact") is (
-        fact_tree.bridge_encoders[("fact", "fact")])
-
-
-def test_trace_structure_shows_both_dimensions():
+def test_self_recursive_bridge_doubles_as_spine(fact_tree, monkeypatch,
+                                                tmp_path):
+    bridge = fact_tree.bridge_encoders[("fact", "fact")]
+    n_bridges = len(fact_tree.bridge_encoders)
+    calls = []
+    encode = bridge.encode
+    monkeypatch.setattr(bridge, "encode",
+                        lambda x: calls.append(1) or encode(x))
     inst = fact_chain(6)
-    dump = TraceLog().structure(inst)
-    assert len(dump["frame_edges"]) == len(inst.frames) - 1
-    depths = [p["depth"] for p in dump["paths"].values()]
-    assert max(depths) == 8  # root + six recursive frames + refuted leaf
-    for p in dump["paths"].values():
-        bound = math.ceil(math.log2(p["depth"])) + 1 if p["depth"] > 1 else 0
-        assert p["max_hops"] <= bound
+    leaf = max(expanded(inst), key=lambda f: f.depth)
+    fact_tree.compose_path(inst, leaf)
+    # seven frames on the path fold with six combines, all through it
+    assert len(calls) == leaf.depth
+    assert len(fact_tree.bridge_encoders) == n_bridges
+    save_bundle(fact_tree, tmp_path)
+    assert not list(tmp_path.glob("spine_*"))
 
 
 # -- persistence ----------------------------------------------------------------
@@ -477,8 +509,9 @@ def test_bundle_roundtrip(tmp_path, fact_tree):
     prog_inst_scores = lambda t: t.oracle_scores(
         inst, [(inst.cell_of(0, "n"), exact(v), 0) for v in (1, 2, 3)])
     assert prog_inst_scores(back) == prog_inst_scores(fact_tree)
-    assert {d: [l for _, l in m] for d, m in back.memory.items()} == \
-        {d: [l for _, l in m] for d, m in fact_tree.memory.items()}
+    assert back.memory.keys() == fact_tree.memory.keys()
+    for key, rows in fact_tree.memory.items():
+        assert np.array_equal(back.memory[key], rows)
 
 
 def test_bundle_manifest_stable(tmp_path, fact_tree):

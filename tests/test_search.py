@@ -500,3 +500,27 @@ def test_gc_keeps_a_parent_while_its_child_reads_its_gate(n):
     assert folded.stats["complete"]
     assert folded.assignments()
     assert {s["r"] for s in folded.assignments()} == {n}
+
+
+# every frame chooses c, but r never reads it: each frame's boundary is
+# exact before search branches on its c, and the repeats must survive
+OPEN_CHOICE = """
+(def (rec n r)
+  (cell nm1) (cell rest) (cell c)
+  (choose c 1 2)
+  (const one 1)
+  (sum nm1 one n)
+  (if n ((call rec nm1 rest) (product n rest r)) ((const r 0))))
+"""
+
+
+def test_gc_keeps_a_frame_with_an_open_choice():
+    prog = parse(OPEN_CHOICE)
+    q = Query(entry="rec", bindings=(("n", 2),), targets=("r",))
+    plain = solve(prog, q)
+    folded = solve(prog, q, gc=True)
+    assert plain.assignments() == [{"r": 0}] * 8
+    assert plain.stats["nodes"] == 15
+    assert folded.solutions == plain.solutions
+    assert folded.stats["nodes"] == plain.stats["nodes"]
+    assert folded.stats["summarized"] > 0
