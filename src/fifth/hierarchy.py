@@ -74,38 +74,34 @@ def featurize(frame, network, program, override=None):
 
 
 def _fold_pairwise(items, combine):
-    """Balanced pairwise fold. Returns (root, hops) where hops[i] counts the
-    combine applications on leaf i's path to the root; an odd tail carries
-    upward for free, so hops[i] <= ceil(log2 n)."""
-    n = len(items)
-    hops = [0] * n
-    pos = list(range(n))
+    """Balanced pairwise fold. Returns (root, hops) where hops counts the
+    combine applications on the last leaf's path to the root. An odd tail
+    carries upward for free, so the last leaf is combined only at levels of
+    even length and hops <= ceil(log2 n)."""
     level = list(items)
+    hops = 0
     while len(level) > 1:
-        nxt = []
-        paired = []
-        for i in range(0, len(level), 2):
-            if i + 1 < len(level):
-                nxt.append(combine(level[i], level[i + 1]))
-                paired.append(True)
-            else:
-                nxt.append(level[i])
-                paired.append(False)
-        for leaf in range(n):
-            p = pos[leaf] // 2
-            if paired[p]:
-                hops[leaf] += 1
-            pos[leaf] = p
+        odd = len(level) % 2
+        nxt = [combine(level[i], level[i + 1])
+               for i in range(0, len(level) - odd, 2)]
+        if odd:
+            nxt.append(level[-1])
+        else:
+            hops += 1
         level = nxt
     return level[0], hops
 
 
 def spine_audit(depth):
-    """Max leaf-to-root combine count for a path of `depth` frames."""
+    """Max leaf-to-root combine count for a path of `depth` frames. Leaf 0
+    is paired at every level of the fold, so this is the level count."""
     if depth < 1:
         raise ValueError("a path has at least one frame")
-    _, hops = _fold_pairwise(list(range(depth)), lambda a, b: None)
-    return max(hops)
+    levels = 0
+    while depth > 1:
+        depth = (depth + 1) // 2
+        levels += 1
+    return levels
 
 
 class AugmentationTree:
@@ -169,8 +165,7 @@ class AugmentationTree:
         def combine(a, b):
             return bridge.encode(np.concatenate([a.vector, b.vector]))
 
-        root, hops = _fold_pairwise(leaves, combine)
-        return root, hops[-1]
+        return _fold_pairwise(leaves, combine)
 
     # -- guidance ------------------------------------------------------------
 
@@ -328,8 +323,9 @@ def save_bundle(tree, directory):
 
 def load_bundle(directory):
     """Read a bundle written by save_bundle. A truncated or incomplete
-    file, or a bundle in an older layout, raises BundleError naming the
-    file; retraining is the only upgrade path."""
+    file, a bundle in an older layout, or memory rows or encoders whose
+    width does not fit `n_code` and the feature count raise BundleError
+    naming the file; retraining is the only upgrade path."""
     path = os.path.join(directory, "manifest.json")
     try:
         with open(path) as fh:
@@ -337,18 +333,30 @@ def load_bundle(directory):
         if "spine_bridges" in manifest:
             raise ValueError("written in the older layout")
         tree = AugmentationTree(n_code=manifest["n_code"])
+        n_code = tree.n_code
         tree.memory = {(d, label): np.array(rows, dtype=float)
                        for d, by_label in manifest["memory"].items()
                        for label, rows in by_label.items()}
-        checkpoints = [(tree.frame_encoders, d, f"enc_{_slug(d)}.aenc")
+        for (d, label), rows in tree.memory.items():
+            if rows.ndim != 2 or rows.shape[1] != n_code:
+                raise ValueError(
+                    f"{label} memory of {d!r} is not {n_code} codes wide")
+        checkpoints = [(tree.frame_encoders, d, f"enc_{_slug(d)}.aenc",
+                        (N_FEATURES, n_code))
                        for d in manifest["definitions"]]
         for key in manifest["bridges"]:
             p, c = key.split(":")
             checkpoints.append((tree.bridge_encoders, (p, c),
-                                f"bridge_{_slug(p)}__{_slug(c)}.aenc"))
-        for encoders, key, name in checkpoints:
+                                f"bridge_{_slug(p)}__{_slug(c)}.aenc",
+                                (2 * n_code, n_code)))
+        for encoders, key, name, shape in checkpoints:
             path = os.path.join(directory, name)
-            encoders[key] = Autoencoder.load(path)
+            enc = Autoencoder.load(path)
+            if (enc.n_features, enc.n_code) != shape:
+                raise ValueError(
+                    f"encoder maps {enc.n_features} features to"
+                    f" {enc.n_code}, not {shape[0]} to {shape[1]}")
+            encoders[key] = enc
     except (AttributeError, KeyError, TypeError, ValueError,
             struct.error) as e:
         raise BundleError(

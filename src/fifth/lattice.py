@@ -250,8 +250,34 @@ def merge(a: PartialInfo, b: PartialInfo) -> PartialInfo:
     Contradiction is a value, not an error: incompatible inputs produce a
     Contradiction carrying the union of any input provenance. Callers that
     know the responsible write identifiers attach them afterwards.
+
+    When b cannot refine a, a itself is returned and nothing is allocated:
+    an exact a equal to an exact b; an integer exact, integer interval or
+    finite domain inside an integer interval b; an exact or integer
+    interval inside a real interval b, within REAL_TOL.
     """
     ka, kb = a.kind, b.kind
+
+    if kb == "exact":
+        if ka == "exact" and a.value == b.value:
+            return a
+    elif kb == "int_interval":
+        if ka == "exact":
+            if isinstance(a.value, int) and b.lo <= a.value <= b.hi:
+                return a
+        elif ka == "int_interval":
+            if b.lo <= a.lo and a.hi <= b.hi:
+                return a
+        elif ka == "finite_domain":
+            if b.lo <= a.elements[0] and a.elements[-1] <= b.hi:
+                return a
+    elif kb == "real_interval":
+        if ka == "exact":
+            if b.lo - REAL_TOL <= a.value <= b.hi + REAL_TOL:
+                return a
+        elif ka == "int_interval":
+            if b.lo - REAL_TOL <= a.lo and a.hi <= b.hi + REAL_TOL:
+                return a
 
     if ka == "contradiction" and kb == "contradiction":
         return Contradiction(a.provenance + b.provenance)

@@ -1,11 +1,34 @@
 """Cells, monotone propagators, and the run-to-quiescence scheduler.
 
-A Network is a store of cells plus propagators watching them. Writing a
-cell merges new partial information into its content; any actual refinement
-alerts the watching propagators through a FIFO queue with a membership set,
-so the queue never holds duplicates. Scheduling order is semantically
-irrelevant (the catalog propagators are monotone, so the quiescent state is
-confluent) but FIFO keeps runs reproducible.
+A Network is a flat store of cells plus propagators watching them. A cell
+is an index into per-cell lists owned by the network:
+
+- `contents[cid]`: the lattice value, None once storage management has
+  dropped the cell;
+- `watchers[cid]`: a tuple of the propagator ids that read the cell, in
+  ascending id order (attach appends, the new id being the largest);
+  `attach` and `detach` replace the tuple, never mutate it;
+- `origins[cid]`: (frame id, source name), used in trace records;
+- `contributors[cid]`: the writes that refined the cell, as a persistent
+  cons list `(write id, rest)` ending in None.
+
+plus one `saturated` set of cells whose computed bounds were clamped at
+±2^62. Cloning a network, which search does once per branch, is a few
+list and set copies; lattice values and Propagator objects are immutable
+and shared.
+
+Writing a cell merges new partial information into its content. `merge`
+hands back the old value itself when the write cannot refine it, so most
+no-op writes cost one identity test. An actual refinement alerts the
+cell's watchers, in ascending id order, through a FIFO queue with a
+membership set, so the queue never holds duplicates. Scheduling order is
+semantically irrelevant (the catalog propagators are monotone, so the
+quiescent state is confluent) but FIFO keeps runs reproducible.
+
+A propagator's writes carry its integer id as their write id. The name
+`p{id}:{kind}` is rendered only where a person reads it: in a
+contradiction's provenance and in `trace_sink` records. Other writes name
+themselves with a string (`decl:...`, `branch:...`, or `w{n}` by default).
 
 Gating: a propagator may carry guard conditions (cell, polarity). One behind
 a refuted guard never runs; behind an undecided guard it stays dormant until
@@ -76,26 +99,6 @@ class QuiescenceReport:
         )
 
 
-class Cell:
-    __slots__ = ("id", "content", "watchers", "origin", "contributors", "saturated")
-
-    def __init__(self, cid, origin):
-        self.id = cid
-        self.content = NOTHING
-        self.watchers = set()
-        self.origin = origin  # (frame id, source name)
-        self.contributors = ()  # write ids that refined this cell
-        self.saturated = False
-
-    def copy(self):
-        c = Cell(self.id, self.origin)
-        c.content = self.content  # immutable, safe to share
-        c.watchers = set(self.watchers)
-        c.contributors = self.contributors
-        c.saturated = self.saturated
-        return c
-
-
 class Propagator:
     """Immutable once attached; per-branch dynamic state lives on the network."""
 
@@ -113,8 +116,18 @@ class Propagator:
 
 
 class Network:
+    __slots__ = (
+        "contents", "watchers", "origins", "contributors", "saturated",
+        "propagators", "queue", "pending", "write_counter", "steps_total",
+        "contradiction", "detached", "trace_sink",
+    )
+
     def __init__(self):
-        self.cells = []
+        self.contents = []
+        self.watchers = []
+        self.origins = []
+        self.contributors = []
+        self.saturated = set()
         self.propagators = []
         self.queue = deque()
         self.pending = set()
@@ -127,36 +140,36 @@ class Network:
     # -- structure -------------------------------------------------------
 
     def add_cell(self, origin=("", "")):
-        cid = len(self.cells)
-        self.cells.append(Cell(cid, origin))
+        cid = len(self.contents)
+        self.contents.append(NOTHING)
+        self.watchers.append(())
+        self.origins.append(origin)
+        self.contributors.append(None)
         return cid
 
-    def cell(self, cid):
-        if cid < 0 or cid >= len(self.cells) or self.cells[cid] is None:
-            raise StructuralError(f"unknown cell id {cid}")
-        return self.cells[cid]
-
     def content(self, cid):
-        return self.cell(cid).content
+        if 0 <= cid < len(self.contents):
+            info = self.contents[cid]
+            if info is not None:
+                return info
+        raise StructuralError(f"unknown cell id {cid}")
 
     def attach(self, kind, cells, guards=(), payload=None):
         if kind not in PROPAGATOR_KINDS:
             raise StructuralError(f"unknown propagator kind {kind!r}")
-        for cid in tuple(cells) + tuple(g[0] for g in guards):
-            self.cell(cid)
-        pid = len(self.propagators)
-        prop = Propagator(pid, kind, cells, guards, payload)
+        prop = Propagator(len(self.propagators), kind, cells, guards, payload)
+        guard_cells = tuple(g[0] for g in prop.guards)
+        for cid in prop.cells + guard_cells:
+            self.content(cid)
+        pid = prop.id
         self.propagators.append(prop)
-        watched = cells if kind not in ("constant", "element_of") else ()
-        for cid in set(tuple(watched) + tuple(g[0] for g in guards)):
-            self.cells[cid].watchers.add(pid)
-        self._enqueue(pid)
+        watched = prop.cells if kind not in ("constant", "element_of") else ()
+        watchers = self.watchers
+        for cid in set(watched + guard_cells):
+            watchers[cid] = watchers[cid] + (pid,)  # pid is the largest id
+        self.pending.add(pid)
+        self.queue.append(pid)
         return pid
-
-    def _enqueue(self, pid):
-        if pid not in self.pending and pid not in self.detached:
-            self.pending.add(pid)
-            self.queue.append(pid)
 
     @property
     def quiescent(self):
@@ -165,41 +178,61 @@ class Network:
     # -- writes ------------------------------------------------------------
 
     def write(self, cid, info, write_id=None):
-        cell = self.cell(cid)
+        """Merge `info` into cell `cid`. `write_id` names the write in
+        provenance: a propagator id, or a string for any other writer."""
+        contents = self.contents
+        old = contents[cid] if 0 <= cid < len(contents) else None
+        if old is None:
+            raise StructuralError(f"unknown cell id {cid}")
         if write_id is None:
             write_id = f"w{self.write_counter}"
         self.write_counter += 1
-        old = cell.content
         new = merge(old, info)
-        if new == old:
+        if new is old or new == old:
             return WriteResult.UNCHANGED
         if new.kind == "contradiction":
-            prov = set(new.provenance) | set(cell.contributors) | {write_id}
+            prov = set(new.provenance)
+            prov.add(self._write_name(write_id))
+            node = self.contributors[cid]
+            while node is not None:
+                wid, node = node
+                prov.add(self._write_name(wid))
             new = Contradiction(prov)
-            cell.content = new
+            contents[cid] = new
             self.contradiction = cid
-            self._trace(cell, old, new, write_id)
+            if self.trace_sink is not None:
+                self._trace(cid, old, new, write_id)
             return WriteResult.CONTRADICTION
-        cell.content = new
-        cell.contributors = cell.contributors + (write_id,)
-        for pid in cell.watchers:
-            self._enqueue(pid)
-        self._trace(cell, old, new, write_id)
+        contents[cid] = new
+        self.contributors[cid] = (write_id, self.contributors[cid])
+        # watchers never hold a detached id: detach removes it everywhere
+        pending = self.pending
+        for pid in self.watchers[cid]:
+            if pid not in pending:
+                pending.add(pid)
+                self.queue.append(pid)
+        if self.trace_sink is not None:
+            self._trace(cid, old, new, write_id)
         return WriteResult.REFINED
 
-    def _trace(self, cell, old, new, write_id):
-        if self.trace_sink is not None:
-            rec = {
-                "step": self.steps_total,
-                "cell": cell.id,
-                "origin": f"{cell.origin[0]}:{cell.origin[1]}",
-                "old": render(old),
-                "new": render(new),
-                "propagator": write_id,
-            }
-            if cell.saturated:
-                rec["saturated"] = True
-            self.trace_sink(rec)
+    def _write_name(self, write_id):
+        if type(write_id) is int:
+            return f"p{write_id}:{self.propagators[write_id].kind}"
+        return write_id
+
+    def _trace(self, cid, old, new, write_id):
+        frame, name = self.origins[cid]
+        rec = {
+            "step": self.steps_total,
+            "cell": cid,
+            "origin": f"{frame}:{name}",
+            "old": render(old),
+            "new": render(new),
+            "propagator": self._write_name(write_id),
+        }
+        if cid in self.saturated:
+            rec["saturated"] = True
+        self.trace_sink(rec)
 
     # -- scheduling --------------------------------------------------------
 
@@ -209,48 +242,46 @@ class Network:
         discarded)."""
         if step_budget is not None and step_budget < 0:
             raise StructuralError("step_budget must be >= 0")
-        steps = 0
+        queue, pending = self.queue, self.pending
         if self.contradiction is not None:
-            self.queue.clear()
-            self.pending.clear()
+            queue.clear()
+            pending.clear()
             return QuiescenceReport(0, False, self.contradiction)
-        while self.queue:
+        contents = self.contents
+        propagators = self.propagators
+        write = self.write
+        steps = 0
+        while queue:
             if step_budget is not None and steps >= step_budget:
                 return QuiescenceReport(steps, False, None)
-            pid = self.queue.popleft()
-            self.pending.discard(pid)
+            pid = queue.popleft()
+            pending.discard(pid)
             steps += 1
             self.steps_total += 1
-            self._run_propagator(self.propagators[pid])
-            if self.contradiction is not None:
-                self.queue.clear()
-                self.pending.clear()
-                return QuiescenceReport(steps, False, self.contradiction)
+            prop = propagators[pid]
+            for gcid, want in prop.guards:
+                # a dropped guard cell (None) keeps the propagator dormant
+                info = contents[gcid]
+                if info is None or truth_value(info) != want:
+                    break
+            else:
+                for cid, info in _TRANSFER[prop.kind](self, prop):
+                    if write(cid, info, pid) is WriteResult.CONTRADICTION:
+                        queue.clear()
+                        pending.clear()
+                        return QuiescenceReport(steps, False, self.contradiction)
         return QuiescenceReport(steps, True, None)
-
-    def _guards_open(self, prop):
-        for cid, want in prop.guards:
-            tv = truth_value(self.cells[cid].content) if self.cells[cid] else None
-            if tv is None or tv != want:
-                return False
-        return True
-
-    def _run_propagator(self, prop):
-        if prop.id in self.detached or not self._guards_open(prop):
-            return
-        writes = _TRANSFER[prop.kind](self, prop)
-        wid = f"p{prop.id}:{prop.kind}"
-        for cid, info in writes:
-            result = self.write(cid, info, wid)
-            if result is WriteResult.CONTRADICTION:
-                return
 
     # -- cloning and storage management ----------------------------------
 
     def clone(self):
-        net = Network()
-        net.cells = [c.copy() if c is not None else None for c in self.cells]
-        net.propagators = list(self.propagators)  # immutable, shared
+        net = Network.__new__(Network)
+        net.contents = self.contents[:]  # values are immutable, shared
+        net.watchers = self.watchers[:]  # tuples, replaced on change
+        net.origins = self.origins[:]
+        net.contributors = self.contributors[:]  # persistent cons lists
+        net.saturated = set(self.saturated)
+        net.propagators = self.propagators[:]  # immutable, shared
         net.queue = deque(self.queue)
         net.pending = set(self.pending)
         net.write_counter = self.write_counter
@@ -263,19 +294,23 @@ class Network:
     def detach(self, pid):
         """Drop a propagator from scheduling (used by storage management)."""
         self.detached.add(pid)
-        self.pending.discard(pid)
-        if pid in self.queue:
+        if pid in self.pending:
+            self.pending.discard(pid)
             self.queue.remove(pid)
         # attach() registered the pid on these cells and nowhere else
         prop = self.propagators[pid]
-        for cid in prop.cells + tuple(g[0] for g in prop.guards):
-            if self.cells[cid] is not None:
-                self.cells[cid].watchers.discard(pid)
+        watchers = self.watchers
+        for cid in set(prop.cells + tuple(g[0] for g in prop.guards)):
+            if pid in watchers[cid]:
+                watchers[cid] = tuple(p for p in watchers[cid] if p != pid)
 
     def drop_cell(self, cid):
         """Remove a cell from the store. Only storage management calls this,
         after detaching every propagator that touches the cell."""
-        self.cells[cid] = None
+        self.contents[cid] = None
+        self.watchers[cid] = ()
+        self.contributors[cid] = None
+        self.saturated.discard(cid)
 
 
 # -- interval helpers ----------------------------------------------------------
@@ -308,7 +343,7 @@ def _range_write(net, cid, lo, hi, integral):
         slo = min(max(lo, -INT_SAT), INT_SAT)
         shi = max(min(hi, INT_SAT), -INT_SAT)
         if slo != lo or shi != hi:
-            net.cells[cid].saturated = True
+            net.saturated.add(cid)
         if not isinstance(slo, int):
             slo = math.ceil(slo - 1e-9)
         if not isinstance(shi, int):
@@ -336,7 +371,7 @@ def _t_element_of(net, prop):
 def _t_equal(net, prop):
     a, b = prop.cells
     writes = []
-    ca, cb = net.content(a), net.content(b)
+    ca, cb = net.contents[a], net.contents[b]
     if cb.kind != "nothing":
         writes.append((a, cb))
     if ca.kind != "nothing":
@@ -346,8 +381,8 @@ def _t_equal(net, prop):
 
 def _t_sum(net, prop):
     a, b, c = prop.cells
-    ra, rb, rc = (_ext_bounds(net.content(x)) for x in prop.cells)
-    ia, ib, ic = (is_integer_valued(net.content(x)) for x in prop.cells)
+    ra, rb, rc = (_ext_bounds(net.contents[x]) for x in prop.cells)
+    ia, ib, ic = (is_integer_valued(net.contents[x]) for x in prop.cells)
     writes = []
     if ra and rb:
         writes.append((c, _range_write(net, c, ra[0] + rb[0], ra[1] + rb[1], ia and ib)))
@@ -396,7 +431,7 @@ def _div_hull(rnum, rden):
 
 def _t_product(net, prop):
     a, b, c = prop.cells
-    ca, cb, cc = (net.content(x) for x in prop.cells)
+    ca, cb, cc = (net.contents[x] for x in prop.cells)
     ra, rb, rc = _ext_bounds(ca), _ext_bounds(cb), _ext_bounds(cc)
     ia, ib, ic = is_integer_valued(ca), is_integer_valued(cb), is_integer_valued(cc)
     writes = []
@@ -431,8 +466,8 @@ def _t_product(net, prop):
 
 def _t_less_equal(net, prop):
     a, b = prop.cells
-    ra = _ext_bounds(net.content(a))
-    rb = _ext_bounds(net.content(b))
+    ra = _ext_bounds(net.contents[a])
+    rb = _ext_bounds(net.contents[b])
     writes = []
     # bounds are written as real intervals so no integrality is asserted on
     # cells whose own content has not established it
@@ -445,7 +480,7 @@ def _t_less_equal(net, prop):
 
 def _t_alldifferent(net, prop):
     writes = []
-    contents = [(cid, net.content(cid)) for cid in prop.cells]
+    contents = [(cid, net.contents[cid]) for cid in prop.cells]
     exacts = [
         (cid, info.value)
         for cid, info in contents
@@ -476,12 +511,12 @@ def _t_alldifferent(net, prop):
 
 def _t_switch(net, prop):
     cond, then_c, else_c, out = prop.cells
-    tv = truth_value(net.content(cond))
+    tv = truth_value(net.contents[cond])
     if tv is None:
         return []
     chosen = then_c if tv else else_c
     writes = []
-    cc, co = net.content(chosen), net.content(out)
+    cc, co = net.contents[chosen], net.contents[out]
     if cc.kind != "nothing":
         writes.append((out, cc))
     if co.kind != "nothing":
@@ -494,8 +529,8 @@ def _t_gate(net, prop):
     # as either reads the other one
     outer, cond, out = prop.cells
     want_outer, want_cond = prop.payload
-    t_outer = truth_value(net.content(outer))
-    t_cond = truth_value(net.content(cond))
+    t_outer = truth_value(net.contents[outer])
+    t_cond = truth_value(net.contents[cond])
     if t_outer == (not want_outer) or t_cond == (not want_cond):
         return [(out, exact(0))]
     if t_outer == want_outer and t_cond == want_cond:

@@ -431,7 +431,7 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
         for cid in interior:
             if cid in guard_refs:
                 inst.guard_cache[cid] = truth_value(net.content(cid))
-            for pid in list(net.cells[cid].watchers):
+            for pid in net.watchers[cid]:
                 if pid not in net.detached:
                     net.detach(pid)
                     detached += 1

@@ -153,7 +153,7 @@ def _quiescent_fingerprint(net, writes, order_rng, step_budget=_PROBE_STEPS):
         return ("contradiction",)
     if not rep.quiescent:
         return ("budget",)
-    return tuple(c.content for c in run.cells)
+    return tuple(run.contents)
 
 
 def confluence_sample(n_networks=200, n_orders=20, seed=77):

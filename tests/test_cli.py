@@ -8,7 +8,8 @@ import jsonschema
 import pytest
 
 from fifth.cli import main
-from fifth.hierarchy import AugmentationTree, save_bundle
+from fifth.autoenc import Autoencoder
+from fifth.hierarchy import N_FEATURES, AugmentationTree, save_bundle
 from fifth.planning import generate_random_csp
 from fifth import selftest
 
@@ -288,6 +289,19 @@ def _old_layout(manifest):
         for d, by_label in manifest["memory"].items()}
 
 
+def _narrow_memory(manifest):
+    for by_label in manifest["memory"].values():
+        for rows in by_label.values():
+            rows[:] = [row[:-1] for row in rows]
+
+
+def _narrow_bridge(path):
+    # a bridge reads two codes side by side; this one reads only one
+    Autoencoder(n_features=8, n_code=8).save(path)
+    _edit_manifest(path.parent / "manifest.json",
+                   lambda m: m["bridges"].append("csp:csp"))
+
+
 BAD_BUNDLES = {
     "truncated manifest": ("manifest.json",
                            lambda p: _truncate(p, lambda n: n // 2)),
@@ -298,6 +312,13 @@ BAD_BUNDLES = {
                                      lambda p: _truncate(p, lambda n: 40)),
     "checkpoint cut in its arrays": ("enc_csp.aenc",
                                      lambda p: _truncate(p, lambda n: n - 8)),
+    "memory rows too narrow": ("manifest.json", lambda p: _edit_manifest(
+        p, _narrow_memory)),
+    "frame encoder too wide": ("enc_csp.aenc", lambda p: Autoencoder(
+        n_features=N_FEATURES + 1, n_code=8).save(p)),
+    "frame encoder with a short code": ("enc_csp.aenc", lambda p: Autoencoder(
+        n_features=N_FEATURES, n_code=7).save(p)),
+    "bridge too narrow": ("bridge_csp__csp.aenc", _narrow_bridge),
 }
 
 

@@ -190,11 +190,11 @@ def test_expand_refuted_gate_is_noop():
     inst.network.run_to_quiescence()
     child = inst.frames[1]
     assert inst.gate_state(child) is False
-    before_cells = len(inst.network.cells)
+    before_cells = len(inst.network.contents)
     out = expand(inst, 1)
     assert out.state == UNEXPANDED
     assert inst.expansions == 0
-    assert len(inst.network.cells) == before_cells
+    assert len(inst.network.contents) == before_cells
 
 
 def test_expand_twice_rejected():
@@ -220,7 +220,7 @@ def test_elaboration_deterministic():
         inst = instantiate(program, "fact", {"n": 7})
         demand_loop(inst, [inst.cell_of(0, "r")], 100, 100_000)
         return (
-            len(inst.network.cells),
+            len(inst.network.contents),
             tuple((p.kind, p.cells, p.guards) for p in inst.network.propagators),
             tuple((f.defname, f.parent, f.depth, f.state) for f in inst.frames),
         )
@@ -362,7 +362,7 @@ def test_countdown_structure_is_linear():
     assert report.expansions == 1024
     props = inst.network.propagators
     assert all(len(p.guards) <= 1 for p in props)
-    watchers = sum(len(c.watchers) for c in inst.network.cells)
+    watchers = sum(len(w) for w in inst.network.watchers)
     assert watchers <= 4 * len(props)
 
 

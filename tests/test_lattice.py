@@ -74,6 +74,20 @@ def test_merge_near_equal_reals_tolerated():
     assert got == merge(exact(1.0 + 1e-12), exact(1.0))
 
 
+@pytest.mark.parametrize("a, b", [
+    (exact(3), exact(3)),
+    (exact(2.5), exact(2.5)),
+    (exact(3), int_interval(0, 9)),
+    (int_interval(2, 5), int_interval(0, 9)),
+    (int_interval(2, 5), int_interval(2, 5)),
+    (finite_domain({1, 4}), int_interval(1, 4)),
+    (exact(2.5), real_interval(0, 9)),
+    (int_interval(2, 5), real_interval(2.0000000001, 4.9999999999)),
+])
+def test_merge_that_cannot_refine_returns_its_first_argument(a, b):
+    assert merge(a, b) is a
+
+
 def test_contradiction_provenance_union():
     c = merge(contradiction(("w1",)), contradiction(("w2",)))
     assert c.provenance == ("w1", "w2")

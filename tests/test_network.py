@@ -363,7 +363,7 @@ def test_saturation_flags_cell():
     net.write(b, int_interval(2**30, 2**40))
     net.run_to_quiescence()
     assert net.contradiction is None
-    assert net.cells[c].saturated
+    assert c in net.saturated
     # both true bounds exceed the limit, so the clamped hull degenerates
     assert net.content(c) == exact(2**62)
     # the clamped value must not leak back through the inverse direction
@@ -384,6 +384,38 @@ def test_trace_records_writes():
         set(r) >= {"step", "cell", "origin", "old", "new", "propagator"}
         for r in records
     )
+    # propagators write under their integer id; records name them
+    assert [r["propagator"] for r in records] == ["init:a", "init:b", "p0:sum"]
+    assert records[-1]["origin"] == "f0:c"
+
+
+def test_contradiction_provenance_names_propagators():
+    net = Network()
+    x, w, y, z = (net.add_cell() for _ in range(4))
+    net.write(x, int_interval(0, 9), "decl:0:x")
+    net.write(w, exact(6), "decl:0:w")
+    net.write(z, int_interval(5, 20), "decl:0:z")
+    net.attach("constant", (y,), payload=exact(2))  # p0
+    net.attach("less_equal", (x, w))  # p1: x <= 6
+    net.attach("sum", (y, x, z))  # p2: x >= 3
+    assert net.run_to_quiescence().quiescent
+    assert net.content(x) == int_interval(3, 6)
+    assert net.write(x, exact(1), f"branch:{x}=1") is WriteResult.CONTRADICTION
+    assert net.content(x).provenance == (
+        "branch:0=1", "decl:0:x", "p1:less_equal", "p2:sum")
+
+
+def test_contradiction_inside_propagation_names_the_writer():
+    net = Network()
+    x, w, g = (net.add_cell() for _ in range(3))
+    net.write(x, int_interval(3, 9), "decl:0:x")
+    net.write(w, exact(1), "decl:0:w")
+    net.attach("equal", (x, w), guards=((g, True),))  # p0, dormant
+    assert net.run_to_quiescence().quiescent
+    net.write(g, exact(1), f"branch:{g}=1")
+    report = net.run_to_quiescence()
+    assert report.contradiction == x
+    assert net.content(x).provenance == ("decl:0:x", "p0:equal")
 
 
 def test_clone_isolates_state():
@@ -397,6 +429,78 @@ def test_clone_isolates_state():
     assert twin.content(c) == exact(3)
     assert net.content(b) == NOTHING
     assert net.content(c) == NOTHING
+
+
+def _store(net):
+    return (list(net.contents), list(net.watchers), list(net.contributors),
+            set(net.saturated), len(net.propagators), set(net.detached))
+
+
+def _busy_network():
+    net = Network()
+    a, b, c, d = (net.add_cell() for _ in range(4))
+    net.attach("product", (a, b, c))
+    net.attach("equal", (c, d))
+    net.write(a, exact(2**40), "decl:0:a")
+    net.write(b, int_interval(2**30, 2**40), "decl:0:b")
+    net.run_to_quiescence()
+    assert c in net.saturated
+    return net
+
+
+def _mutate(net):
+    e, f = net.add_cell(), net.add_cell()
+    net.write(0, exact(2**40), "again")  # unchanged
+    net.write(e, exact(5), "decl:1:e")
+    net.attach("sum", (e, e, f))
+    net.detach(0)
+    net.detach(1)
+    net.drop_cell(2)
+    net.run_to_quiescence()
+    assert net.content(f) == exact(10)
+
+
+@pytest.mark.parametrize("mutated", ("clone", "parent"))
+def test_clone_shares_no_mutable_store(mutated):
+    # writes, attach, detach and drop_cell on one side leave every
+    # per-cell list and set of the other side as it was
+    net = _busy_network()
+    twin = net.clone()
+    changed, kept = (twin, net) if mutated == "clone" else (net, twin)
+    before = _store(kept)
+    _mutate(changed)
+    assert _store(kept) == before
+    assert _store(changed) != before
+    assert kept.content(2) == exact(2**62) and 2 in kept.saturated
+    assert 1 in kept.watchers[2] and 1 in kept.watchers[3]
+    with pytest.raises(StructuralError):
+        changed.content(2)
+
+
+def test_watchers_ascend_and_detach_replaces_the_tuple():
+    net = Network()
+    a, b, c = (net.add_cell() for _ in range(3))
+    for cells in ((a, b, c), (a, a), (c, a), (b, c)):
+        net.attach("sum" if len(cells) == 3 else "equal", cells)
+    assert net.watchers[a] == (0, 1, 2)
+    assert net.watchers[c] == (0, 2, 3)
+    held = net.watchers[a]
+    net.detach(1)
+    assert held == (0, 1, 2)
+    assert net.watchers[a] == (0, 2)
+    assert net.watchers[b] == (0, 3)
+
+
+def test_dropped_cell_is_unknown():
+    net = Network()
+    c = net.add_cell()
+    net.drop_cell(c)
+    with pytest.raises(StructuralError):
+        net.content(c)
+    with pytest.raises(StructuralError):
+        net.write(c, exact(1))
+    with pytest.raises(StructuralError):
+        net.attach("equal", (c, net.add_cell()))
 
 
 def test_catalog_monotone_under_refinement():
@@ -413,16 +517,16 @@ def test_catalog_monotone_under_refinement():
         base.run_to_quiescence(10_000)
         if base.contradiction is not None:
             continue
-        before = [cell.content for cell in base.cells]
+        before = list(base.contents)
         extra = random_partial_info(rng, reals=False)
-        target = rng.randint(len(base.cells))
+        target = rng.randint(len(base.contents))
         base.write(target, extra)
         base.run_to_quiescence(10_000)
         if base.contradiction is not None:
             checked += 1  # contradiction is the top: still monotone
             continue
-        for prev, cell in zip(before, base.cells):
-            assert refines(prev, cell.content)
+        for prev, info in zip(before, base.contents):
+            assert refines(prev, info)
         checked += 1
 
 

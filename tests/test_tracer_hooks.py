@@ -2,9 +2,12 @@
 `src/`; a rename or removal there would silently break `--trace 1`."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+REPO = Path(__file__).resolve().parent.parent
+TRACER = REPO / "perfbench" / "tracer.py"
+CORPUS = REPO / "corpus"
 
 
 def _load_tracer():
@@ -24,3 +27,38 @@ def test_tracer_entry_points_exist_and_restore():
     for (owner, attr, _, _), original in zip(tracer_mod.ENTRY_POINTS,
                                              originals):
         assert owner.__dict__[attr] is original, (owner, attr)
+
+
+def test_kernel_writes_pass_through_the_traced_names(monkeypatch):
+    # The tracer counts `network.write.*` by wrapping `Network.write` on the
+    # class and `lattice.merge.calls` by wrapping the `merge` global of
+    # `fifth.network`. Every propagator write must reach both, or those
+    # counters would read zero while the kernel works.
+    import fifth.network
+    from fifth.language import parse
+    from fifth.search import Query, solve
+
+    seen = Counter()
+    write, merge = fifth.network.Network.write, fifth.network.merge
+
+    def counted_write(net, cid, info, write_id=None):
+        result = write(net, cid, info, write_id)
+        seen["write"] += 1
+        seen[result.value] += 1
+        seen["by propagator"] += type(write_id) is int
+        return result
+
+    def counted_merge(a, b):
+        seen["merge"] += 1
+        return merge(a, b)
+
+    monkeypatch.setattr(fifth.network.Network, "write", counted_write)
+    monkeypatch.setattr(fifth.network, "merge", counted_merge)
+    program = parse((CORPUS / "queens" / "q4.5th").read_text())
+    result = solve(program, Query.from_spec(program.query))
+    assert len(result.solutions) == 2
+    assert seen["merge"] == seen["write"]
+    assert seen["write"] == seen["refined"] + seen["unchanged"] + seen[
+        "contradiction"]
+    assert seen["by propagator"] > seen["write"] // 2
+    assert min(seen["refined"], seen["unchanged"], seen["contradiction"]) > 0
