@@ -23,10 +23,11 @@ import numpy as np
 
 from .autoenc import Autoencoder
 from .errors import BundleError
-from .language import EXPANDED, REF_WIDTH
+from .language import EXPANDED
 from .lattice import bounds_of, info_bits
 
 N_FEATURES = 16
+REF_WIDTH = 1024  # reference width for "how pinned down is this cell" scoring
 _SLOTS = 3  # boundary cells summarized individually before aggregation
 
 

@@ -15,14 +15,12 @@ from .lattice import (
     PartialInfo,
     exact,
     finite_domain,
-    info_bits,
     int_interval,
     truth_value,
     width_of,
 )
 from .network import Network
 
-REF_WIDTH = 1024  # reference width for "how pinned down is this cell" scoring
 # deepest `if` nesting a definition may have; parsing, checking and
 # elaboration recurse once per level, so this keeps them off the Python
 # stack limit
@@ -685,12 +683,24 @@ def expand(inst: Instance, frame_id: int) -> Frame:
     return frame
 
 
+def open_choices(inst):
+    """Choice points search could branch on now: the frame is expanded, the
+    choice's own guard holds (a choose inside a refuted if branch is dead
+    even though its frame is live) and the cell is not yet exact."""
+    net = inst.network
+    for cp in inst.choices:
+        if (inst.frames[cp.frame].state == EXPANDED
+                and inst.guard_state(cp.guards) is True
+                and net.content(cp.cell).kind != "exact"):
+            yield cp
+
+
 def _frontier(inst):
-    """Next frame worth expanding: gate-true frames first (lowest id), then
-    the undecided-gate frame with the most boundary information. Scans only
-    the unexpanded worklist, dropping the refuted frames it meets."""
-    best_undecided = None
-    best_bits = -1.0
+    """Next frame worth expanding: the lowest-id frame whose gate holds,
+    else the lowest-id one behind an undecided gate, but only while no
+    choice is open. An open choice is how search decides such gates, so
+    expanding past it would only speculate. Scans only the unexpanded
+    worklist, dropping the refuted frames it meets."""
     live = []
     for i, fid in enumerate(inst.unexpanded):
         f = inst.frames[fid]
@@ -701,15 +711,10 @@ def _frontier(inst):
             inst.unexpanded[:i] = live
             return f
         live.append(fid)
-        bits = sum(
-            info_bits(inst.network.content(c), REF_WIDTH)
-            for c in f.boundary_cells(inst.program)
-        )
-        if bits > best_bits:
-            best_bits = bits
-            best_undecided = f
     inst.unexpanded = live
-    return best_undecided
+    if live and next(open_choices(inst), None) is None:
+        return inst.frames[live[0]]
+    return None
 
 
 def targets_met(inst, targets, precision=0.0) -> bool:

@@ -21,8 +21,12 @@ from .language import (
     UNEXPANDED,
     demand_loop,
     instantiate,
+    open_choices,
 )
-from .lattice import INT_SAT, bounds_of, exact, truth_value
+from .lattice import (
+    INT_SAT, bounds_of, exact, int_interval, is_integer_valued, real_interval,
+    truth_value,
+)
 
 
 @dataclass(frozen=True)
@@ -103,21 +107,6 @@ class _SearchState:
     incumbent: Optional[object] = None
 
 
-def _active_choices(inst):
-    """Choice points whose frame is expanded and whose guard holds.
-
-    The guard is the choice point's own, not its frame's: a choose inside
-    a refuted if branch is dead even though its frame is live.
-    """
-    out = []
-    for cp in inst.choices:
-        if inst.frames[cp.frame].state != EXPANDED:
-            continue
-        if inst.guard_state(cp.guards) is True:
-            out.append(cp)
-    return out
-
-
 def _branch_candidates(inst, cp):
     content = inst.network.content(cp.cell)
     k = content.kind
@@ -132,7 +121,7 @@ def _pick_choice(inst):
     """Smallest remaining domain, ties by lowest cell id. Returns (cp, values)."""
     best = None
     best_vals = None
-    for cp in _active_choices(inst):
+    for cp in open_choices(inst):
         vals = _branch_candidates(inst, cp)
         if len(vals) < 2:
             continue
@@ -214,13 +203,14 @@ def _stats(state):
 
 
 def _dfs(program, query, state, leaf, oracle, trace, gc, write_sink,
-         prune=None):
+         pre_run=None):
     """The depth-first search loop behind solve() and optimize().
 
-    Every popped node is quiesced and reported to `trace`; contradicted
-    and half-run nodes go no further. A surviving node is dropped when
-    `prune` says so, handed to `leaf` when every live choice is decided,
-    and otherwise split on one choice cell, one clone per value.
+    Each popped node goes to `pre_run`, if given, which may write into it
+    (optimize() posts its incumbent bound), then is quiesced and reported
+    to `trace`; contradicted and half-run nodes go no further. A surviving
+    node is handed to `leaf` when every live choice is decided, and
+    otherwise split on one choice cell, one clone per value.
     """
     oracle = oracle or UniformOracle()
     root = instantiate(program, query.entry, dict(query.bindings))
@@ -232,6 +222,8 @@ def _dfs(program, query, state, leaf, oracle, trace, gc, write_sink,
             state.complete = False
             break
         inst = state.stack.pop()
+        if pre_run is not None:
+            pre_run(inst)
         report = _run_node(inst, query, state)
         if trace is not None:
             trace.node(inst)
@@ -247,8 +239,6 @@ def _dfs(program, query, state, leaf, oracle, trace, gc, write_sink,
             folded = collect_garbage(
                 inst, _resolve_targets(inst, query.targets))
             state.summarized += len(folded.summarized)
-        if prune is not None and prune(inst):
-            continue
         if report.targets_met and _fully_chosen(inst):
             leaf(inst)
             continue
@@ -293,24 +283,19 @@ def solve(program: Program, query: Query, oracle=None, trace=None,
 
 
 def _objective_lower_bound(inst, obj_name):
-    content = inst.network.content(inst.cell_of(0, obj_name))
-    if content.kind == "exact":
-        return content.value
-    r = bounds_of(content)
+    r = bounds_of(inst.network.content(inst.cell_of(0, obj_name)))
     return None if r is None else r[0]
-
-
-def _probe_bound(inst, obj_cell, bound, step_budget):
-    """Check that objective = bound is consistent with this branch."""
-    probe = inst.network.clone()
-    probe.write(obj_cell, exact(bound), "probe:objective")
-    probe.run_to_quiescence(step_budget)
-    return probe.contradiction is None
 
 
 def optimize(program: Program, query: Query, oracle=None,
              trace=None, gc: bool = False, write_sink=None) -> OptimizeResult:
     """Branch-and-bound minimization of the objective cell.
+
+    Once there is an incumbent, each popped node gets the write
+    `bound:incumbent` into its objective before it runs: `<= incumbent - 1`
+    when both are known to be integers, else `<= incumbent`, and a leaf that
+    only ties is then not recorded. A leaf counts at its objective's lower
+    bound once pinning the objective there quiesces without contradiction.
 
     `trace`, `gc`, and `write_sink` behave exactly as in solve(). Each
     improving solution is kept in order; the last one is the optimum.
@@ -321,35 +306,40 @@ def optimize(program: Program, query: Query, oracle=None,
     state = _SearchState()
     bound_trace = []
 
-    def beaten(inst):
-        # cannot beat the incumbent anywhere below this node
-        lb = _objective_lower_bound(inst, obj_name)
-        return (lb is not None and state.incumbent is not None
-                and lb >= state.incumbent)
+    def post_bound(inst):
+        incumbent = state.incumbent
+        if incumbent is None:
+            return
+        obj_cell = inst.cell_of(0, obj_name)
+        # an int bound would cut real values in (incumbent - 1, incumbent)
+        if isinstance(incumbent, int) and is_integer_valued(
+                inst.network.content(obj_cell)):
+            bound = int_interval(-INT_SAT, incumbent - 1)
+        else:
+            bound = real_interval(-INT_SAT, incumbent)
+        inst.network.write(obj_cell, bound, "bound:incumbent")
 
     def improve(inst):
         lb = _objective_lower_bound(inst, obj_name)
-        if lb is None:
+        if lb is None or (state.incumbent is not None
+                          and lb >= state.incumbent):
             return
-        obj_cell = inst.cell_of(0, obj_name)
-        if inst.network.content(obj_cell).kind != "exact" and not _probe_bound(
-            inst, obj_cell, lb, query.step_budget
-        ):
+        pinned = inst.clone()
+        pinned.network.write(inst.cell_of(0, obj_name), exact(lb),
+                             "probe:objective")
+        pinned.network.run_to_quiescence(query.step_budget)
+        if pinned.network.contradiction is not None:
             # bound not attainable in this branch; the leaf is decided,
             # so there is nothing further to branch on
             return
-        # beaten() has already dropped this leaf unless lb improves
         state.incumbent = lb
-        pinned = inst.clone()
-        pinned.network.write(obj_cell, exact(lb), "probe:objective")
-        pinned.network.run_to_quiescence(query.step_budget)
         state.solutions.append({"cells": _target_values(pinned, query.targets)})
         bound_trace.append({"nodes": state.nodes, "bound": lb})
         if trace is not None:
             trace.solution(pinned)
 
     _dfs(program, query, state, improve, oracle, trace, gc, write_sink,
-         prune=beaten)
+         pre_run=post_bound)
     return OptimizeResult(
         solution=state.solutions[-1] if state.solutions else None,
         objective=state.incumbent,

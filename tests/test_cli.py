@@ -1,11 +1,15 @@
 """Command line behavior: exit codes, report shapes, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import re
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fifth.cli import main
 from fifth.autoenc import Autoencoder
@@ -467,3 +471,84 @@ def test_solve_hundred_nested_ifs(tmp_path, capsys):
     code, out, _ = run(["solve", f], capsys)
     assert code == 0
     assert json.loads(out)["solutions"] == [{"cells": {"y": 1}}]
+
+
+# -- hostile inputs ----------------------------------------------------------
+
+SOUP = ["(", "(", ")", ")", "def", "query", "show", "cell", "int", "const",
+        "sum", "product", "equal", "lesseq", "alldiff", "choose", "if", "call",
+        "depth", "steps", "precision", "minimize", "a", "b", "n", "r", "t",
+        ";", "\n"]
+NUMBERS = ["0", "1", "-1", "2", "3", "2.5", "-0.5", "1e400", "nan", "inf",
+           "99999", "4611686018427387904", "-4611686018427387905"]
+MUTATED = sorted(
+    p for p in CORPUS.rglob("*.5th")
+    if "csp" not in p.parts or p.name in ("train-00.5th", "eval-00.5th"))
+# every run starts from small budgets; fuzzed flags come after and win
+BUDGETS = ["--depth", "30", "--steps", "5000", "--nodes", "60"]
+FLAG_VALUES = st.sampled_from(["0", "1", "7", "40", "-1", "x", "1e3", ""])
+FLAGS = st.one_of(
+    st.sampled_from([["--gc"], ["--trace"], ["--oracle", "learned"],
+                     ["--oracle", "bogus"], ["--model", "no/such/bundle"],
+                     ["--frobnicate"], ["--steps"]]),
+    st.tuples(st.sampled_from(["--steps", "--nodes", "--depth", "--seed"]),
+              FLAG_VALUES).map(list),
+    st.tuples(st.just("--precision"),
+              st.sampled_from(["nan", "inf", "-1", "0.5", "x"])).map(list),
+)
+
+
+def _is_number(tok):
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def hostile_programs(draw):
+    """Token soup, or a corpus program with a few atoms swapped: a number for
+    an odd number, a name or keyword for another one of the program.
+    Parentheses stay balanced, so many mutants get past the parser."""
+    if draw(st.integers(0, 2)) == 0:
+        return " ".join(draw(st.lists(st.sampled_from(SOUP + NUMBERS),
+                                      max_size=40)))
+    text = draw(st.sampled_from(MUTATED)).read_text()
+    toks = re.findall(r"[()]|[^\s()]+", text)
+    atoms = [i for i, t in enumerate(toks) if t not in "()"]
+    words = sorted({toks[i] for i in atoms if not _is_number(toks[i])})
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.sampled_from(atoms))
+        pool = NUMBERS if _is_number(toks[i]) else words
+        toks[i] = draw(st.sampled_from(pool))
+    return " ".join(toks)
+
+
+def _main_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hostile_programs(), st.lists(FLAGS, max_size=3))
+def test_hostile_programs_and_flags_exit_cleanly(tmp_path_factory, text,
+                                                 flags):
+    f = tmp_path_factory.getbasetemp() / "hostile.5th"
+    f.write_text(text)
+    argv = ["solve", *BUDGETS, *(a for flag in flags for a in flag), str(f)]
+    assert _main_quietly(argv) in (0, 1, 2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(
+    ["solve", "train", "measure", "bogus", "--gc", "--model", "--nodes",
+     "--steps", "x", "-1", "no/such.5th", "no/such/dir", "--help", "-h"]),
+    max_size=6))
+def test_hostile_argv_exits_cleanly(argv):
+    try:
+        code = _main_quietly(argv)
+    except SystemExit as e:
+        code = e.code  # argparse's own --help exits 0 after printing
+    assert code in (0, 1, 2, 3)

@@ -1,15 +1,17 @@
 """Property tests: random small recursive programs give the same solutions
 and node counts with and without frame summarization, the same answers
 under permuted scheduling, and those answers match a direct evaluation of
-the recursion."""
+the recursion; random small job-shops minimize to the brute-force optimum
+with and without summarization."""
 
 from collections import Counter
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from fifth import Query, parse, solve
-from fifth import network
+import oracles
+from fifth import JobShopInstance, Query, emit_jobshop_program, optimize
+from fifth import network, parse, solve
 from fifth.rng import SplitMix64
 from fifth.selftest import _ShuffledQueue
 
@@ -29,7 +31,9 @@ def recursive_programs(draw):
     so search branches on it after deeper frames are decided and folded;
     optionally a top-level choice x, pinned in every frame with n >= 1 but
     open in the bottom one, with a choice d behind `if x`: the bottom frame
-    then reads its parent's gate while the parent is already decided."""
+    then reads its parent's gate while the parent is already decided;
+    optionally the recursive call sits in both branches of the `if` on c,
+    so every child's gate waits on a choice search has yet to make."""
     spec = {
         "n": draw(st.integers(0, 4)),
         "values": draw(st.lists(st.integers(0, 2), min_size=1, max_size=2,
@@ -42,6 +46,7 @@ def recursive_programs(draw):
         "refuted_calls": draw(st.booleans()),
         "root_choice": draw(st.booleans()),
         "open_bottom": draw(st.booleans()),
+        "split_call": draw(st.booleans()),
     }
     return spec, _program_text(spec)
 
@@ -54,8 +59,12 @@ def _program_text(spec):
     choose = f"(choose c {' '.join(map(str, sorted(spec['values'])))})"
     if spec["wrap_choose"]:
         choose = f"(if one ({choose}) ())"
-    branch = f"(if c ({spec['then']}) ({spec['else']}))"
-    step = f"{choose} {call} {branch}"
+    if spec["split_call"]:
+        step = (f"{choose} (if c ({call} {spec['then']})"
+                f" ({call} {spec['else']}))")
+    else:
+        branch = f"(if c ({spec['then']}) ({spec['else']}))"
+        step = f"{choose} {call} {branch}"
     if spec["wrap_branch"]:
         step = f"(if one ({step}) ())"
     top = ""
@@ -126,3 +135,30 @@ def test_answers_agree_across_gc_and_scheduling(case, order_seed):
         folded = _solve(program, spec, gc=True, order_seed=seed)
         assert folded.solutions == plain.solutions
         assert folded.stats["nodes"] == plain.stats["nodes"]
+
+
+@st.composite
+def jobshops(draw):
+    """2-3 jobs, each visiting all of 2-3 machines in its own order, with
+    durations 1-5."""
+    machines = draw(st.integers(2, 3))
+    jobs = tuple(
+        tuple((m, draw(st.integers(1, 5)))
+              for m in draw(st.permutations(range(machines))))
+        for _ in range(draw(st.integers(2, 3)))
+    )
+    return JobShopInstance(jobs=jobs, machines=machines)
+
+
+@settings(max_examples=30, deadline=None)
+@given(jobshops())
+def test_jobshop_optimum_matches_brute_force(instance):
+    program = parse(emit_jobshop_program(instance))
+    query = Query.from_spec(program.query)
+    want = oracles.jobshop_optimum([list(j) for j in instance.jobs],
+                                   instance.machines)
+    plain = optimize(program, query)
+    folded = optimize(program, query, gc=True)
+    assert plain.proven and plain.objective == want
+    assert folded.proven and folded.objective == want
+    assert folded.bound_trace == plain.bound_trace

@@ -273,8 +273,8 @@ def test_negative_budget_rejected():
 
 
 def test_recursion_inside_search():
-    # branch on k, each branch demands fact(k) lazily; an open-ended depth
-    # budget would let the undecided chain run away before branching
+    # branch on k, each branch demands fact(k) lazily; the chain behind
+    # the undecided `if n` waits until search has decided k
     text = FACT + """
     (def (pick k r)
       (choose k 3 4 5)
@@ -284,6 +284,37 @@ def test_recursion_inside_search():
     res = solve(prog, Query(entry="pick", targets=("k", "r"), depth_budget=10))
     got = {(s["cells"]["k"], s["cells"]["r"]) for s in res.solutions}
     assert got == {(3, 6), (4, 24), (5, 120)}
+
+
+# a call in each branch of `if c`: both child gates wait on the choice c,
+# which search decides by branching; expanding either child first would
+# speculate, and each speculative frame gates two more
+SPLIT_CALL = """
+(def (rec n r)
+  (cell nm1)
+  (cell rest)
+  (cell c)
+  (const one 1)
+  (sum nm1 one n)
+  (choose c 0 1)
+  (if n
+    ((if c
+      ((call rec nm1 rest) (sum rest one r))
+      ((call rec nm1 rest) (sum rest c r))))
+    ((const r 0))))
+"""
+
+
+def test_search_decides_gates_before_expanding_behind_them():
+    prog = parse(SPLIT_CALL)
+    q = Query(entry="rec", bindings=(("n", 3),), targets=("r",),
+              depth_budget=50)
+    res = solve(prog, q)
+    assert len(res.solutions) == 16
+    assert res.stats["complete"]
+    # one expansion per frame on each of the 8 paths through c, shared
+    # along common prefixes: 2 + 4 + 8
+    assert res.stats["expansions"] == 14
 
 
 # -- oracles ---------------------------------------------------------------
@@ -371,6 +402,81 @@ def test_optimize_node_budget_unproven():
               node_budget=2)
     res = optimize(prog, q)
     assert not res.proven
+
+
+# c = 2 leaves x in [1, 2], whose lower bound 1 propagation cannot refute
+# (1 * 1 != 2); c = 25 pins x to 5
+UNATTAINABLE = """
+(def (sq c x)
+  (choose c 2 25)
+  (int x 1 10)
+  (product x x c))
+
+(query (sq) (show c) (minimize x))
+"""
+
+
+def test_optimize_skips_a_leaf_whose_lower_bound_is_unattainable():
+    prog = parse(UNATTAINABLE)
+    res = optimize(prog, Query.from_spec(prog.query))
+    assert res.objective == 5
+    assert res.solution["cells"] == {"c": 25}
+    assert [t["bound"] for t in res.bound_trace] == [5]
+    assert res.proven
+
+
+# c = (a + b) * -0.5: the first leaf gives the integer incumbent -1, the
+# next the real -1.5, which a bound of -2 (integer strictness) would cut;
+# a = 3, b = 0 then ties -1.5 and must not count as an improvement
+REAL_OBJECTIVE = """
+(def (half a c)
+  (cell b)
+  (cell s)
+  (choose a 2 3)
+  (choose b 0 1)
+  (const k -0.5)
+  (sum a b s)
+  (product s k c))
+
+(query (half) (show a c) (minimize c))
+"""
+
+
+class _Deadends:
+    def __init__(self):
+        self.provenance = []
+
+    def node(self, inst):
+        pass
+
+    def solution(self, inst):
+        pass
+
+    def deadend(self, inst):
+        net = inst.network
+        self.provenance.append(net.content(net.contradiction).provenance)
+
+
+def test_optimize_real_objective_is_not_cut_by_an_integer_bound():
+    prog = parse(REAL_OBJECTIVE)
+    trace = _Deadends()
+    res = optimize(prog, Query.from_spec(prog.query), trace=trace)
+    assert [t["bound"] for t in res.bound_trace] == [-1, -1.5, -2]
+    assert res.solution["cells"] == {"a": 3, "c": -2}
+    assert res.proven
+    assert trace.provenance == []
+
+
+def test_node_cut_by_the_bound_names_it_in_provenance():
+    prog = parse(OPT_TOY)
+    trace = _Deadends()
+    res = optimize(prog, Query.from_spec(prog.query), trace=trace)
+    assert res.objective == 3
+    # root, a = 2, then the leaf b = 1; its sibling b = 4 and a = 5 are
+    # both cut by c <= 2
+    assert res.stats["nodes"] == 5
+    assert len(trace.provenance) == 2
+    assert all("bound:incumbent" in p for p in trace.provenance)
 
 
 # -- summarization -----------------------------------------------------------
