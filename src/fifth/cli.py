@@ -318,6 +318,8 @@ def main(argv=None) -> int:
     except (UsageError, OSError, FifthError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit as e:  # argparse's --help exits 0 after printing
+        return e.code
 
 
 if __name__ == "__main__":

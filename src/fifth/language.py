@@ -438,29 +438,29 @@ SUMMARIZED = "summarized"
 class Frame:
     """One activation of a definition; a unit of laziness and summarization.
 
-    `guards` is the frame's gate: () for an ungated call, else one
+    `guard` is the frame's gate: None for an ungated call, else one
     (cell, polarity) pair living in the parent frame, either the condition
     of an `if` the call sits in or the derived gate cell of that branch when
     the `if` itself was gated. `cellmap` also names those gate cells, under
     names the parser cannot produce, so summarization treats them like any
-    other interior cell.
+    other interior cell, except that a guard cell keeps its decided content.
     """
 
     __slots__ = ("id", "defname", "parent", "depth", "cellmap", "state",
-                 "guards")
+                 "guard")
 
-    def __init__(self, fid, defname, parent, depth, cellmap, state, guards):
+    def __init__(self, fid, defname, parent, depth, cellmap, state, guard):
         self.id = fid
         self.defname = defname
         self.parent = parent
         self.depth = depth
         self.cellmap = cellmap
         self.state = state
-        self.guards = guards
+        self.guard = guard
 
     def copy(self):
         return Frame(self.id, self.defname, self.parent, self.depth,
-                     dict(self.cellmap), self.state, self.guards)
+                     dict(self.cellmap), self.state, self.guard)
 
     def boundary_cells(self, program):
         params = program.definitions[self.defname].params
@@ -472,16 +472,16 @@ class Frame:
 
 class ChoicePoint:
     """A cell the search module may branch on, with the gate context that
-    decides whether the choice is actually part of the problem: the one
-    guard of the statement's context, shaped like `Frame.guards`."""
+    decides whether the choice is actually part of the problem: the guard
+    of the statement's context, None or one pair like `Frame.guard`."""
 
-    __slots__ = ("cell", "values", "frame", "guards")
+    __slots__ = ("cell", "values", "frame", "guard")
 
-    def __init__(self, cell, values, frame, guards):
+    def __init__(self, cell, values, frame, guard):
         self.cell = cell
         self.values = values
         self.frame = frame
-        self.guards = guards
+        self.guard = guard
 
 
 @dataclass
@@ -499,14 +499,12 @@ class Instance:
     """A program wired into a live network plus its frame tree."""
 
     def __init__(self, program, network, frames, choices, expansions=0,
-                 guard_cache=None, unexpanded=None):
+                 unexpanded=None):
         self.program = program
         self.network = network
         self.frames = frames
         self.choices = choices
         self.expansions = expansions
-        # truths of guard cells that storage management has since dropped
-        self.guard_cache = {} if guard_cache is None else guard_cache
         # ids of frames still awaiting expansion, ascending; refuted ones
         # leave when the frontier scan meets them
         self.unexpanded = [] if unexpanded is None else unexpanded
@@ -524,26 +522,13 @@ class Instance:
         except KeyError:
             raise StructuralError(f"frame {fid} has no cell {name!r}")
 
-    def gate_state(self, frame):
-        """True = the gate holds, False = refuted, None = undecided."""
-        return self.guard_state(frame.guards)
-
-    def guard_state(self, guards):
-        """Same three-valued reading for any context's guards, e.g. a
-        choice point's, which differ from its frame's inside if branches.
-        A guard cell dropped by summarization answers from the truth
-        recorded when it was dropped.
-        """
-        if not guards:
+    def guard_state(self, guard):
+        """A frame's or a choice point's guard read three ways: True = it
+        holds, False = refuted, None = undecided."""
+        if guard is None:
             return True
-        (cid, polarity), = guards
-        try:
-            tv = truth_value(self.network.content(cid))
-        except StructuralError:
-            if cid not in self.guard_cache:
-                raise
-            tv = self.guard_cache[cid]
-        return None if tv is None else tv == polarity
+        tv = truth_value(self.network.content(guard[0]))
+        return None if tv is None else tv == guard[1]
 
     def clone(self):
         return Instance(
@@ -552,7 +537,6 @@ class Instance:
             [f.copy() for f in self.frames],
             list(self.choices),
             self.expansions,
-            dict(self.guard_cache),
             list(self.unexpanded),
         )
 
@@ -564,11 +548,11 @@ def instantiate(program: Program, name: str, bindings=None) -> Instance:
         raise StructuralError(f"unknown definition {name!r}")
     net = Network()
     cellmap = {}
-    root = Frame(0, name, None, 0, cellmap, EXPANDED, ())
+    root = Frame(0, name, None, 0, cellmap, EXPANDED, None)
     inst = Instance(program, net, [root], [])
     for p in d.params:
         cellmap[p] = net.add_cell((0, p))
-    _elaborate_body(inst, root, d.body, ())
+    _elaborate_body(inst, root, d.body, None)
     for pname, value in (bindings or {}).items():
         if pname not in cellmap:
             raise StructuralError(
@@ -579,8 +563,8 @@ def instantiate(program: Program, name: str, bindings=None) -> Instance:
     return inst
 
 
-def _elaborate_body(inst, frame, body, guards):
-    """Attach `body` in the context `guards` (at most one guard)."""
+def _elaborate_body(inst, frame, body, guard):
+    """Attach `body` in the context `guard` (None or one pair)."""
     net = inst.network
     for stmt in body:
         if isinstance(stmt, CellDecl):
@@ -591,65 +575,65 @@ def _elaborate_body(inst, frame, body, guards):
                 cid = net.add_cell((frame.id, stmt.name))
                 frame.cellmap[stmt.name] = cid
             _declare_write(net, cid, int_interval(stmt.lo, stmt.hi),
-                           frame, stmt.name, guards)
+                           frame, stmt.name, guard)
         elif isinstance(stmt, ConstDecl):
             cid = frame.cellmap.get(stmt.name)
             if cid is None:
                 cid = net.add_cell((frame.id, stmt.name))
                 frame.cellmap[stmt.name] = cid
-            _declare_write(net, cid, exact(stmt.value), frame, stmt.name, guards)
+            _declare_write(net, cid, exact(stmt.value), frame, stmt.name, guard)
         elif isinstance(stmt, PropStmt):
             cells = tuple(frame.cellmap[a] for a in stmt.args)
-            net.attach(stmt.kind, cells, guards)
+            net.attach(stmt.kind, cells, guard)
         elif isinstance(stmt, AlldiffStmt):
             cells = tuple(frame.cellmap[a] for a in stmt.names)
-            net.attach("alldifferent", cells, guards)
+            net.attach("alldifferent", cells, guard)
         elif isinstance(stmt, ChooseStmt):
             cid = frame.cellmap[stmt.name]
             _declare_write(net, cid, finite_domain(stmt.values),
-                           frame, stmt.name, guards)
+                           frame, stmt.name, guard)
             inst.choices.append(
-                ChoicePoint(cid, stmt.values, frame.id, guards)
+                ChoicePoint(cid, stmt.values, frame.id, guard)
             )
         elif isinstance(stmt, IfStmt):
             cond = frame.cellmap[stmt.cond]
             for polarity, branch in ((True, stmt.then_body),
                                      (False, stmt.else_body)):
                 if branch:
-                    _elaborate_body(inst, frame, branch, _branch_guards(
-                        net, frame, stmt, cond, polarity, guards))
+                    _elaborate_body(inst, frame, branch, _branch_guard(
+                        net, frame, stmt, cond, polarity, guard))
         elif isinstance(stmt, CallStmt):
-            _elaborate_call(inst, frame, stmt, guards)
+            _elaborate_call(inst, frame, stmt, guard)
         else:
             raise AssertionError(stmt)
 
 
-def _branch_guards(net, frame, stmt, cond, polarity, guards):
-    """The one guard of an if branch. In an ungated context that is the
+def _branch_guard(net, frame, stmt, cond, polarity, guard):
+    """The guard of an if branch. In an ungated context that is the
     condition itself; in a gated one it is a fresh 0/1 gate cell, the AND of
     the enclosing guard and the condition, kept in the frame's cellmap under
     a name no token can spell."""
-    if not guards:
-        return ((cond, polarity),)
-    (outer, outer_polarity), = guards
+    if guard is None:
+        return (cond, polarity)
+    outer, outer_polarity = guard
     line, col = stmt.pos
     name = f"(if {line}:{col}){'+' if polarity else '-'}"
     gate = net.add_cell((frame.id, name))
     frame.cellmap[name] = gate
     net.attach("gate", (outer, cond, gate), payload=(outer_polarity, polarity))
-    return ((gate, True),)
+    return (gate, True)
 
 
-def _declare_write(net, cid, info, frame, name, guards):
+def _declare_write(net, cid, info, frame, name, guard):
     # ungated declarations are plain writes; gated ones must wait for the
     # gate, so they ride a constant propagator
-    if guards:
-        net.attach("constant", (cid,), guards, payload=info)
+    if guard is not None:
+        net.attach("constant", (cid,), guard, payload=info)
     else:
         net.write(cid, info, f"decl:{frame.id}:{name}")
 
 
-def _elaborate_call(inst, frame, stmt, guards):
+def _elaborate_call(inst, frame, stmt, guard):
     net = inst.network
     target = inst.program.definitions[stmt.target]
     child_id = len(inst.frames)
@@ -657,13 +641,13 @@ def _elaborate_call(inst, frame, stmt, guards):
     for p in target.params:
         boundary[p] = net.add_cell((child_id, p))
     child = Frame(child_id, stmt.target, frame.id, frame.depth + 1, boundary,
-                  UNEXPANDED, guards)
+                  UNEXPANDED, guard)
     inst.frames.append(child)
     inst.unexpanded.append(child_id)
     # fresh boundary cells keep the callee identifiable; gated equality links
     # them to the caller's argument cells
     for arg, p in zip(stmt.args, target.params):
-        net.attach("equal", (frame.cellmap[arg], boundary[p]), guards)
+        net.attach("equal", (frame.cellmap[arg], boundary[p]), guard)
 
 
 def expand(inst: Instance, frame_id: int) -> Frame:
@@ -673,26 +657,29 @@ def expand(inst: Instance, frame_id: int) -> Frame:
         raise StructuralError(f"frame {frame_id} is summarized; not expandable")
     if frame.state == EXPANDED:
         raise StructuralError(f"frame {frame_id} is already expanded")
-    if inst.gate_state(frame) is False:
+    if inst.guard_state(frame.guard) is False:
         return frame
     inst.unexpanded.remove(frame_id)
     d = inst.program.definitions[frame.defname]
-    _elaborate_body(inst, frame, d.body, frame.guards)
+    _elaborate_body(inst, frame, d.body, frame.guard)
     frame.state = EXPANDED
     inst.expansions += 1
     return frame
 
 
-def open_choices(inst):
-    """Choice points search could branch on now: the frame is expanded, the
-    choice's own guard holds (a choose inside a refuted if branch is dead
-    even though its frame is live) and the cell is not yet exact."""
+def unsettled_choices(inst):
+    """Choice points that still need search, each with its guard's state:
+    the frame is expanded, the choice's own guard is not refuted (a choose
+    inside a refuted if branch is dead even though its frame is live) and
+    the cell is not yet exact. Search can branch now on those whose guard
+    holds (True); the others wait on an undecided one (None)."""
     net = inst.network
     for cp in inst.choices:
-        if (inst.frames[cp.frame].state == EXPANDED
-                and inst.guard_state(cp.guards) is True
-                and net.content(cp.cell).kind != "exact"):
-            yield cp
+        if inst.frames[cp.frame].state != EXPANDED:
+            continue
+        live = inst.guard_state(cp.guard)
+        if live is not False and net.content(cp.cell).kind != "exact":
+            yield cp, live
 
 
 def _frontier(inst):
@@ -704,7 +691,7 @@ def _frontier(inst):
     live = []
     for i, fid in enumerate(inst.unexpanded):
         f = inst.frames[fid]
-        gs = inst.gate_state(f)
+        gs = inst.guard_state(f.guard)
         if gs is False:
             continue
         if gs is True:
@@ -712,7 +699,7 @@ def _frontier(inst):
             return f
         live.append(fid)
     inst.unexpanded = live
-    if live and next(open_choices(inst), None) is None:
+    if live and not any(holds for _, holds in unsettled_choices(inst)):
         return inst.frames[live[0]]
     return None
 

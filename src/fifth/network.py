@@ -30,14 +30,14 @@ A propagator's writes carry its integer id as their write id. The name
 contradiction's provenance and in `trace_sink` records. Other writes name
 themselves with a string (`decl:...`, `branch:...`, or `w{n}` by default).
 
-Gating: a propagator may carry guard conditions (cell, polarity). One behind
-a refuted guard never runs; behind an undecided guard it stays dormant until
-the guard cell decides. This is what makes recursive program fragments inert
-until their gate opens. The language layer gives every propagator at most
-one guard: a context nested inside another gated context reads a derived
-0/1 cell written by an ungated `gate` propagator (the AND of the enclosing
-guard and the local condition), so dormancy costs one check and one watcher
-per propagator however deep the recursion goes.
+Gating: a propagator may carry one guard, a (cell, polarity) pair, or None.
+One behind a refuted guard never runs; behind an undecided guard it stays
+dormant until the guard cell decides. This is what makes recursive program
+fragments inert until their gate opens. A context nested inside another
+gated context reads a derived 0/1 cell written by an ungated `gate`
+propagator (the AND of the enclosing guard and the local condition), so
+dormancy costs one check and one watcher per propagator however deep the
+recursion goes.
 """
 
 from __future__ import annotations
@@ -65,18 +65,6 @@ from fifth.lattice import (
 
 REAL_SAT = float(INT_SAT)
 
-PROPAGATOR_KINDS = (
-    "constant",
-    "element_of",
-    "equal",
-    "sum",
-    "product",
-    "less_equal",
-    "alldifferent",
-    "switch",
-    "gate",
-)
-
 
 class WriteResult(Enum):
     UNCHANGED = "unchanged"
@@ -100,15 +88,16 @@ class QuiescenceReport:
 
 
 class Propagator:
-    """Immutable once attached; per-branch dynamic state lives on the network."""
+    """Immutable once attached; per-branch dynamic state lives on the network.
+    `guard` is None or one (cell id, required polarity) pair."""
 
-    __slots__ = ("id", "kind", "cells", "guards", "payload")
+    __slots__ = ("id", "kind", "cells", "guard", "payload")
 
-    def __init__(self, pid, kind, cells, guards, payload):
+    def __init__(self, pid, kind, cells, guard, payload):
         self.id = pid
         self.kind = kind
         self.cells = tuple(cells)
-        self.guards = tuple(guards)  # ((cell id, required polarity), ...)
+        self.guard = guard
         self.payload = payload
 
     def __repr__(self):
@@ -119,7 +108,7 @@ class Network:
     __slots__ = (
         "contents", "watchers", "origins", "contributors", "saturated",
         "propagators", "queue", "pending", "write_counter", "steps_total",
-        "contradiction", "detached", "trace_sink",
+        "contradiction", "trace_sink",
     )
 
     def __init__(self):
@@ -134,7 +123,6 @@ class Network:
         self.write_counter = 0
         self.steps_total = 0
         self.contradiction = None  # cell id
-        self.detached = set()  # propagator ids dropped by storage management
         self.trace_sink = None  # callable(dict) or None
 
     # -- structure -------------------------------------------------------
@@ -154,16 +142,16 @@ class Network:
                 return info
         raise StructuralError(f"unknown cell id {cid}")
 
-    def attach(self, kind, cells, guards=(), payload=None):
-        if kind not in PROPAGATOR_KINDS:
+    def attach(self, kind, cells, guard=None, payload=None):
+        if kind not in _TRANSFER:
             raise StructuralError(f"unknown propagator kind {kind!r}")
-        prop = Propagator(len(self.propagators), kind, cells, guards, payload)
-        guard_cells = tuple(g[0] for g in prop.guards)
+        prop = Propagator(len(self.propagators), kind, cells, guard, payload)
+        guard_cells = () if guard is None else (guard[0],)
         for cid in prop.cells + guard_cells:
             self.content(cid)
         pid = prop.id
         self.propagators.append(prop)
-        watched = prop.cells if kind not in ("constant", "element_of") else ()
+        watched = prop.cells if kind != "constant" else ()
         watchers = self.watchers
         for cid in set(watched + guard_cells):
             watchers[cid] = watchers[cid] + (pid,)  # pid is the largest id
@@ -259,17 +247,14 @@ class Network:
             steps += 1
             self.steps_total += 1
             prop = propagators[pid]
-            for gcid, want in prop.guards:
-                # a dropped guard cell (None) keeps the propagator dormant
-                info = contents[gcid]
-                if info is None or truth_value(info) != want:
-                    break
-            else:
-                for cid, info in _TRANSFER[prop.kind](self, prop):
-                    if write(cid, info, pid) is WriteResult.CONTRADICTION:
-                        queue.clear()
-                        pending.clear()
-                        return QuiescenceReport(steps, False, self.contradiction)
+            guard = prop.guard
+            if guard is not None and truth_value(contents[guard[0]]) != guard[1]:
+                continue
+            for cid, info in _TRANSFER[prop.kind](self, prop):
+                if write(cid, info, pid) is WriteResult.CONTRADICTION:
+                    queue.clear()
+                    pending.clear()
+                    return QuiescenceReport(steps, False, self.contradiction)
         return QuiescenceReport(steps, True, None)
 
     # -- cloning and storage management ----------------------------------
@@ -287,20 +272,19 @@ class Network:
         net.write_counter = self.write_counter
         net.steps_total = self.steps_total
         net.contradiction = self.contradiction
-        net.detached = set(self.detached)
         net.trace_sink = self.trace_sink
         return net
 
     def detach(self, pid):
         """Drop a propagator from scheduling (used by storage management)."""
-        self.detached.add(pid)
         if pid in self.pending:
             self.pending.discard(pid)
             self.queue.remove(pid)
         # attach() registered the pid on these cells and nowhere else
         prop = self.propagators[pid]
+        guard_cells = () if prop.guard is None else (prop.guard[0],)
         watchers = self.watchers
-        for cid in set(prop.cells + tuple(g[0] for g in prop.guards)):
+        for cid in set(prop.cells + guard_cells):
             if pid in watchers[cid]:
                 watchers[cid] = tuple(p for p in watchers[cid] if p != pid)
 
@@ -362,10 +346,6 @@ def _range_write(net, cid, lo, hi, integral):
 
 def _t_constant(net, prop):
     return [(prop.cells[0], prop.payload)]
-
-
-def _t_element_of(net, prop):
-    return [(prop.cells[0], finite_domain(prop.payload))]
 
 
 def _t_equal(net, prop):
@@ -509,21 +489,6 @@ def _t_alldifferent(net, prop):
     return writes
 
 
-def _t_switch(net, prop):
-    cond, then_c, else_c, out = prop.cells
-    tv = truth_value(net.contents[cond])
-    if tv is None:
-        return []
-    chosen = then_c if tv else else_c
-    writes = []
-    cc, co = net.contents[chosen], net.contents[out]
-    if cc.kind != "nothing":
-        writes.append((out, cc))
-    if co.kind != "nothing":
-        writes.append((chosen, co))
-    return writes
-
-
 def _t_gate(net, prop):
     # out = 1 once outer and cond both read their wanted polarity, 0 as soon
     # as either reads the other one
@@ -540,12 +505,10 @@ def _t_gate(net, prop):
 
 _TRANSFER = {
     "constant": _t_constant,
-    "element_of": _t_element_of,
     "equal": _t_equal,
     "sum": _t_sum,
     "product": _t_product,
     "less_equal": _t_less_equal,
     "alldifferent": _t_alldifferent,
-    "switch": _t_switch,
     "gate": _t_gate,
 }

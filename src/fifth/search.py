@@ -13,7 +13,6 @@ from typing import Optional
 
 from .errors import StructuralError
 from .language import (
-    EXPANDED,
     Instance,
     Program,
     QuerySpec,
@@ -21,7 +20,7 @@ from .language import (
     UNEXPANDED,
     demand_loop,
     instantiate,
-    open_choices,
+    unsettled_choices,
 )
 from .lattice import (
     INT_SAT, bounds_of, exact, int_interval, is_integer_valued, real_interval,
@@ -121,7 +120,9 @@ def _pick_choice(inst):
     """Smallest remaining domain, ties by lowest cell id. Returns (cp, values)."""
     best = None
     best_vals = None
-    for cp in open_choices(inst):
+    for cp, holds in unsettled_choices(inst):
+        if not holds:
+            continue
         vals = _branch_candidates(inst, cp)
         if len(vals) < 2:
             continue
@@ -143,19 +144,6 @@ def _order_values(inst, cp, values, oracle):
 
 def _resolve_targets(inst, names):
     return tuple(inst.cell_of(0, n) for n in names)
-
-
-def _fully_chosen(inst):
-    """No live choice point is still open, and none hangs on an undecided
-    guard (that choice may yet become part of the problem)."""
-    net = inst.network
-    for cp in inst.choices:
-        if inst.frames[cp.frame].state != EXPANDED:
-            continue
-        live = inst.guard_state(cp.guards)
-        if live is None or (live and net.content(cp.cell).kind != "exact"):
-            return False
-    return True
 
 
 def _target_values(inst, names):
@@ -210,7 +198,8 @@ def _dfs(program, query, state, leaf, oracle, trace, gc, write_sink,
     (optimize() posts its incumbent bound), then is quiesced and reported
     to `trace`; contradicted and half-run nodes go no further. A surviving
     node is handed to `leaf` when every live choice is decided, and
-    otherwise split on one choice cell, one clone per value.
+    otherwise split on one choice cell, one clone per value; with no cell
+    to split on, it leaves the search incomplete.
     """
     oracle = oracle or UniformOracle()
     root = instantiate(program, query.entry, dict(query.bindings))
@@ -239,13 +228,14 @@ def _dfs(program, query, state, leaf, oracle, trace, gc, write_sink,
             folded = collect_garbage(
                 inst, _resolve_targets(inst, query.targets))
             state.summarized += len(folded.summarized)
-        if report.targets_met and _fully_chosen(inst):
+        if report.targets_met and next(unsettled_choices(inst), None) is None:
             leaf(inst)
             continue
         cp, values = _pick_choice(inst)
         if cp is None:
-            # nothing to branch on and not a solution: a dead or
-            # under-determined branch
+            # not a solution, yet nothing contradicted and nothing is left
+            # to branch on: the branch is under-determined, not refuted
+            state.complete = False
             continue
         ordered = _order_values(inst, cp, values, oracle)
         for v in reversed(ordered):
@@ -296,6 +286,9 @@ def optimize(program: Program, query: Query, oracle=None,
     when both are known to be integers, else `<= incumbent`, and a leaf that
     only ties is then not recorded. A leaf counts at its objective's lower
     bound once pinning the objective there quiesces without contradiction.
+    If the pin contradicts, an integer objective is searched on above that
+    bound (a clone with the write `bound:unattained`), and any other makes
+    the search incomplete.
 
     `trace`, `gc`, and `write_sink` behave exactly as in solve(). Each
     improving solution is kept in order; the last one is the optimum.
@@ -324,13 +317,20 @@ def optimize(program: Program, query: Query, oracle=None,
         if lb is None or (state.incumbent is not None
                           and lb >= state.incumbent):
             return
+        obj_cell = inst.cell_of(0, obj_name)
         pinned = inst.clone()
-        pinned.network.write(inst.cell_of(0, obj_name), exact(lb),
-                             "probe:objective")
+        pinned.network.write(obj_cell, exact(lb), "probe:objective")
         pinned.network.run_to_quiescence(query.step_budget)
         if pinned.network.contradiction is not None:
-            # bound not attainable in this branch; the leaf is decided,
-            # so there is nothing further to branch on
+            # the lower bound is not attainable in this branch, but a larger
+            # value may be
+            if is_integer_valued(inst.network.content(obj_cell)):
+                above = inst.clone()
+                above.network.write(obj_cell, int_interval(lb + 1, INT_SAT),
+                                    "bound:unattained")
+                state.stack.append(above)
+            else:
+                state.complete = False
             return
         state.incumbent = lb
         state.solutions.append({"cells": _target_values(pinned, query.targets)})
@@ -362,29 +362,24 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
     A frame folds up when its boundary is fully decided, every choice in it
     is decided or behind a refuted guard, every descendant has folded or
     waits behind a refuted gate (refuted descendants are dead, not
-    pending), and no query target lives in its interior. Interior cells
-    are dropped and their propagators detached; boundary contents are
-    untouched, so every already derived answer survives by construction.
+    pending), and no query target lives in its interior. Its interior
+    propagators are detached and its interior cells dropped, except a cell
+    some frame or choice reads as its guard: that one keeps its decided
+    content, so `Instance.guard_state` still answers for it. Boundary
+    contents are untouched, so every already derived answer survives by
+    construction.
     """
     net = inst.network
     targets = set(target_cells)
 
     # Guards outlive the frames that declared their cells: a child's gate
-    # is a parent's local (its if condition or derived gate cell). Dropping
-    # such a cell is only safe once its truth is decided, and the decision
-    # has to be remembered.
-    guard_refs = set()
-    for f in inst.frames:
-        guard_refs.update(cid for cid, _ in f.guards)
+    # is a parent's local (its if condition or derived gate cell). A frame
+    # holding such a cell folds only once the cell's truth is decided.
+    guard_refs = {c.guard[0] for c in inst.frames + inst.choices
+                  if c.guard is not None}
     # An open live choice keeps its frame even when the boundary no longer
     # depends on it: search has yet to branch on it, once per repeat.
-    open_choice = set()
-    for cp in inst.choices:
-        guard_refs.update(cid for cid, _ in cp.guards)
-        if (inst.frames[cp.frame].state == EXPANDED
-                and net.content(cp.cell).kind != "exact"
-                and inst.guard_state(cp.guards) is not False):
-            open_choice.add(cp.frame)
+    open_choice = {cp.frame for cp, _ in unsettled_choices(inst)}
 
     # A frame folds bottom-up: only once every descendant is finished too,
     # that is summarized, or awaiting expansion behind a refuted gate. A
@@ -402,7 +397,7 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
         if f.id == 0 or f.state == SUMMARIZED:
             continue
         if f.state == UNEXPANDED:
-            if inst.gate_state(f) is not False:
+            if inst.guard_state(f.guard) is not False:
                 unfinished[f.parent] = True
             continue
         boundary = set(f.boundary_cells(inst.program))
@@ -419,14 +414,12 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
         if targets & set(interior):
             continue
         for cid in interior:
-            if cid in guard_refs:
-                inst.guard_cache[cid] = truth_value(net.content(cid))
             for pid in net.watchers[cid]:
-                if pid not in net.detached:
-                    net.detach(pid)
-                    detached += 1
-            net.drop_cell(cid)
-            dropped += 1
+                net.detach(pid)
+                detached += 1
+            if cid not in guard_refs:
+                net.drop_cell(cid)
+                dropped += 1
         f.cellmap = {
             name: cid for name, cid in f.cellmap.items() if cid in boundary
         }

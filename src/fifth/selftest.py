@@ -93,28 +93,26 @@ def random_network(rng, max_cells=40, max_propagators=60):
     # of cells contradicts almost surely and tests nothing
     n_props = rng.randrange(2, min(max_propagators, n_cells + n_cells // 2) + 1)
     for _ in range(n_props):
-        guards = ()
+        guard = None
         if rng.randint(5) == 0:
-            guards = ((pick(), rng.randint(2) == 0),)
+            guard = (pick(), rng.randint(2) == 0)
         kind = rng.choice(
             ("sum", "sum", "product", "equal", "less_equal",
-             "element_of", "alldifferent", "switch", "constant")
+             "alldifferent", "gate", "constant")
         )
         if kind in ("sum", "product"):
-            net.attach(kind, (pick(), pick(), pick()), guards)
+            net.attach(kind, (pick(), pick(), pick()), guard)
+        elif kind == "gate":
+            net.attach(kind, (pick(), pick(), pick()), guard,
+                       payload=(rng.randint(2) == 0, rng.randint(2) == 0))
         elif kind in ("equal", "less_equal"):
-            net.attach(kind, (pick(), pick()), guards)
-        elif kind == "element_of":
-            dom = tuple(rng.randrange(-4, 9) for _ in range(rng.randrange(3, 8)))
-            net.attach(kind, (pick(),), guards, payload=dom)
+            net.attach(kind, (pick(), pick()), guard)
         elif kind == "alldifferent":
             members = tuple(set(pick() for _ in range(rng.randrange(2, 5))))
             if len(members) >= 2:
-                net.attach(kind, members, guards)
-        elif kind == "switch":
-            net.attach(kind, (pick(), pick(), pick(), pick()), guards)
+                net.attach(kind, members, guard)
         else:
-            net.attach(kind, (pick(),), guards, payload=_gentle_info(rng))
+            net.attach(kind, (pick(),), guard, payload=_gentle_info(rng))
     writes = []
     for cid in range(n_cells):
         if rng.randint(3) == 0:

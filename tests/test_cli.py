@@ -107,6 +107,26 @@ def test_solve_steps_zero_exits_3(capsys):
     assert payload["stats"]["complete"] is False
 
 
+UNDER_DETERMINED = {
+    # nothing contradicts and nothing is left to branch on
+    "unbranched": "(def (m x) (int x 0 5))\n(query (m) (show x))\n",
+    # the choose waits on a gate no choice can decide
+    "gated-choose": "(def (m c x) (int c 0 5) (if c ((choose x 1 2)) ()))\n"
+                    "(query (m) (show x))\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDER_DETERMINED))
+def test_solve_under_determined_exits_3(name, tmp_path, capsys):
+    f = tmp_path / "under.5th"
+    f.write_text(UNDER_DETERMINED[name])
+    code, out, _ = run(["solve", f], capsys)
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["solutions"] == []
+    assert payload["stats"]["complete"] is False
+
+
 def test_solve_out_file(tmp_path, capsys):
     target = tmp_path / "res.json"
     code, out, _ = run(
@@ -186,6 +206,13 @@ def test_usage_errors(argv, capsys):
     code, _, err = run(argv, capsys)
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["solve", "--help"]])
+def test_help_returns_0(argv, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.startswith("usage: fifth")
 
 
 # -- train ---------------------------------------------------------------------
@@ -547,8 +574,4 @@ def test_hostile_programs_and_flags_exit_cleanly(tmp_path_factory, text,
      "--steps", "x", "-1", "no/such.5th", "no/such/dir", "--help", "-h"]),
     max_size=6))
 def test_hostile_argv_exits_cleanly(argv):
-    try:
-        code = _main_quietly(argv)
-    except SystemExit as e:
-        code = e.code  # argparse's own --help exits 0 after printing
-    assert code in (0, 1, 2, 3)
+    assert _main_quietly(argv) in (0, 1, 2, 3)

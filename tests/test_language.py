@@ -189,7 +189,7 @@ def test_expand_refuted_gate_is_noop():
     inst = instantiate(program, "fact", {"n": 0})
     inst.network.run_to_quiescence()
     child = inst.frames[1]
-    assert inst.gate_state(child) is False
+    assert inst.guard_state(child.guard) is False
     before_cells = len(inst.network.contents)
     out = expand(inst, 1)
     assert out.state == UNEXPANDED
@@ -221,7 +221,7 @@ def test_elaboration_deterministic():
         demand_loop(inst, [inst.cell_of(0, "r")], 100, 100_000)
         return (
             len(inst.network.contents),
-            tuple((p.kind, p.cells, p.guards) for p in inst.network.propagators),
+            tuple((p.kind, p.cells, p.guard) for p in inst.network.propagators),
             tuple((f.defname, f.parent, f.depth, f.state) for f in inst.frames),
         )
 
@@ -344,7 +344,7 @@ def test_nested_gated_ifs_carry_one_guard_each():
     gates = [p for p in inst.network.propagators if p.kind == "gate"]
     assert len(gates) == 2 * 6  # then and else branch of frames 1..6
     for f in inst.frames[1:]:
-        (cid, polarity), = f.guards
+        cid, polarity = f.guard
         assert polarity is True
         if f.parent > 0:
             parent_gates = {c for name, c in inst.frames[f.parent].cellmap.items()
@@ -354,14 +354,18 @@ def test_nested_gated_ifs_carry_one_guard_each():
 
 def test_countdown_structure_is_linear():
     # exact counters, no wall time: a 1024-deep chain costs each propagator
-    # one guard and a bounded number of watcher registrations
+    # at most one guard and a bounded number of watcher registrations
     program = parse(COUNTDOWN)
     inst = instantiate(program, "len", {"n": 1024})
     report = demand_loop(inst, [inst.cell_of(0, "k")], 2000, 1_000_000)
     assert inst.network.content(inst.cell_of(0, "k")) == exact(1024)
     assert report.expansions == 1024
     props = inst.network.propagators
-    assert all(len(p.guards) <= 1 for p in props)
+    # only the root's own sum and the gate propagators run ungated; every
+    # other propagator carries one (cell, polarity) guard
+    ungated = [p.kind for p in props if p.guard is None]
+    assert ungated == ["sum"] + ["gate"] * (2 * 1024)
+    assert all(type(p.guard[1]) is bool for p in props if p.guard is not None)
     watchers = sum(len(w) for w in inst.network.watchers)
     assert watchers <= 4 * len(props)
 
@@ -379,5 +383,5 @@ def test_unexpanded_worklist_tracks_frames():
     assert inst.network.content(inst.cell_of(0, "r")) == exact(2)
     # only the refuted call under fact(0) is left, and it is not expandable
     left = [f.id for f in inst.frames if f.state == UNEXPANDED]
-    assert left == [3] and inst.gate_state(inst.frames[3]) is False
+    assert left == [3] and inst.guard_state(inst.frames[3].guard) is False
     assert set(inst.unexpanded) <= {3}

@@ -215,14 +215,6 @@ def test_less_equal_keeps_real_cells_real():
     assert net.content(a) == real_interval(0.5, 2.5)
 
 
-def test_element_of_writes_domain():
-    net = Network()
-    x = net.add_cell()
-    net.attach("element_of", (x,), payload=(3, 1, 2))
-    net.run_to_quiescence()
-    assert net.content(x) == finite_domain({1, 2, 3})
-
-
 def test_alldifferent_prunes_on_exact():
     net = Network()
     xs = [net.add_cell() for _ in range(3)]
@@ -255,34 +247,11 @@ def test_alldifferent_trims_interval_endpoints():
     assert net.content(y) == int_interval(1, 5)
 
 
-def test_switch_picks_branch():
-    net = Network()
-    cond, t, e, out = (net.add_cell() for _ in range(4))
-    net.attach("switch", (cond, t, e, out))
-    net.write(t, exact(10))
-    net.write(e, exact(20))
-    net.run_to_quiescence()
-    assert net.content(out) == NOTHING  # condition undecided
-    net.write(cond, exact(1))
-    net.run_to_quiescence()
-    assert net.content(out) == exact(10)
-
-
-def test_switch_false_branch():
-    net = Network()
-    cond, t, e, out = (net.add_cell() for _ in range(4))
-    net.attach("switch", (cond, t, e, out))
-    net.write(e, exact(20))
-    net.write(cond, exact(0))
-    net.run_to_quiescence()
-    assert net.content(out) == exact(20)
-
-
 def test_guard_blocks_until_true():
     net = Network()
     g = net.add_cell()
     x = net.add_cell()
-    net.attach("constant", (x,), guards=((g, True),), payload=exact(9))
+    net.attach("constant", (x,), guard=(g, True), payload=exact(9))
     net.run_to_quiescence()
     assert net.content(x) == NOTHING
     net.write(g, exact(1))
@@ -336,7 +305,7 @@ def test_refuted_guard_never_fires():
     net = Network()
     g = net.add_cell()
     x = net.add_cell()
-    net.attach("constant", (x,), guards=((g, True),), payload=exact(9))
+    net.attach("constant", (x,), guard=(g, True), payload=exact(9))
     net.write(g, exact(0))
     net.run_to_quiescence()
     assert net.content(x) == NOTHING
@@ -410,7 +379,7 @@ def test_contradiction_inside_propagation_names_the_writer():
     x, w, g = (net.add_cell() for _ in range(3))
     net.write(x, int_interval(3, 9), "decl:0:x")
     net.write(w, exact(1), "decl:0:w")
-    net.attach("equal", (x, w), guards=((g, True),))  # p0, dormant
+    net.attach("equal", (x, w), guard=(g, True))  # p0, dormant
     assert net.run_to_quiescence().quiescent
     net.write(g, exact(1), f"branch:{g}=1")
     report = net.run_to_quiescence()
@@ -433,7 +402,7 @@ def test_clone_isolates_state():
 
 def _store(net):
     return (list(net.contents), list(net.watchers), list(net.contributors),
-            set(net.saturated), len(net.propagators), set(net.detached))
+            set(net.saturated), len(net.propagators))
 
 
 def _busy_network():
@@ -535,7 +504,7 @@ def _random_single_prop_net(rng):
     n = rng.randrange(2, 6)
     cells = [net.add_cell() for _ in range(n)]
     kind = rng.choice(("sum", "product", "equal", "less_equal",
-                       "alldifferent", "switch", "element_of"))
+                       "alldifferent", "gate"))
     if kind in ("sum", "product"):
         net.attach(kind, tuple(rng.choice(cells) for _ in range(3)))
     elif kind in ("equal", "less_equal"):
@@ -545,11 +514,9 @@ def _random_single_prop_net(rng):
         if len(members) < 2:
             members = tuple(cells[:2])
         net.attach(kind, members)
-    elif kind == "switch":
-        net.attach(kind, tuple(rng.choice(cells) for _ in range(4)))
     else:
-        dom = tuple(rng.randrange(0, 9) for _ in range(3))
-        net.attach(kind, (rng.choice(cells),), payload=dom)
+        net.attach(kind, tuple(rng.choice(cells) for _ in range(3)),
+                   payload=(rng.randint(2) == 0, rng.randint(2) == 0))
     writes = []
     for cid in cells:
         if rng.randint(2) == 0:

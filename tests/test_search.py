@@ -425,6 +425,42 @@ def test_optimize_skips_a_leaf_whose_lower_bound_is_unattainable():
     assert res.proven
 
 
+# x = 5 is the only answer, but propagation leaves x in [0, 10] (the
+# product inverse skips a divisor range holding 0), which precision 10
+# accepts as a leaf whose lower bound 0 is unattainable
+SQUARE_ROOT = """
+(def (sq x c)
+  (int x 0 10)
+  (const c 25)
+  (product x x c))
+
+(query (sq) (show x) (minimize x) (precision 10))
+"""
+
+
+def test_optimize_searches_above_an_unattainable_integer_bound():
+    prog = parse(SQUARE_ROOT)
+    res = optimize(prog, Query.from_spec(prog.query))
+    assert res.objective == 5
+    assert res.solution["cells"] == {"x": 5}
+    assert res.proven
+    assert res.stats["nodes"] == 2
+
+
+def test_optimize_unattainable_real_bound_is_incomplete():
+    # the same leaf over reals, x in [2.38, 10.5]: there is no next value
+    # to search from, so the run must not claim there is no solution
+    text = SQUARE_ROOT.replace("(int x 0 10)", """(const lo 0.5)
+  (const hi 10.5)
+  (lesseq lo x)
+  (lesseq x hi)""")
+    prog = parse(text)
+    res = optimize(prog, Query.from_spec(prog.query))
+    assert res.objective is None
+    assert not res.proven
+    assert not res.stats["complete"]
+
+
 # c = (a + b) * -0.5: the first leaf gives the integer incumbent -1, the
 # next the real -1.5, which a bound of -2 (integer strictness) would cut;
 # a = 3, b = 0 then ties -1.5 and must not count as an improvement
@@ -532,7 +568,7 @@ def test_collect_garbage_leaves_refuted_leaves_alone():
     collect_garbage(inst, (r,))
     leaves = [f for f in inst.frames if f.state == UNEXPANDED]
     assert leaves  # the gate-refuted call under fact(0)
-    assert all(inst.gate_state(f) is False for f in leaves)
+    assert all(inst.guard_state(f.guard) is False for f in leaves)
 
 
 def test_collect_garbage_respects_interior_targets():
@@ -567,6 +603,38 @@ COUNT = """
      (sum rest one r))
     ((const r 0))))
 """
+
+
+class _Leaves:
+    def __init__(self):
+        self.leaves = []
+
+    def node(self, inst):
+        pass
+
+    def solution(self, inst):
+        self.leaves.append(inst)
+
+    def deadend(self, inst):
+        pass
+
+
+@pytest.mark.parametrize("text,entry", [(FACT, "fact"), (COUNT, "count")],
+                         ids=["fact", "count"])
+def test_gc_keeps_the_truth_of_guard_cells_it_folds(text, entry):
+    # summarization detaches the propagators around a decided guard cell
+    # but keeps its content, so every frame's gate still reads from the
+    # network: the 12 folded frames hold, the call under n = 0 is refuted
+    trace = _Leaves()
+    q = Query(entry=entry, bindings=(("n", 12),), targets=("r",))
+    res = solve(parse(text), q, trace=trace, gc=True)
+    inst, = trace.leaves
+    folded = [f for f in inst.frames if f.state == SUMMARIZED]
+    assert len(folded) == res.stats["summarized"] == 12
+    for f in folded:
+        assert inst.network.content(f.guard[0]).kind == "exact"
+    states = [inst.guard_state(f.guard) for f in inst.frames]
+    assert states == [True] * 13 + [False]
 
 
 def test_solve_gc_on_a_long_chain():
