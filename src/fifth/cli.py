@@ -307,7 +307,10 @@ def cmd_check(cfg):
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        cfg = parser.parse_args(argv)
+        try:
+            cfg = parser.parse_args(argv)
+        except SystemExit as e:  # argparse's --help exits 0 after printing
+            return e.code or 0
         handler = {
             "solve": cmd_solve,
             "train": cmd_train,
@@ -318,8 +321,6 @@ def main(argv=None) -> int:
     except (UsageError, OSError, FifthError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except SystemExit as e:  # argparse's --help exits 0 after printing
-        return e.code
 
 
 if __name__ == "__main__":

@@ -668,17 +668,18 @@ def expand(inst: Instance, frame_id: int) -> Frame:
 
 
 def unsettled_choices(inst):
-    """Choice points that still need search, each with its guard's state:
-    the frame is expanded, the choice's own guard is not refuted (a choose
-    inside a refuted if branch is dead even though its frame is live) and
-    the cell is not yet exact. Search can branch now on those whose guard
-    holds (True); the others wait on an undecided one (None)."""
+    """Choice points of expanded frames that are not settled yet, each with
+    its guard's state. A choose inside a refuted if branch is dead even
+    though its frame is live, so it never appears. One whose guard holds
+    (True) is unsettled while its cell is not exact: search can branch on
+    it now. One behind an undecided guard (None) is unsettled even with an
+    exact cell, since deciding the guard may still post it."""
     net = inst.network
     for cp in inst.choices:
         if inst.frames[cp.frame].state != EXPANDED:
             continue
         live = inst.guard_state(cp.guard)
-        if live is not False and net.content(cp.cell).kind != "exact":
+        if live is None or (live and net.content(cp.cell).kind != "exact"):
             yield cp, live
 
 

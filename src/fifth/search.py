@@ -379,7 +379,8 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
                   if c.guard is not None}
     # An open live choice keeps its frame even when the boundary no longer
     # depends on it: search has yet to branch on it, once per repeat.
-    open_choice = {cp.frame for cp, _ in unsettled_choices(inst)}
+    open_choice = {cp.frame for cp, _ in unsettled_choices(inst)
+                   if net.content(cp.cell).kind != "exact"}
 
     # A frame folds bottom-up: only once every descendant is finished too,
     # that is summarized, or awaiting expansion behind a refuted gate. A

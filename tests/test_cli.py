@@ -113,6 +113,11 @@ UNDER_DETERMINED = {
     # the choose waits on a gate no choice can decide
     "gated-choose": "(def (m c x) (int c 0 5) (if c ((choose x 1 2)) ()))\n"
                     "(query (m) (show x))\n",
+    # x is already exact, but either value of c posts x in {1, 2}: the
+    # chooses behind the undecided gate keep the node from being a leaf
+    "gated-exact": "(def (m c x) (int c 0 1) (const x 5)\n"
+                   "  (if c ((choose x 1 2)) ((choose x 1 2))))\n"
+                   "(query (m) (show x))\n",
 }
 
 
