@@ -14,6 +14,7 @@ so equal seeds give byte-equal output.
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import statistics
@@ -56,6 +57,7 @@ def _budget(text):
     return n
 
 
+@functools.lru_cache(maxsize=None)  # built once per process
 def _build_parser():
     parser = _Parser(prog="fifth")
     sub = parser.add_subparsers(dest="command", required=True)

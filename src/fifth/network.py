@@ -17,13 +17,19 @@ plus one `saturated` set of cells whose computed bounds were clamped at
 list and set copies; lattice values and Propagator objects are immutable
 and shared.
 
-Writing a cell merges new partial information into its content. `merge`
-hands back the old value itself when the write cannot refine it, so most
-no-op writes cost one identity test. An actual refinement alerts the
-cell's watchers, in ascending id order, through a FIFO queue with a
-membership set, so the queue never holds duplicates. Scheduling order is
-semantically irrelevant (the catalog propagators are monotone, so the
-quiescent state is confluent) but FIFO keeps runs reproducible.
+Writing a cell merges new partial information into its content. Transfer
+functions emit only writes that can refine: each candidate is compared
+with the target's current content before a lattice value is built, and
+dropped when the content already lies inside its bounds, already holds its
+exact value, or already equals the other side of an equality. Of what
+still reaches `merge` without changing the cell (a constant's payload, the
+settled side of an equality, declarations, branches, search bounds),
+`merge` hands back the old value itself, so it costs one identity test. A
+refinement alerts the cell's watchers, in ascending id order, through a
+FIFO queue with a membership set, so the queue never holds duplicates.
+Scheduling order is semantically irrelevant (the catalog propagators are
+monotone, so the quiescent state is confluent) but FIFO keeps runs
+reproducible.
 
 A propagator's writes carry its integer id as their write id. The name
 `p{id}:{kind}` is rendered only where a person reads it: in a
@@ -303,26 +309,36 @@ class Network:
 _INF = float("inf")
 
 
-def _ext_bounds(info):
-    """Bounds as used by transfer arithmetic.
+def _operand(info):
+    """(lo, hi, integral) of a cell as transfer arithmetic reads it, or None
+    when the cell has no bounds yet.
 
     An endpoint at or beyond ±2^62 may be the saturated image of something
     far larger, so it is read back as infinite: it must never be allowed to
     tighten a neighbouring cell.
     """
-    r = bounds_of(info)
-    if r is None:
+    k = info.kind
+    if k == "exact":
+        lo = hi = info.value
+        integral = isinstance(lo, int)
+    elif k == "int_interval" or k == "real_interval":
+        lo, hi, integral = info.lo, info.hi, k == "int_interval"
+    elif k == "finite_domain":
+        lo, hi, integral = info.elements[0], info.elements[-1], True
+    else:
         return None
-    lo, hi = r
     if lo <= -INT_SAT:
         lo = -_INF
     if hi >= INT_SAT:
         hi = _INF
-    return lo, hi
+    return lo, hi, integral
 
 
 def _range_write(net, cid, lo, hi, integral):
-    """Build the interval to write at cid from computed bounds."""
+    """The interval to write at cid from computed bounds, or None when the
+    cell already lies inside them, so merging could not change it."""
+    cur = net.contents[cid]
+    held = bounds_of(cur)
     if integral:
         slo = min(max(lo, -INT_SAT), INT_SAT)
         shi = max(min(hi, INT_SAT), -INT_SAT)
@@ -332,16 +348,24 @@ def _range_write(net, cid, lo, hi, integral):
             slo = math.ceil(slo - 1e-9)
         if not isinstance(shi, int):
             shi = math.floor(shi + 1e-9)
+        # an integer interval changes the kind of any non-integer content
+        if (held and slo <= held[0] and held[1] <= shi
+                and is_integer_valued(cur)):
+            return None
         return int_interval(slo, shi)
     lo = max(float(lo), -REAL_SAT)
     hi = min(float(hi), REAL_SAT)
+    if held and lo <= held[0] and held[1] <= hi:
+        return None
     return real_interval(lo, hi)
 
 
 # -- transfer functions ---------------------------------------------------------
 # Each takes (network, propagator) and returns a list of (cell id, info)
-# candidate writes. All are monotone: refining any input can only refine
-# (never loosen) the outputs.
+# writes. All are monotone: refining any input can only refine (never
+# loosen) the outputs. Before building a lattice value, each compares the
+# candidate with the target's current content and drops it when merge
+# would hand that content back unchanged.
 
 
 def _t_constant(net, prop):
@@ -352,6 +376,8 @@ def _t_equal(net, prop):
     a, b = prop.cells
     writes = []
     ca, cb = net.contents[a], net.contents[b]
+    if ca == cb:
+        return writes
     if cb.kind != "nothing":
         writes.append((a, cb))
     if ca.kind != "nothing":
@@ -361,15 +387,19 @@ def _t_equal(net, prop):
 
 def _t_sum(net, prop):
     a, b, c = prop.cells
-    ra, rb, rc = (_ext_bounds(net.contents[x]) for x in prop.cells)
-    ia, ib, ic = (is_integer_valued(net.contents[x]) for x in prop.cells)
+    contents = net.contents
+    ra, rb, rc = (
+        _operand(contents[a]), _operand(contents[b]), _operand(contents[c]))
     writes = []
-    if ra and rb:
-        writes.append((c, _range_write(net, c, ra[0] + rb[0], ra[1] + rb[1], ia and ib)))
-    if rc and rb:
-        writes.append((a, _range_write(net, a, rc[0] - rb[1], rc[1] - rb[0], ic and ib)))
-    if rc and ra:
-        writes.append((b, _range_write(net, b, rc[0] - ra[1], rc[1] - ra[0], ic and ia)))
+    if ra and rb and (w := _range_write(
+            net, c, ra[0] + rb[0], ra[1] + rb[1], ra[2] and rb[2])):
+        writes.append((c, w))
+    if rc and rb and (w := _range_write(
+            net, a, rc[0] - rb[1], rc[1] - rb[0], rc[2] and rb[2])):
+        writes.append((a, w))
+    if rc and ra and (w := _range_write(
+            net, b, rc[0] - ra[1], rc[1] - ra[0], rc[2] and ra[2])):
+        writes.append((b, w))
     return writes
 
 
@@ -412,17 +442,14 @@ def _div_hull(rnum, rden):
 def _t_product(net, prop):
     a, b, c = prop.cells
     ca, cb, cc = (net.contents[x] for x in prop.cells)
-    ra, rb, rc = _ext_bounds(ca), _ext_bounds(cb), _ext_bounds(cc)
-    ia, ib, ic = is_integer_valued(ca), is_integer_valued(cb), is_integer_valued(cc)
+    ra, rb, rc = _operand(ca), _operand(cb), _operand(cc)
     writes = []
     if ra and rb:
         lo, hi = _mul_hull(ra, rb)
-        writes.append((c, _range_write(net, c, lo, hi, ia and ib)))
+        if w := _range_write(net, c, lo, hi, ra[2] and rb[2]):
+            writes.append((c, w))
     # inverse directions divide; avoided entirely when the divisor may be 0
-    for out, den_info, rden, num_int, den_int in (
-        (a, cb, rb, ic, ib),
-        (b, ca, ra, ic, ia),
-    ):
+    for out, den_info, rden in ((a, cb, rb), (b, ca, ra)):
         if rc is None or rden is None or (rden[0] <= 0 <= rden[1]):
             continue
         if (
@@ -433,39 +460,45 @@ def _t_product(net, prop):
         ):
             cv, dv = cc.value, den_info.value
             if isinstance(cv, int) and isinstance(dv, int) and cv % dv == 0:
-                writes.append((out, exact(cv // dv)))
+                q = cv // dv
             else:
-                writes.append((out, exact(cv / dv)))
+                q = cv / dv
+            held = net.contents[out]
+            if held.kind != "exact" or held.value != q:
+                writes.append((out, exact(q)))
             continue
         lo, hi = _div_hull(rc, rden)
         # quotient of integers need not be integral; only claim integrality
         # when the division is forced to land on integers
-        writes.append((out, _range_write(net, out, lo, hi, False)))
+        if w := _range_write(net, out, lo, hi, False):
+            writes.append((out, w))
     return writes
 
 
 def _t_less_equal(net, prop):
     a, b = prop.cells
-    ra = _ext_bounds(net.contents[a])
-    rb = _ext_bounds(net.contents[b])
+    ra = _operand(net.contents[a])
+    rb = _operand(net.contents[b])
     writes = []
     # bounds are written as real intervals so no integrality is asserted on
     # cells whose own content has not established it
-    if rb is not None:
-        writes.append((a, real_interval(-REAL_SAT, min(float(rb[1]), REAL_SAT))))
-    if ra is not None:
-        writes.append((b, real_interval(max(float(ra[0]), -REAL_SAT), REAL_SAT)))
+    if rb is not None and (w := _range_write(net, a, -_INF, rb[1], False)):
+        writes.append((a, w))
+    if ra is not None and (w := _range_write(net, b, ra[0], _INF, False)):
+        writes.append((b, w))
     return writes
 
 
 def _t_alldifferent(net, prop):
-    writes = []
     contents = [(cid, net.contents[cid]) for cid in prop.cells]
     exacts = [
         (cid, info.value)
         for cid, info in contents
         if info.kind == "exact" and abs(info.value) < INT_SAT
     ]
+    if not exacts:
+        return []
+    writes = []
     for ci, v in exacts:
         for cj, info in contents:
             if cj == ci:
@@ -497,10 +530,15 @@ def _t_gate(net, prop):
     t_outer = truth_value(net.contents[outer])
     t_cond = truth_value(net.contents[cond])
     if t_outer == (not want_outer) or t_cond == (not want_cond):
-        return [(out, exact(0))]
-    if t_outer == want_outer and t_cond == want_cond:
-        return [(out, exact(1))]
-    return []
+        value = 0
+    elif t_outer == want_outer and t_cond == want_cond:
+        value = 1
+    else:
+        return []
+    held = net.contents[out]
+    if held.kind == "exact" and held.value == value:
+        return []
+    return [(out, exact(value))]
 
 
 _TRANSFER = {

@@ -288,7 +288,8 @@ def optimize(program: Program, query: Query, oracle=None,
     bound once pinning the objective there quiesces without contradiction.
     If the pin contradicts, an integer objective is searched on above that
     bound (a clone with the write `bound:unattained`), and any other makes
-    the search incomplete.
+    the search incomplete; so does a pin that runs out of steps, which
+    records nothing.
 
     `trace`, `gc`, and `write_sink` behave exactly as in solve(). Each
     improving solution is kept in order; the last one is the optimum.
@@ -320,8 +321,8 @@ def optimize(program: Program, query: Query, oracle=None,
         obj_cell = inst.cell_of(0, obj_name)
         pinned = inst.clone()
         pinned.network.write(obj_cell, exact(lb), "probe:objective")
-        pinned.network.run_to_quiescence(query.step_budget)
-        if pinned.network.contradiction is not None:
+        report = pinned.network.run_to_quiescence(query.step_budget)
+        if report.contradiction is not None:
             # the lower bound is not attainable in this branch, but a larger
             # value may be
             if is_integer_valued(inst.network.content(obj_cell)):
@@ -331,6 +332,10 @@ def optimize(program: Program, query: Query, oracle=None,
                 state.stack.append(above)
             else:
                 state.complete = False
+            return
+        if not report.quiescent:
+            # out of steps: a pending propagator could still refute the pin
+            state.complete = False
             return
         state.incumbent = lb
         state.solutions.append({"cells": _target_values(pinned, query.targets)})

@@ -158,6 +158,36 @@ def test_solve_optimize_program(capsys):
     assert payload["proven"] is True
 
 
+def _pin_chain_program(steps):
+    """x in [0, 10] heads two alternating 0/1 chains that meet at the end,
+    so x = 0 and x = 1 are refuted only after about 40 propagator steps."""
+    lines = ["(def (m x)", "  (int x 0 10)"]
+    for c in "zw":
+        lines += [f"  (int {c}{i} 0 1)" for i in range(1, 21)]
+        lines.append(f"  (alldiff x {c}1)")
+        lines += [f"  (alldiff {c}{i - 1} {c}{i})" for i in range(2, 21)]
+    lines.append("  (alldiff z20 w20))")
+    return "\n".join(lines) + (
+        f"\n(query (m) (show x) (precision 10) (steps {steps}) (minimize x))\n")
+
+
+@pytest.mark.parametrize("steps", [60, 1000])
+def test_optimize_pin_out_of_steps_is_not_an_optimum(steps, tmp_path, capsys):
+    # the leaf quiesces within the budget, but pinning x at its lower bound
+    # runs out of steps before the chains refute it
+    f = tmp_path / "pin.5th"
+    f.write_text(_pin_chain_program(steps))
+    code, out, _ = run(["solve", f], capsys)
+    payload = json.loads(out)
+    if steps == 1000:
+        assert code == 0
+        assert (payload["objective"], payload["proven"]) == (2, True)
+    else:
+        assert code == 3
+        assert payload["objective"] is None
+        assert payload["stats"]["complete"] is False
+
+
 def test_solve_gc_preserves_answers(capsys):
     f = CORPUS / "fact" / "fact10.5th"
     _, plain, _ = run(["solve", f], capsys)

@@ -2,6 +2,7 @@
 `src/`; a rename or removal there would silently break `--trace 1`."""
 
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -33,10 +34,12 @@ def test_kernel_writes_pass_through_the_traced_names(monkeypatch):
     # The tracer counts `network.write.*` by wrapping `Network.write` on the
     # class and `lattice.merge.calls` by wrapping the `merge` global of
     # `fifth.network`. Every propagator write must reach both, or those
-    # counters would read zero while the kernel works.
+    # counters would read zero while the kernel works. Transfers drop the
+    # writes that cannot refine, so the unchanged ones come from search:
+    # branch-and-bound posts its incumbent into nodes that already hold it.
     import fifth.network
     from fifth.language import parse
-    from fifth.search import Query, solve
+    from fifth.search import Query, optimize
 
     seen = Counter()
     write, merge = fifth.network.Network.write, fifth.network.merge
@@ -54,9 +57,11 @@ def test_kernel_writes_pass_through_the_traced_names(monkeypatch):
 
     monkeypatch.setattr(fifth.network.Network, "write", counted_write)
     monkeypatch.setattr(fifth.network, "merge", counted_merge)
-    program = parse((CORPUS / "queens" / "q4.5th").read_text())
-    result = solve(program, Query.from_spec(program.query))
-    assert len(result.solutions) == 2
+    program = parse((CORPUS / "jobshop" / "js-3x3-a.5th").read_text())
+    result = optimize(program, Query.from_spec(program.query))
+    expected = json.loads(
+        (CORPUS / "jobshop" / "js-3x3-a.expected.json").read_text())
+    assert (result.objective, result.proven) == (expected["makespan"], True)
     assert seen["merge"] == seen["write"]
     assert seen["write"] == seen["refined"] + seen["unchanged"] + seen[
         "contradiction"]

@@ -1,0 +1,136 @@
+"""Transfers drop the writes that cannot refine their target, and only those.
+
+A dropped write must be one that `merge` would hand back unchanged; a kept
+one must be exactly the value the unfiltered transfer builds. The value a
+transfer would build for a cell never reads that cell's own content, so it
+is recovered by running the transfer again with the cell emptied: an empty
+cell holds no bounds, so nothing is dropped for it.
+"""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fifth.language import parse
+from fifth.lattice import (
+    INT_SAT,
+    NOTHING,
+    exact,
+    finite_domain,
+    int_interval,
+    merge,
+    real_interval,
+    truth_value,
+)
+from fifth.network import _TRANSFER, Network, Propagator, _range_write
+from fifth.search import Query, optimize, solve
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+SAT_INTS = st.sampled_from([
+    -2**70, -INT_SAT - 1, -INT_SAT, -INT_SAT + 1,
+    INT_SAT - 1, INT_SAT, INT_SAT + 1, 2**70,
+])
+INTS = st.integers(-12, 12) | SAT_INTS
+FLOATS = (st.floats(-12, 12, allow_nan=False)
+          | st.sampled_from([-1e20, -float(INT_SAT), float(INT_SAT), 1e20]))
+NUMBERS = INTS | FLOATS
+
+
+def _sorted_pair(values):
+    return st.tuples(values, values).map(sorted)
+
+
+CONTENTS = st.one_of(
+    st.just(NOTHING),
+    NUMBERS.map(exact),
+    _sorted_pair(INTS).map(lambda r: int_interval(*r)),
+    _sorted_pair(NUMBERS).map(lambda r: real_interval(*r)),
+    st.lists(INTS, min_size=1, max_size=4).map(finite_domain),
+)
+BOUNDS = NUMBERS | st.sampled_from([-float("inf"), float("inf")])
+
+
+def _unchanged(cur, info):
+    merged = merge(cur, info)
+    return merged is cur or merged == cur
+
+
+@settings(max_examples=400, deadline=None)
+@given(CONTENTS, _sorted_pair(BOUNDS), st.booleans())
+def test_range_write_drops_only_what_merge_keeps(cur, bounds, integral):
+    net, empty = Network(), Network()
+    net.contents.append(cur)
+    empty.contents.append(NOTHING)
+    built = _range_write(empty, 0, *bounds, integral)
+    got = _range_write(net, 0, *bounds, integral)
+    if got is None:
+        assert _unchanged(cur, built)
+    else:
+        assert got == built
+    assert net.saturated == empty.saturated
+
+
+ARITY = {"sum": 3, "product": 3, "less_equal": 2, "equal": 2, "gate": 3}
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(sorted(ARITY)), st.lists(CONTENTS, min_size=3,
+                                                 max_size=3),
+       st.tuples(st.booleans(), st.booleans()))
+def test_transfers_drop_only_what_merge_keeps(kind, contents, payload):
+    net = Network()
+    cells = tuple(range(ARITY[kind]))
+    net.contents.extend(contents[:len(cells)])
+    prop = Propagator(0, kind, cells, None, payload)
+    transfer = _TRANSFER[kind]
+    emitted = transfer(net, prop)
+    for cid in cells:
+        empty = net.clone()
+        empty.contents[cid] = NOTHING
+        built = [info for c, info in transfer(empty, prop) if c == cid]
+        got = [info for c, info in emitted if c == cid]
+        if got:
+            assert got == built
+        else:
+            assert all(_unchanged(net.contents[cid], info) for info in built)
+
+
+class _QuiescedNodes:
+    """At every quiesced node, no live propagator has a write left to make."""
+
+    def __init__(self):
+        self.checked = 0
+
+    def node(self, inst):
+        net = inst.network
+        if net.contradiction is not None or not net.quiescent:
+            return
+        for prop in net.propagators:
+            # a constant watches no cell and ran when its guard opened
+            if prop.kind == "constant" or (
+                    prop.guard is not None
+                    and truth_value(net.contents[prop.guard[0]])
+                    != prop.guard[1]):
+                continue
+            assert _TRANSFER[prop.kind](net, prop) == [], prop
+        self.checked += 1
+
+    def solution(self, inst):
+        pass
+
+    def deadend(self, inst):
+        pass
+
+
+@pytest.mark.parametrize("name", [
+    "queens/q8.5th", "jobshop/js-3x3-a.5th", "horizon/line-h4.5th",
+    "crypt/sendmore.5th",
+])
+def test_quiesced_nodes_have_no_writes_left(name):
+    program = parse((CORPUS / name).read_text())
+    query = Query.from_spec(program.query)
+    nodes = _QuiescedNodes()
+    (optimize if query.objective else solve)(program, query, trace=nodes)
+    assert nodes.checked > 0
