@@ -290,17 +290,12 @@ def cmd_measure(cfg):
 
 def cmd_check(cfg):
     # reduced sample sizes; the full-size runs live in the test suite
-    if os.environ.get("FIFTH_FAULT_INJECT"):
-        selftest.install_merge_fault()
-    try:
-        suites = [
-            selftest.lattice_law_sample(n_triples=2_000, seed=cfg.seed + 2024),
-            selftest.confluence_sample(n_networks=30, n_orders=8,
-                                       seed=cfg.seed + 77),
-            selftest.gradient_sample(n_configs=8, seed=cfg.seed + 11),
-        ]
-    finally:
-        selftest.clear_merge_fault()
+    suites = [
+        selftest.lattice_law_sample(n_triples=2_000, seed=cfg.seed + 2024),
+        selftest.confluence_sample(n_networks=30, n_orders=8,
+                                   seed=cfg.seed + 77),
+        selftest.gradient_sample(n_configs=8, seed=cfg.seed + 11),
+    ]
     for s in suites:
         print(f"{s['suite']}: {'pass' if s['ok'] else 'FAIL'}")
     return EXIT_OK if all(s["ok"] for s in suites) else EXIT_USAGE

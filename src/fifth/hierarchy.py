@@ -106,19 +106,18 @@ def spine_audit(depth):
 
 
 class AugmentationTree:
-    """Shared encoders, bridges, codes, and outcome memory.
+    """Shared encoders, bridges, and outcome memory.
 
-    The code store keys by frame id, so one tree accompanies one instance
-    lineage at a time; re-encoding a frame overwrites its entry. Encoders
-    and memory carry over freely between runs. Each memory value holds the
-    distinct codes seen with that outcome, one per row, rows sorted.
+    Codes are encoded from the instance on each call and never kept, since
+    frame ids repeat across instances. Encoders and memory carry over
+    freely between runs. Each memory value holds the distinct codes seen
+    with that outcome, one per row, rows sorted.
     """
 
     def __init__(self, n_code=8):
         self.n_code = n_code
         self.frame_encoders = {}   # defname -> Autoencoder
         self.bridge_encoders = {}  # (parent defname, child defname) -> Autoencoder
-        self.codes = {}            # frame id -> Code
         self.memory = {}           # (defname, "success"|"deadend") -> rows
 
     # -- encoders ------------------------------------------------------------
@@ -142,9 +141,7 @@ class AugmentationTree:
 
     def encode_frame(self, inst, frame):
         feats = featurize(frame, inst.network, inst.program)
-        code = self.encoder_for(frame.defname).encode(feats)
-        self.codes[frame.id] = code
-        return code
+        return self.encoder_for(frame.defname).encode(feats)
 
     def compose_path(self, inst, frame):
         """Fold codes along root..frame into one; returns (Code, hops).
@@ -157,8 +154,7 @@ class AugmentationTree:
         while path[-1].parent is not None:
             path.append(inst.frames[path[-1].parent])
         path.reverse()
-        leaves = [self.codes.get(f.id) or self.encode_frame(inst, f)
-                  for f in path]
+        leaves = [self.encode_frame(inst, f) for f in path]
         if len(leaves) == 1:
             return leaves[0], 0
         bridge = self.bridge_for(path[0].defname, path[0].defname)

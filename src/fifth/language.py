@@ -2,8 +2,8 @@
 
 A program is a set of definitions. Instantiating one builds a propagator
 network; recursive calls become child frames that stay unexpanded until
-demanded, so recursion is unbounded but only paid for where information
-actually flows.
+demanded and their gate holds, so recursion is unbounded but only paid for
+where information actually flows.
 """
 
 import math
@@ -440,10 +440,13 @@ class Frame:
 
     `guard` is the frame's gate: None for an ungated call, else one
     (cell, polarity) pair living in the parent frame, either the condition
-    of an `if` the call sits in or the derived gate cell of that branch when
-    the `if` itself was gated. `cellmap` also names those gate cells, under
-    names the parser cannot produce, so summarization treats them like any
-    other interior cell, except that a guard cell keeps its decided content.
+    of the `if` the call sits in or, for an `if` nested in another `if`
+    branch, the derived gate cell of that branch. A frame is expanded only
+    once its gate holds, and its body is then elaborated ungated, so the
+    guard matters only while the frame is unexpanded. `cellmap` also names
+    those gate cells, under names the parser cannot produce, so
+    summarization treats them like any other interior cell, except that a
+    guard cell keeps its decided content.
     """
 
     __slots__ = ("id", "defname", "parent", "depth", "cellmap", "state",
@@ -651,17 +654,19 @@ def _elaborate_call(inst, frame, stmt, guard):
 
 
 def expand(inst: Instance, frame_id: int) -> Frame:
-    """Attach the body of an unexpanded frame; refuted gates make it a no-op."""
+    """Attach the body of an unexpanded frame whose gate holds; behind a
+    refuted or undecided gate this is a no-op. A gate that holds stays true
+    in this branch, so the body is elaborated ungated, like the root's."""
     frame = inst.frames[frame_id]
     if frame.state == SUMMARIZED:
         raise StructuralError(f"frame {frame_id} is summarized; not expandable")
     if frame.state == EXPANDED:
         raise StructuralError(f"frame {frame_id} is already expanded")
-    if inst.guard_state(frame.guard) is False:
+    if inst.guard_state(frame.guard) is not True:
         return frame
     inst.unexpanded.remove(frame_id)
     d = inst.program.definitions[frame.defname]
-    _elaborate_body(inst, frame, d.body, frame.guard)
+    _elaborate_body(inst, frame, d.body, None)
     frame.state = EXPANDED
     inst.expansions += 1
     return frame
@@ -684,24 +689,19 @@ def unsettled_choices(inst):
 
 
 def _frontier(inst):
-    """Next frame worth expanding: the lowest-id frame whose gate holds,
-    else the lowest-id one behind an undecided gate, but only while no
-    choice is open. An open choice is how search decides such gates, so
-    expanding past it would only speculate. Scans only the unexpanded
-    worklist, dropping the refuted frames it meets."""
+    """Next frame to expand: the lowest-id frame whose gate holds. A frame
+    behind an undecided gate stays dormant until search decides the gate.
+    Scans only the unexpanded worklist, dropping the refuted frames it
+    meets."""
     live = []
     for i, fid in enumerate(inst.unexpanded):
-        f = inst.frames[fid]
-        gs = inst.guard_state(f.guard)
-        if gs is False:
-            continue
+        gs = inst.guard_state(inst.frames[fid].guard)
         if gs is True:
             inst.unexpanded[:i] = live
-            return f
-        live.append(fid)
+            return inst.frames[fid]
+        if gs is None:
+            live.append(fid)
     inst.unexpanded = live
-    if live and not any(holds for _, holds in unsettled_choices(inst)):
-        return inst.frames[live[0]]
     return None
 
 

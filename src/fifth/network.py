@@ -38,12 +38,13 @@ themselves with a string (`decl:...`, `branch:...`, or `w{n}` by default).
 
 Gating: a propagator may carry one guard, a (cell, polarity) pair, or None.
 One behind a refuted guard never runs; behind an undecided guard it stays
-dormant until the guard cell decides. This is what makes recursive program
-fragments inert until their gate opens. A context nested inside another
-gated context reads a derived 0/1 cell written by an ungated `gate`
-propagator (the AND of the enclosing guard and the local condition), so
-dormancy costs one check and one watcher per propagator however deep the
-recursion goes.
+dormant until the guard cell decides. The language guards the statements
+of an `if` branch with the branch condition. Recursive frames need no
+guard of their own: a frame is only expanded once its gate holds. An `if`
+nested inside another `if` branch reads a derived 0/1 cell written by an
+ungated `gate` propagator (the AND of the enclosing guard and the local
+condition), so each propagator carries at most one guard however deep the
+nesting goes.
 """
 
 from __future__ import annotations

@@ -281,11 +281,13 @@ def optimize(program: Program, query: Query, oracle=None,
              trace=None, gc: bool = False, write_sink=None) -> OptimizeResult:
     """Branch-and-bound minimization of the objective cell.
 
-    Once there is an incumbent, each popped node gets the write
-    `bound:incumbent` into its objective before it runs: `<= incumbent - 1`
-    when both are known to be integers, else `<= incumbent`, and a leaf that
-    only ties is then not recorded. A leaf counts at its objective's lower
-    bound once pinning the objective there quiesces without contradiction.
+    Once there is an incumbent, each popped node whose objective does not
+    already lie within the bound gets the write `bound:incumbent` into its
+    objective before it runs: `<= incumbent - 1` when both are known to be
+    integers, else `<= incumbent`, and a leaf that only ties is then not
+    recorded. A leaf counts at its objective's lower bound once pinning the
+    objective there quiesces without contradiction; the pin's steps count
+    in `stats.steps`.
     If the pin contradicts, an integer objective is searched on above that
     bound (a clone with the write `bound:unattained`), and any other makes
     the search incomplete; so does a pin that runs out of steps, which
@@ -305,13 +307,18 @@ def optimize(program: Program, query: Query, oracle=None,
         if incumbent is None:
             return
         obj_cell = inst.cell_of(0, obj_name)
+        content = inst.network.content(obj_cell)
         # an int bound would cut real values in (incumbent - 1, incumbent)
-        if isinstance(incumbent, int) and is_integer_valued(
-                inst.network.content(obj_cell)):
-            bound = int_interval(-INT_SAT, incumbent - 1)
+        if isinstance(incumbent, int) and is_integer_valued(content):
+            limit, interval = incumbent - 1, int_interval
         else:
-            bound = real_interval(-INT_SAT, incumbent)
-        inst.network.write(obj_cell, bound, "bound:incumbent")
+            limit, interval = incumbent, real_interval
+        # a child cloned from a node that took the bound already holds it
+        r = bounds_of(content)
+        if r is not None and -INT_SAT <= r[0] and r[1] <= limit:
+            return
+        inst.network.write(obj_cell, interval(-INT_SAT, limit),
+                           "bound:incumbent")
 
     def improve(inst):
         lb = _objective_lower_bound(inst, obj_name)
@@ -322,6 +329,7 @@ def optimize(program: Program, query: Query, oracle=None,
         pinned = inst.clone()
         pinned.network.write(obj_cell, exact(lb), "probe:objective")
         report = pinned.network.run_to_quiescence(query.step_budget)
+        state.steps += report.steps_used
         if report.contradiction is not None:
             # the lower bound is not attainable in this branch, but a larger
             # value may be
@@ -389,12 +397,12 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
 
     # A frame folds bottom-up: only once every descendant is finished too,
     # that is summarized, or awaiting expansion behind a refuted gate. A
-    # child left expanded still runs propagators that read its parent's
-    # cells (its gate is one of them), so the parent must stay. Children
-    # always have larger ids than their parents, so one sweep from the last
-    # frame back settles every frame. A frame that is finished but holds a
-    # query target in its interior stays expanded without holding up its
-    # parent: folding the parent detaches no more than folding it would.
+    # child left expanded is still tied to its parent's cells by the call's
+    # equality links, which fold with the parent, so the parent must stay.
+    # Children always have larger ids than their parents, so one sweep from
+    # the last frame back settles every frame. A frame that is finished but
+    # holds a query target in its interior stays expanded without holding up
+    # its parent: folding the parent detaches no more than folding it would.
     unfinished = [False] * len(inst.frames)
     summarized = []
     dropped = 0

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from fifth import lattice
 from fifth.lattice import (
     NOTHING,
     contradiction,
@@ -211,20 +210,3 @@ def gradient_sample(n_configs=20, seed=11):
     return {"suite": "gradient-check", "configs": n_configs,
             "max_rel_error": worst, "ok": worst < 1e-4}
 
-
-def install_merge_fault():
-    """Swap the merge this module checks for a broken one, to verify that
-    the self-test catches it: identity writes are silently dropped."""
-    global merge
-
-    def bad(a, b):
-        if a.kind == "nothing" and b.kind != "nothing":
-            return a  # wrong: discards b's information
-        return lattice.merge(a, b)
-
-    merge = bad
-
-
-def clear_merge_fault():
-    global merge
-    merge = lattice.merge

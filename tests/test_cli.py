@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from fifth.cli import main
 from fifth.autoenc import Autoencoder
 from fifth.hierarchy import N_FEATURES, AugmentationTree, save_bundle
+from fifth.lattice import merge
 from fifth.planning import generate_random_csp
 from fifth import selftest
 
@@ -186,6 +187,8 @@ def test_optimize_pin_out_of_steps_is_not_an_optimum(steps, tmp_path, capsys):
         assert code == 3
         assert payload["objective"] is None
         assert payload["stats"]["complete"] is False
+        # the node's own 41 steps plus the 60 the pin ran out of
+        assert payload["stats"]["steps"] == 41 + 60
 
 
 def test_solve_gc_preserves_answers(capsys):
@@ -417,11 +420,13 @@ def test_check_passes_fresh(capsys):
 
 
 def test_check_catches_injected_fault(monkeypatch, capsys):
-    monkeypatch.setenv("FIFTH_FAULT_INJECT", "1")
-    try:
-        code, out, _ = run(["check"], capsys)
-    finally:
-        selftest.clear_merge_fault()
+    def bad(a, b):
+        if a.kind == "nothing" and b.kind != "nothing":
+            return a  # wrong: discards b's information
+        return merge(a, b)
+
+    monkeypatch.setattr(selftest, "merge", bad)
+    code, out, _ = run(["check"], capsys)
     assert code == 1
     assert "FAIL" in out
 
@@ -505,6 +510,18 @@ def test_solve_saturated_target_deep_under_gc(tmp_path, capsys):
     assert payload["solutions"] == [{"cells": {"r": SATURATED}}]
     assert payload["stats"]["expansions"] == 5000
     assert payload["stats"]["summarized"] == 5000
+
+
+def test_solve_undecided_gate_exits_3_without_expanding(tmp_path, capsys):
+    f = tmp_path / "fact-unbound.5th"
+    f.write_text(FACT.replace("(fact (n {n}))", "(fact)").format(depth=40))
+    code, out, _ = run(["solve", f], capsys)
+    assert code == 3
+    payload = json.loads(out)
+    check_schema(payload, "solution.schema.json")
+    assert payload["solutions"] == []
+    assert payload["stats"]["complete"] is False
+    assert payload["stats"]["expansions"] == 0
 
 
 def _nested_ifs(depth):

@@ -229,7 +229,8 @@ def test_compose_single_frame_is_free():
     inst = instantiate(prog, "fact")
     code, hops = tree.compose_path(inst, inst.root)
     assert hops == 0
-    assert np.array_equal(code.vector, tree.codes[0].vector)
+    root_code = tree.encode_frame(inst, inst.root)
+    assert np.array_equal(code.vector, root_code.vector)
 
 
 def test_compose_deep_chain_hops_logarithmic():
@@ -252,6 +253,27 @@ def test_compose_path_deterministic():
     c2, h2 = tree.compose_path(inst, leaf)
     assert np.array_equal(c1.vector, c2.vector)
     assert h1 == h2
+
+
+def _weighted_fact_tree():
+    tree = AugmentationTree()
+    tree.encoder_for("fact").init_weights(4)
+    tree.bridge_for("fact", "fact").init_weights(5)
+    return tree
+
+
+def test_compose_path_reads_the_instance_it_is_given():
+    # frame ids repeat across instances, so nothing may be keyed by them
+    def deepest(inst):
+        return max(expanded(inst), key=lambda f: f.depth)
+
+    big, small = fact_chain(7), fact_chain(3)
+    fresh, _ = _weighted_fact_tree().compose_path(small, deepest(small))
+    tree = _weighted_fact_tree()
+    first, _ = tree.compose_path(big, deepest(big))
+    second, _ = tree.compose_path(small, deepest(small))
+    assert np.array_equal(second.vector, fresh.vector)
+    assert not np.array_equal(second.vector, first.vector)
 
 
 def test_compose_depends_only_on_path_codes():

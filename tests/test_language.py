@@ -140,15 +140,18 @@ def test_fact_ten_exactly_ten_expansions():
     assert inst.expansions == 10
 
 
-def test_fact_unbound_stops_at_depth_budget():
+def test_fact_unbound_leaves_the_gated_call_dormant():
+    # with n unbound the call's gate never decides, so nothing is expanded
+    # and the depth budget is never reached
     program = parse(FACT)
     inst = instantiate(program, "fact")
     r = inst.cell_of(0, "r")
     report = demand_loop(inst, [r], 3, 100_000)
-    assert report.expansions == 3
-    assert report.depth_exhausted
+    assert report.expansions == 0
+    assert not report.depth_exhausted
     assert not report.targets_met
     assert inst.network.content(r) == NOTHING
+    assert inst.unexpanded == [1]
 
 
 def test_countdown_four_expansions():
@@ -195,6 +198,22 @@ def test_expand_refuted_gate_is_noop():
     assert out.state == UNEXPANDED
     assert inst.expansions == 0
     assert len(inst.network.contents) == before_cells
+
+
+def test_expand_undecided_gate_is_noop():
+    program = parse(FACT)
+    inst = instantiate(program, "fact")
+    inst.network.run_to_quiescence()
+    child = inst.frames[1]
+    assert inst.guard_state(child.guard) is None
+    net = inst.network
+    before = (len(net.contents), len(net.propagators))
+    out = expand(inst, 1)
+    assert out.state == UNEXPANDED
+    assert inst.expansions == 0
+    assert inst.unexpanded == [1]
+    assert len(inst.frames) == 2
+    assert (len(net.contents), len(net.propagators)) == before
 
 
 def test_expand_twice_rejected():
@@ -334,37 +353,58 @@ def test_unterminated_list_reports_the_innermost_open_paren():
     assert (e.value.line, e.value.col) == (2, 3)
 
 
+# the call sits in an `if` nested in another `if` branch, so its gate is a
+# derived cell: the AND of the outer condition and the inner one
+NESTED_COUNTDOWN = """
+(def (len n k)
+  (cell nm1)
+  (cell krest)
+  (const one 1)
+  (sum nm1 one n)
+  (if n
+    ((if one
+      ((call len nm1 krest)
+       (sum krest one k))
+      ()))
+    ((const k 0))))
+"""
+
+
 def test_nested_gated_ifs_carry_one_guard_each():
-    # below the root, every if sits in a gated context, so its branches
-    # open through derived gate cells and the calls in them inherit one
-    program = parse(COUNTDOWN)
+    # every frame, the root too, opens its inner if through one derived gate
+    # cell, and the call in it inherits that cell as its guard
+    program = parse(NESTED_COUNTDOWN)
     inst = instantiate(program, "len", {"n": 6})
     demand_loop(inst, [inst.cell_of(0, "k")], 100, 100_000)
     assert inst.network.content(inst.cell_of(0, "k")) == exact(6)
     gates = [p for p in inst.network.propagators if p.kind == "gate"]
-    assert len(gates) == 2 * 6  # then and else branch of frames 1..6
+    assert len(gates) == 7  # the inner then branch of frames 0..6
     for f in inst.frames[1:]:
         cid, polarity = f.guard
         assert polarity is True
-        if f.parent > 0:
-            parent_gates = {c for name, c in inst.frames[f.parent].cellmap.items()
-                            if name.startswith("(")}
-            assert cid in parent_gates
+        parent_gates = {c for name, c in inst.frames[f.parent].cellmap.items()
+                        if name.startswith("(")}
+        assert cid in parent_gates
 
 
 def test_countdown_structure_is_linear():
-    # exact counters, no wall time: a 1024-deep chain costs each propagator
-    # at most one guard and a bounded number of watcher registrations
+    # exact counters, no wall time: a frame opens only once its gate holds
+    # and then elaborates like the root, so each of the 1024 expanded
+    # callees costs 5 cells and 5 propagators and no gate propagator
     program = parse(COUNTDOWN)
     inst = instantiate(program, "len", {"n": 1024})
     report = demand_loop(inst, [inst.cell_of(0, "k")], 2000, 1_000_000)
     assert inst.network.content(inst.cell_of(0, "k")) == exact(1024)
     assert report.expansions == 1024
     props = inst.network.propagators
-    # only the root's own sum and the gate propagators run ungated; every
-    # other propagator carries one (cell, polarity) guard
+    # root and callees alike: nm1 + 1 = n runs ungated, the rest carries
+    # the frame's own (n, polarity) guard; the refuted call under len(0)
+    # adds its two boundary cells
+    assert len(props) == 5 * (1 + 1024)
+    assert len(inst.network.contents) == 5 * (1 + 1024) + 2
+    assert not any(p.kind == "gate" for p in props)
     ungated = [p.kind for p in props if p.guard is None]
-    assert ungated == ["sum"] + ["gate"] * (2 * 1024)
+    assert ungated == ["sum"] * (1 + 1024)
     assert all(type(p.guard[1]) is bool for p in props if p.guard is not None)
     watchers = sum(len(w) for w in inst.network.watchers)
     assert watchers <= 4 * len(props)

@@ -253,6 +253,16 @@ def test_depth_budget_marks_incomplete():
     assert not res.stats["complete"]
 
 
+def test_undecided_gate_marks_incomplete_without_expanding():
+    # n is never bound, so the recursive call's gate never decides: nothing
+    # is expanded, nothing is refuted, and the search cannot claim a proof
+    prog = parse(FACT)
+    res = solve(prog, Query(entry="fact", targets=("r",), depth_budget=40))
+    assert res.solutions == []
+    assert not res.stats["complete"]
+    assert res.stats["expansions"] == 0
+
+
 def test_unsat_is_complete_and_empty():
     text = """
     (def (clash a b)

@@ -36,7 +36,7 @@ def test_kernel_writes_pass_through_the_traced_names(monkeypatch):
     # `fifth.network`. Every propagator write must reach both, or those
     # counters would read zero while the kernel works. Transfers drop the
     # writes that cannot refine, so the unchanged ones come from search:
-    # branch-and-bound posts its incumbent into nodes that already hold it.
+    # branch-and-bound pins objectives that are already exact at a leaf.
     import fifth.network
     from fifth.language import parse
     from fifth.search import Query, optimize
