@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import statistics
 import sys
@@ -57,6 +58,12 @@ def _budget(text):
     return n
 
 
+def _precision(text):
+    if not math.isfinite(x := float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
+
+
 @functools.lru_cache(maxsize=None)  # built once per process
 def _build_parser():
     parser = _Parser(prog="fifth")
@@ -67,7 +74,7 @@ def _build_parser():
         sp.add_argument("--depth", type=_budget, default=None)
         sp.add_argument("--steps", type=_budget, default=None)
         sp.add_argument("--nodes", type=_budget, default=None)
-        sp.add_argument("--precision", type=float, default=None)
+        sp.add_argument("--precision", type=_precision, default=None)
         sp.add_argument("--oracle", choices=("uniform", "learned"),
                         default="uniform")
         sp.add_argument("--model", default=None)

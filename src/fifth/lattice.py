@@ -268,6 +268,7 @@ def merge(a: PartialInfo, b: PartialInfo) -> PartialInfo:
         elif ka == "int_interval":
             if b.lo <= a.lo and a.hi <= b.hi:
                 return a
+            return int_interval(max(a.lo, b.lo), min(a.hi, b.hi))
         elif ka == "finite_domain":
             if b.lo <= a.elements[0] and a.elements[-1] <= b.hi:
                 return a
@@ -300,8 +301,6 @@ def merge(a: PartialInfo, b: PartialInfo) -> PartialInfo:
         out = _exact_into(b.value, a)
         return out if out is not None else Contradiction()
 
-    if ka == "int_interval" and kb == "int_interval":
-        return int_interval(max(a.lo, b.lo), min(a.hi, b.hi))
     if ka == "real_interval" and kb == "real_interval":
         return real_interval(max(a.lo, b.lo), min(a.hi, b.hi))
 

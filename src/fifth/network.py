@@ -21,15 +21,24 @@ Writing a cell merges new partial information into its content. Transfer
 functions emit only writes that can refine: each candidate is compared
 with the target's current content before a lattice value is built, and
 dropped when the content already lies inside its bounds, already holds its
-exact value, or already equals the other side of an equality. Of what
-still reaches `merge` without changing the cell (a constant's payload, the
-settled side of an equality, declarations, branches, search bounds),
-`merge` hands back the old value itself, so it costs one identity test. A
-refinement alerts the cell's watchers, in ascending id order, through a
-FIFO queue with a membership set, so the queue never holds duplicates.
+exact value, or already lies inside the other side of an equality. Of what
+still reaches `merge` without changing the cell (a constant's payload,
+declarations, branches, search bounds), `merge` hands back the old value
+itself, so it costs one identity test. A refinement alerts the cell's
+watchers, in ascending id order, through a FIFO queue with a membership
+set, so the queue never holds duplicates.
 Scheduling order is semantically irrelevant (the catalog propagators are
 monotone, so the quiescent state is confluent) but FIFO keeps runs
 reproducible.
+
+A propagator's own refining write does not alert it again when a rerun
+could write nothing (Schulte & Stuckey, TOPLAS 2008): with distinct cells,
+`equal` (both sides then hold one join), `gate` (its output is no input),
+`less_equal` into interval bounds (neither direction reads the bound it
+moves), and `sum` over integer cells writing an integer into an integer
+interval, or into an empty cell while all its cells lie within ±2^60
+(integer projections of a + b = c are a fixpoint of each other, and no new
+direction reaches the ±2^62 clamp). Real sums can land an ulp past a bound.
 
 A propagator's writes carry its integer id as their write id. The name
 `p{id}:{kind}` is rendered only where a person reads it: in a
@@ -98,7 +107,7 @@ class Propagator:
     """Immutable once attached; per-branch dynamic state lives on the network.
     `guard` is None or one (cell id, required polarity) pair."""
 
-    __slots__ = ("id", "kind", "cells", "guard", "payload")
+    __slots__ = ("id", "kind", "cells", "guard", "payload", "distinct")
 
     def __init__(self, pid, kind, cells, guard, payload):
         self.id = pid
@@ -106,6 +115,7 @@ class Propagator:
         self.cells = tuple(cells)
         self.guard = guard
         self.payload = payload
+        self.distinct = len(set(self.cells)) == len(self.cells)
 
     def __repr__(self):
         return f"Propagator({self.id}, {self.kind}, cells={self.cells})"
@@ -200,10 +210,12 @@ class Network:
             return WriteResult.CONTRADICTION
         contents[cid] = new
         self.contributors[cid] = (write_id, self.contributors[cid])
+        skip = write_id if type(write_id) is int and _idle_after(
+            self, self.propagators[write_id], old, info) else None
         # watchers never hold a detached id: detach removes it everywhere
         pending = self.pending
         for pid in self.watchers[cid]:
-            if pid not in pending:
+            if pid not in pending and pid != skip:
                 pending.add(pid)
                 self.queue.append(pid)
         if self.trace_sink is not None:
@@ -304,6 +316,21 @@ class Network:
         self.saturated.discard(cid)
 
 
+def _idle_after(net, prop, old, info):
+    """Whether `prop` rerun right after writing `info` over `old` is idle."""
+    kind = prop.kind if prop.distinct else None  # repeated cells rerun
+    if kind == "less_equal":
+        return old.kind == "int_interval" or old.kind == "real_interval"
+    if kind == "sum" and is_integer_valued(info):
+        if info.kind == "int_interval" and old.kind == "int_interval":
+            return True  # only integer operands build an IntInterval
+        cells = [net.contents[c] for c in prop.cells]
+        return all(map(is_integer_valued, cells)) and (
+            old.kind == "int_interval" or old.kind == "nothing" and all(
+                max(map(abs, bounds_of(x))) < 2**60 for x in cells))
+    return kind == "equal" or kind == "gate"
+
+
 # -- interval helpers ----------------------------------------------------------
 
 
@@ -339,21 +366,22 @@ def _range_write(net, cid, lo, hi, integral):
     """The interval to write at cid from computed bounds, or None when the
     cell already lies inside them, so merging could not change it."""
     cur = net.contents[cid]
-    held = bounds_of(cur)
     if integral:
-        slo = min(max(lo, -INT_SAT), INT_SAT)
-        shi = max(min(hi, INT_SAT), -INT_SAT)
-        if slo != lo or shi != hi:
-            net.saturated.add(cid)
-        if not isinstance(slo, int):
-            slo = math.ceil(slo - 1e-9)
-        if not isinstance(shi, int):
-            shi = math.floor(shi + 1e-9)
+        if not (type(lo) is int and type(hi) is int
+                and -INT_SAT <= lo <= hi <= INT_SAT):
+            slo = min(max(lo, -INT_SAT), INT_SAT)
+            shi = max(min(hi, INT_SAT), -INT_SAT)
+            if slo != lo or shi != hi:
+                net.saturated.add(cid)
+            lo = slo if isinstance(slo, int) else math.ceil(slo - 1e-9)
+            hi = shi if isinstance(shi, int) else math.floor(shi + 1e-9)
         # an integer interval changes the kind of any non-integer content
-        if (held and slo <= held[0] and held[1] <= shi
-                and is_integer_valued(cur)):
+        held = (cur.lo, cur.hi) if cur.kind == "int_interval" else (
+            is_integer_valued(cur) and bounds_of(cur))
+        if held and lo <= held[0] and held[1] <= hi:
             return None
-        return int_interval(slo, shi)
+        return int_interval(lo, hi)
+    held = bounds_of(cur)
     lo = max(float(lo), -REAL_SAT)
     hi = min(float(hi), REAL_SAT)
     if held and lo <= held[0] and held[1] <= hi:
@@ -373,15 +401,26 @@ def _t_constant(net, prop):
     return [(prop.cells[0], prop.payload)]
 
 
+def _inside(info, outer):
+    """True when merging outer into info would hand info back unchanged."""
+    ko = outer.kind
+    if ko == "finite_domain":
+        return info.kind == "exact" and info.value in outer.elements
+    held = bounds_of(info)
+    fits = ko == "real_interval" or (
+        ko == "int_interval" and is_integer_valued(info))
+    return fits and bool(held) and outer.lo <= held[0] and held[1] <= outer.hi
+
+
 def _t_equal(net, prop):
     a, b = prop.cells
     writes = []
     ca, cb = net.contents[a], net.contents[b]
     if ca == cb:
         return writes
-    if cb.kind != "nothing":
+    if cb.kind != "nothing" and not _inside(ca, cb):
         writes.append((a, cb))
-    if ca.kind != "nothing":
+    if ca.kind != "nothing" and not _inside(cb, ca):
         writes.append((b, ca))
     return writes
 

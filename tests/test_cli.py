@@ -444,6 +444,17 @@ def test_solve_negative_budget_is_a_usage_error(flag, value, capsys):
     assert "error:" in err and flag in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_solve_non_finite_precision_is_a_usage_error(value, capsys):
+    # it used to exit 0 and report the declared range as the solution
+    code, out, err = run(
+        ["solve", f"--precision={value}", CORPUS / "queens" / "q4.5th"],
+        capsys)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "--precision" in err and "finite" in err
+
+
 def test_solve_negative_query_option_is_a_parse_error(tmp_path, capsys):
     f = tmp_path / "neg.5th"
     f.write_text("(def (t x) (choose x 1 2))\n(query (t) (show x) (depth -5))\n")
