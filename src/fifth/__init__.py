@@ -3,8 +3,9 @@
 Programs are networks of cells holding lattice values; monotone propagators
 work out the implications of every write. Recursive definitions expand
 lazily and without bound, search branches over explicit choice points by
-cloning, and a hierarchy of autoencoders compresses frame states to
-guide value ordering in search, planning, and scheduling queries.
+cloning, and one autoencoder per definition compresses frame states into
+codes that, matched against the codes remembered from successes and dead
+ends, guide value ordering in search, planning, and scheduling queries.
 """
 
 from fifth.lattice import (

@@ -15,25 +15,6 @@ import numpy as np
 from .errors import TrainingDivergence
 
 
-class Code:
-    """A point in representation space plus which units are live."""
-
-    __slots__ = ("vector", "active")
-
-    def __init__(self, vector, active):
-        self.vector = np.asarray(vector, dtype=float)
-        self.active = np.asarray(active, dtype=bool)
-        if self.vector.shape != self.active.shape:
-            raise ValueError("code vector and active mask differ in length")
-
-    def __len__(self):
-        return self.vector.shape[0]
-
-    def __repr__(self):
-        on = int(self.active.sum())
-        return f"Code(k={len(self)}, active={on})"
-
-
 # weight matrices in forward order; biases interleave after each
 _LAYERS = ("w_enc_in", "b_enc_in", "w_enc_out", "b_enc_out",
            "w_dec_in", "b_dec_in", "w_dec_out", "b_dec_out")
@@ -67,10 +48,9 @@ class Autoencoder:
         self.b_dec_out = np.zeros(f)
         self.feat_mean = np.zeros(f)
         self.feat_std = np.ones(f)
-        self.unit_activity_ = np.zeros(k)
 
     def fit(self, dataset, epochs=200, seed=0):
-        """Standardize from the data, initialize, train, record activity."""
+        """Standardize from the data, initialize, train."""
         x = self._as_batch(dataset)
         self.feat_mean = x.mean(axis=0)
         std = x.std(axis=0)
@@ -78,20 +58,10 @@ class Autoencoder:
         self.feat_std = std
         self.init_weights(seed)
         self.history_ = self.train(dataset, epochs, seed)
-        self.unit_activity_ = np.abs(self._codes(x)).mean(axis=0)
         return self
 
     def transform(self, dataset):
         return self._codes(self._as_batch(dataset))
-
-    def inverse_transform(self, codes):
-        codes = np.atleast_2d(np.asarray(codes, dtype=float))
-        if codes.shape[1] != self.n_code:
-            raise ValueError(
-                f"expected codes of length {self.n_code}, got {codes.shape[1]}")
-        h = np.tanh(codes @ self.w_dec_in.T + self.b_dec_in)
-        out = h @ self.w_dec_out.T + self.b_dec_out
-        return out * self.feat_std + self.feat_mean
 
     # -- core --------------------------------------------------------------
 
@@ -121,12 +91,7 @@ class Autoencoder:
         if x.shape != (self.n_features,):
             raise ValueError(
                 f"expected a vector of {self.n_features} features")
-        vec = self._codes(x[None, :])[0]
-        return Code(vec, self.unit_activity_ > self.prune_threshold)
-
-    def decode(self, code):
-        vec = code.vector if isinstance(code, Code) else code
-        return self.inverse_transform(np.asarray(vec, dtype=float)[None, :])[0]
+        return self._codes(x[None, :])[0]
 
     def init_weights(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -253,7 +218,6 @@ class Autoencoder:
             "hyperparams": {k: getattr(self, k) for k in _HYPER},
             "standardization": {"mean": self.feat_mean.tolist(),
                                 "std": self.feat_std.tolist()},
-            "unit_activity": self.unit_activity_.tolist(),
         }
         with open(path, "wb") as fh:
             fh.write(json.dumps(header, sort_keys=True,
@@ -271,7 +235,6 @@ class Autoencoder:
             ae = cls(**header["hyperparams"])
             ae.feat_mean = np.array(header["standardization"]["mean"])
             ae.feat_std = np.array(header["standardization"]["std"])
-            ae.unit_activity_ = np.array(header["unit_activity"])
             for name in _LAYERS:
                 (count,) = struct.unpack("<Q", fh.read(8))
                 shape = getattr(ae, name).shape

@@ -159,7 +159,6 @@ def _trace_summary(log):
     return {
         "nodes": log.n_nodes,
         "states": len(log.states),
-        "edges": len(log.edges),
         "outcomes": outcomes,
     }
 

@@ -2,13 +2,12 @@
 
 Every expanded frame gets a fixed-width feature vector summarizing its
 boundary state. Frames of one definition share one autoencoder, so frames
-of the same shape inform each other through the shared weights. Codes of
-adjacent frames combine through bridge encoders, and each root-to-leaf
-recursion path carries a balanced pairwise fold (a spine) so information
-crosses d frames in O(log d) bridge applications; the spine's combiner is
-the root definition's self-bridge. A memory of distinct success and
-deadend codes per definition turns the codes into value-ordering advice
-for search.
+of the same shape inform each other through the shared weights. A memory
+of distinct success and deadend codes per definition turns the codes into
+value-ordering advice for search. The codes along a root-to-leaf recursion
+path fold pairwise into one (a spine), so information crosses d frames in
+O(log d) combines; the combiner is untrained and never saved, since only
+the hop bound reads the fold.
 
 Codes are advisory: nothing here writes into cells, so search results never
 depend on what the encoders learned.
@@ -106,18 +105,19 @@ def spine_audit(depth):
 
 
 class AugmentationTree:
-    """Shared encoders, bridges, and outcome memory.
+    """Shared frame encoders, outcome memory, and spine combiners.
 
     Codes are encoded from the instance on each call and never kept, since
     frame ids repeat across instances. Encoders and memory carry over
-    freely between runs. Each memory value holds the distinct codes seen
-    with that outcome, one per row, rows sorted.
+    freely between runs; the spine combiners are untrained and never
+    saved. Each memory value holds the distinct codes seen with that
+    outcome, one per row, rows sorted.
     """
 
     def __init__(self, n_code=8):
         self.n_code = n_code
         self.frame_encoders = {}   # defname -> Autoencoder
-        self.bridge_encoders = {}  # (parent defname, child defname) -> Autoencoder
+        self.spine_combiners = {}  # root defname -> Autoencoder
         self.memory = {}           # (defname, "success"|"deadend") -> rows
 
     # -- encoders ------------------------------------------------------------
@@ -129,13 +129,12 @@ class AugmentationTree:
             self.frame_encoders[defname] = enc
         return enc
 
-    def bridge_for(self, parent_def, child_def):
-        key = (parent_def, child_def)
-        br = self.bridge_encoders.get(key)
-        if br is None:
-            br = Autoencoder(n_features=2 * self.n_code, n_code=self.n_code)
-            self.bridge_encoders[key] = br
-        return br
+    def spine_for(self, root_def):
+        comb = self.spine_combiners.get(root_def)
+        if comb is None:
+            comb = Autoencoder(n_features=2 * self.n_code, n_code=self.n_code)
+            self.spine_combiners[root_def] = comb
+        return comb
 
     # -- codes ---------------------------------------------------------------
 
@@ -144,11 +143,11 @@ class AugmentationTree:
         return self.encoder_for(frame.defname).encode(feats)
 
     def compose_path(self, inst, frame):
-        """Fold codes along root..frame into one; returns (Code, hops).
+        """Fold codes along root..frame into one; returns (code, hops).
 
-        hops counts the bridge applications separating the queried frame
-        from the root of the fold, the communication cost of interest. The
-        fold combines with the root definition's self-bridge.
+        hops counts the combines separating the queried frame from the root
+        of the fold, the communication cost of interest. The fold combines
+        with the root definition's spine combiner.
         """
         path = [frame]
         while path[-1].parent is not None:
@@ -157,10 +156,10 @@ class AugmentationTree:
         leaves = [self.encode_frame(inst, f) for f in path]
         if len(leaves) == 1:
             return leaves[0], 0
-        bridge = self.bridge_for(path[0].defname, path[0].defname)
+        spine = self.spine_for(path[0].defname)
 
         def combine(a, b):
-            return bridge.encode(np.concatenate([a.vector, b.vector]))
+            return spine.encode(np.concatenate([a, b]))
 
         return _fold_pairwise(leaves, combine)
 
@@ -179,7 +178,7 @@ class AugmentationTree:
                 continue
             feats = featurize(frame, inst.network, inst.program,
                               override={cell: info})
-            code = self.encoder_for(frame.defname).encode(feats).vector
+            code = self.encoder_for(frame.defname).encode(feats)
             score = 0.0
             if dead is not None:
                 score += np.sqrt(((dead - code) ** 2).sum(axis=1)).min()
@@ -191,17 +190,15 @@ class AugmentationTree:
     # -- training --------------------------------------------------------------
 
     def train_from_traces(self, traces, seed=0, epochs=150):
-        """Fit frame encoders, bridges, and memory from solver traces. The
-        report counts every outcome seen; the memory keeps distinct codes."""
+        """Fit one frame encoder per definition, then the memory, from
+        solver traces. The report counts every outcome seen; the memory
+        keeps distinct codes."""
         logs = [traces] if isinstance(traces, TraceLog) else list(traces)
         states = {}
-        edges = {}
         outcomes = []
         for log in logs:
             for defname, vec in log.states:
                 states.setdefault(defname, []).append(vec)
-            for pd, cd, pv, cv in log.edges:
-                edges.setdefault((pd, cd), []).append((pv, cv))
             outcomes.extend(log.outcomes)
         for defname, vec, _label in outcomes:
             states.setdefault(defname, []).append(vec)
@@ -216,21 +213,10 @@ class AugmentationTree:
             report["batches"] += 1
             report["rows"] += x.shape[0]
             report["losses"][defname] = trace[-1] if trace else None
-        for j, key in enumerate(sorted(edges)):
-            pd, cd = key
-            pcodes = self.encoder_for(pd).transform(
-                np.array([pv for pv, _ in edges[key]]))
-            ccodes = self.encoder_for(cd).transform(
-                np.array([cv for _, cv in edges[key]]))
-            pairs = np.hstack([pcodes, ccodes])
-            bridge = self.bridge_for(pd, cd)
-            bridge.fit(pairs, epochs=epochs, seed=seed + 100 + j)
-            report["batches"] += 1
         seen = {}
         for defname, vec, label in outcomes:
             code = self.encoder_for(defname).encode(vec)
-            seen.setdefault((defname, label), set()).add(
-                tuple(code.vector.tolist()))
+            seen.setdefault((defname, label), set()).add(tuple(code.tolist()))
             report["memory"][label] += 1
         self.memory = {key: np.array(sorted(rows))
                        for key, rows in seen.items()}
@@ -248,16 +234,15 @@ class LearnedOracle:
 
 
 class TraceLog:
-    """What the solver saw: frame states, tree edges, and outcomes.
+    """What the solver saw: frame states and outcomes.
 
-    `node` logs every expanded frame's features and each parent-child edge
-    between them; `solution` and `deadend` log every expanded frame with
-    that outcome, so the same state recurs once per leaf that reaches it.
+    `node` logs every expanded frame's features; `solution` and `deadend`
+    log every expanded frame with that outcome, so the same state recurs
+    once per leaf that reaches it.
     """
 
     def __init__(self):
         self.states = []    # (defname, features)
-        self.edges = []     # (parent def, child def, parent feat, child feat)
         self.outcomes = []  # (defname, features, label)
         self.n_nodes = 0
 
@@ -266,15 +251,9 @@ class TraceLog:
 
     def node(self, inst):
         self.n_nodes += 1
-        feats = {}
         for f in self._live(inst):
-            feats[f.id] = featurize(f, inst.network, inst.program)
-            self.states.append((f.defname, feats[f.id]))
-        for f in self._live(inst):
-            if f.parent is not None and f.parent in feats:
-                parent = inst.frames[f.parent]
-                self.edges.append((parent.defname, f.defname,
-                                   feats[f.parent], feats[f.id]))
+            self.states.append(
+                (f.defname, featurize(f, inst.network, inst.program)))
 
     def solution(self, inst):
         for f in self._live(inst):
@@ -297,7 +276,7 @@ def _slug(name):
 
 
 def save_bundle(tree, directory):
-    """One checkpoint file per encoder plus a manifest."""
+    """One checkpoint file per frame encoder plus a manifest."""
     os.makedirs(directory, exist_ok=True)
     memory = {}
     for (d, label), rows in tree.memory.items():
@@ -306,13 +285,10 @@ def save_bundle(tree, directory):
         "n_code": tree.n_code,
         "feature_schema": 1,
         "definitions": sorted(tree.frame_encoders),
-        "bridges": [f"{p}:{c}" for p, c in sorted(tree.bridge_encoders)],
         "memory": memory,
     }
     for d, enc in tree.frame_encoders.items():
         enc.save(os.path.join(directory, f"enc_{_slug(d)}.aenc"))
-    for (p, c), br in tree.bridge_encoders.items():
-        br.save(os.path.join(directory, f"bridge_{_slug(p)}__{_slug(c)}.aenc"))
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -322,7 +298,9 @@ def load_bundle(directory):
     """Read a bundle written by save_bundle. A truncated or incomplete
     file, a bundle in an older layout, or memory rows or encoders whose
     width does not fit `n_code` and the feature count raise BundleError
-    naming the file; retraining is the only upgrade path."""
+    naming the file; retraining is the only upgrade path. The `bridges`
+    key and `bridge_*.aenc` files of bundles that still carry them are
+    ignored."""
     path = os.path.join(directory, "manifest.json")
     try:
         with open(path) as fh:
@@ -338,22 +316,14 @@ def load_bundle(directory):
             if rows.ndim != 2 or rows.shape[1] != n_code:
                 raise ValueError(
                     f"{label} memory of {d!r} is not {n_code} codes wide")
-        checkpoints = [(tree.frame_encoders, d, f"enc_{_slug(d)}.aenc",
-                        (N_FEATURES, n_code))
-                       for d in manifest["definitions"]]
-        for key in manifest["bridges"]:
-            p, c = key.split(":")
-            checkpoints.append((tree.bridge_encoders, (p, c),
-                                f"bridge_{_slug(p)}__{_slug(c)}.aenc",
-                                (2 * n_code, n_code)))
-        for encoders, key, name, shape in checkpoints:
-            path = os.path.join(directory, name)
+        for d in manifest["definitions"]:
+            path = os.path.join(directory, f"enc_{_slug(d)}.aenc")
             enc = Autoencoder.load(path)
-            if (enc.n_features, enc.n_code) != shape:
+            if (enc.n_features, enc.n_code) != (N_FEATURES, n_code):
                 raise ValueError(
                     f"encoder maps {enc.n_features} features to"
-                    f" {enc.n_code}, not {shape[0]} to {shape[1]}")
-            encoders[key] = enc
+                    f" {enc.n_code}, not {N_FEATURES} to {n_code}")
+            tree.frame_encoders[d] = enc
     except (AttributeError, KeyError, TypeError, ValueError,
             struct.error) as e:
         raise BundleError(

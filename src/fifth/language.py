@@ -729,14 +729,13 @@ def demand_loop(inst: Instance, targets, depth_budget: int, step_budget: int,
     steps += rep.steps_used
     depth_exhausted = False
     while True:
-        if net.contradiction is not None:
-            break
-        if targets_met(inst, targets, precision):
+        met = targets_met(inst, targets, precision)
+        if met or net.contradiction is not None:
             break
         if steps >= step_budget and not net.quiescent:
             break
         if expansions >= depth_budget:
-            depth_exhausted = not targets_met(inst, targets, precision)
+            depth_exhausted = True
             break
         f = _frontier(inst)
         if f is None:
@@ -750,7 +749,7 @@ def demand_loop(inst: Instance, targets, depth_budget: int, step_budget: int,
         expansions=expansions,
         quiescent=net.quiescent,
         contradiction=net.contradiction,
-        targets_met=targets_met(inst, targets, precision),
+        targets_met=met,
         depth_exhausted=depth_exhausted,
         steps_exhausted=steps >= step_budget and not net.quiescent,
     )

@@ -5,7 +5,7 @@ from struct import error as struct_error
 import numpy as np
 import pytest
 
-from fifth.autoenc import Autoencoder, Code
+from fifth.autoenc import Autoencoder
 from fifth.errors import TrainingDivergence
 from fifth.selftest import gradient_sample
 
@@ -36,22 +36,15 @@ def trained(plane):
 def test_zero_weights_encode_to_zero_code():
     ae = Autoencoder(n_features=4, n_hidden=3, n_code=2)
     code = ae.encode(np.ones(4))
-    assert np.all(code.vector == 0.0)
-    assert not code.active.any()
-
-
-def test_zero_weights_decode_to_output_bias():
-    ae = Autoencoder(n_features=4, n_hidden=3, n_code=2)
-    ae.b_dec_out = np.array([1.0, -2.0, 0.5, 0.0])
-    out = ae.decode(np.array([3.0, -3.0]))
-    assert np.allclose(out, ae.b_dec_out)
+    assert code.shape == (2,)
+    assert np.all(code == 0.0)
 
 
 def test_encode_deterministic():
     ae = Autoencoder(n_features=5).init_weights(3)
     x = np.linspace(-1, 1, 5)
-    a = ae.encode(x).vector
-    b = ae.encode(x).vector
+    a = ae.encode(x)
+    b = ae.encode(x)
     assert np.array_equal(a, b)
 
 
@@ -59,13 +52,6 @@ def test_dimension_mismatch_rejected():
     ae = Autoencoder(n_features=4, n_code=2)
     with pytest.raises(ValueError):
         ae.encode(np.ones(5))
-    with pytest.raises(ValueError):
-        ae.inverse_transform(np.ones((1, 3)))
-
-
-def test_code_mask_length_checked():
-    with pytest.raises(ValueError):
-        Code(np.zeros(3), np.zeros(4, dtype=bool))
 
 
 # -- loss ----------------------------------------------------------------------
@@ -200,15 +186,9 @@ def test_plane_data_recovers_two_dimensions(plane, trained):
 
 
 def test_roundtrip_error_small_after_training(plane, trained):
-    pt = plane[0]
-    back = trained.decode(trained.encode(pt))
-    rel = np.linalg.norm(back - pt) / np.linalg.norm(pt)
-    assert rel < 0.05
-
-
-def test_active_mask_matches_training_activity(plane, trained):
-    code = trained.encode(plane[3])
-    assert int(code.active.sum()) == trained.effective_dim(plane)
+    # mean squared error over the standardized plane, where 1.0 is what
+    # always reconstructing the mean would score
+    assert trained.loss(plane)["reconstruction"] < 0.01
 
 
 def test_repeated_point_absorbed_by_bias():
@@ -236,8 +216,6 @@ def test_fit_transform_shapes(plane):
     assert ae.fit(plane, epochs=5, seed=0) is ae
     codes = ae.transform(plane)
     assert codes.shape == (plane.shape[0], 8)
-    back = ae.inverse_transform(codes)
-    assert back.shape == plane.shape
 
 
 # -- persistence ---------------------------------------------------------------

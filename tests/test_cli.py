@@ -13,10 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 from fifth.cli import main
 from fifth.autoenc import Autoencoder
-from fifth.hierarchy import N_FEATURES, AugmentationTree, save_bundle
+from fifth.hierarchy import (
+    N_FEATURES,
+    AugmentationTree,
+    load_bundle,
+    save_bundle,
+)
 from fifth.lattice import merge
 from fifth.planning import generate_random_csp
-from fifth import selftest
+from fifth import Query, parse, selftest, solve
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -364,13 +369,6 @@ def _narrow_memory(manifest):
             rows[:] = [row[:-1] for row in rows]
 
 
-def _narrow_bridge(path):
-    # a bridge reads two codes side by side; this one reads only one
-    Autoencoder(n_features=8, n_code=8).save(path)
-    _edit_manifest(path.parent / "manifest.json",
-                   lambda m: m["bridges"].append("csp:csp"))
-
-
 BAD_BUNDLES = {
     "truncated manifest": ("manifest.json",
                            lambda p: _truncate(p, lambda n: n // 2)),
@@ -387,7 +385,6 @@ BAD_BUNDLES = {
         n_features=N_FEATURES + 1, n_code=8).save(p)),
     "frame encoder with a short code": ("enc_csp.aenc", lambda p: Autoencoder(
         n_features=N_FEATURES, n_code=7).save(p)),
-    "bridge too narrow": ("bridge_csp__csp.aenc", _narrow_bridge),
 }
 
 
@@ -406,6 +403,46 @@ def test_bad_bundle_is_an_error_naming_the_file(case, tiny_corpus, tmp_path,
         assert out == ""
         assert err.startswith("error: ") and name in err
         assert "retrain" in err
+
+
+def _add_unit_activity(path):
+    # checkpoint headers used to carry each code unit's training activity
+    header, rest = path.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    fields["unit_activity"] = [0.5] * fields["layers"][2]
+    path.write_bytes(json.dumps(fields, sort_keys=True,
+                                separators=(",", ":")).encode()
+                     + b"\n" + rest)
+
+
+def test_bundle_with_bridges_loads_and_scores_alike(tiny_corpus, tmp_path,
+                                                     capsys):
+    """Bundles used to also hold a trained bridge per parent/child
+    definition pair, listed under `bridges`; loading ignores them."""
+    model = tmp_path / "model"
+    assert run(["train", tiny_corpus, "--model", model], capsys)[0] == 0
+    plain = load_bundle(model)
+    Autoencoder(n_features=16, n_code=8).init_weights(1).save(
+        model / "bridge_csp__csp.aenc")
+    _edit_manifest(model / "manifest.json",
+                   lambda m: m.update(bridges=["csp:csp"]))
+    for checkpoint in model.glob("*.aenc"):
+        _add_unit_activity(checkpoint)
+    with_bridges = load_bundle(model)
+    assert sorted(with_bridges.frame_encoders) == sorted(plain.frame_encoders)
+    scored = []
+
+    class Both:
+        def scores(self, inst, descriptors):
+            got = with_bridges.oracle_scores(inst, descriptors)
+            assert got == plain.oracle_scores(inst, descriptors)
+            scored.extend(got)
+            return got
+
+    for f in sorted(tiny_corpus.glob("*.5th")):
+        program = parse(f.read_text())
+        solve(program, Query.from_spec(program.query), oracle=Both())
+    assert len(set(scored)) > 1
 
 
 # -- check ---------------------------------------------------------------------

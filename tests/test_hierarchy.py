@@ -177,14 +177,14 @@ def test_same_state_frames_encode_identically():
     a, b = fact_chain(8), fact_chain(8)
     ca = tree.encode_frame(a, expanded(a)[3])
     cb = tree.encode_frame(b, expanded(b)[3])
-    assert np.array_equal(ca.vector, cb.vector)
+    assert np.array_equal(ca, cb)
 
 
 def test_zero_weight_encoder_gives_zero_code():
     tree = AugmentationTree()
     inst = fact_chain(4)
     code = tree.encode_frame(inst, inst.root)
-    assert np.all(code.vector == 0.0)
+    assert np.all(code == 0.0)
 
 
 def test_code_length_fixed():
@@ -204,9 +204,9 @@ def test_retraining_shifts_all_codes_of_a_definition():
     tree.encoder_for("fact").init_weights(1)
     inst = fact_chain(6)
     frames = expanded(inst)[:3]
-    before = [tree.encode_frame(inst, f).vector.copy() for f in frames]
+    before = [tree.encode_frame(inst, f).copy() for f in frames]
     tree.encoder_for("fact").init_weights(2)  # stands in for a training step
-    after = [tree.encode_frame(inst, f).vector for f in frames]
+    after = [tree.encode_frame(inst, f) for f in frames]
     for old, new in zip(before, after):
         assert not np.array_equal(old, new)
 
@@ -230,7 +230,7 @@ def test_compose_single_frame_is_free():
     code, hops = tree.compose_path(inst, inst.root)
     assert hops == 0
     root_code = tree.encode_frame(inst, inst.root)
-    assert np.array_equal(code.vector, root_code.vector)
+    assert np.array_equal(code, root_code)
 
 
 def test_compose_deep_chain_hops_logarithmic():
@@ -251,14 +251,14 @@ def test_compose_path_deterministic():
     leaf = max(expanded(inst), key=lambda f: f.depth)
     c1, h1 = tree.compose_path(inst, leaf)
     c2, h2 = tree.compose_path(inst, leaf)
-    assert np.array_equal(c1.vector, c2.vector)
+    assert np.array_equal(c1, c2)
     assert h1 == h2
 
 
 def _weighted_fact_tree():
     tree = AugmentationTree()
     tree.encoder_for("fact").init_weights(4)
-    tree.bridge_for("fact", "fact").init_weights(5)
+    tree.spine_for("fact").init_weights(5)
     return tree
 
 
@@ -272,8 +272,8 @@ def test_compose_path_reads_the_instance_it_is_given():
     tree = _weighted_fact_tree()
     first, _ = tree.compose_path(big, deepest(big))
     second, _ = tree.compose_path(small, deepest(small))
-    assert np.array_equal(second.vector, fresh.vector)
-    assert not np.array_equal(second.vector, first.vector)
+    assert np.array_equal(second, fresh)
+    assert not np.array_equal(second, first)
 
 
 def test_compose_depends_only_on_path_codes():
@@ -284,7 +284,7 @@ def test_compose_depends_only_on_path_codes():
     lb = max(expanded(b), key=lambda f: f.depth)
     ca, _ = tree.compose_path(a, la)
     cb, _ = tree.compose_path(b, lb)
-    assert np.array_equal(ca.vector, cb.vector)
+    assert np.array_equal(ca, cb)
 
 
 # -- code distances ------------------------------------------------------------
@@ -296,8 +296,8 @@ def test_equal_subproblems_closer_than_different(fact_tree):
     same_a = fact_tree.encode_frame(a, expanded(a)[3])
     same_b = fact_tree.encode_frame(b, expanded(b)[3])
     other = fact_tree.encode_frame(a, expanded(a)[6])
-    d_same = np.linalg.norm(same_a.vector - same_b.vector)
-    d_diff = np.linalg.norm(same_a.vector - other.vector)
+    d_same = np.linalg.norm(same_a - same_b)
+    d_diff = np.linalg.norm(same_a - other)
     assert d_same == 0.0
     assert d_diff > 0.1  # trained codes separate distinct states
 
@@ -323,7 +323,7 @@ def test_remembered_success_scores_highest():
     target = featurize(inst.root, inst.network, inst.program,
                        override={n_cell: exact(3)})
     code = tree.encoder_for("fact").encode(target)
-    tree.memory[("fact", "success")] = code.vector[None, :].copy()
+    tree.memory[("fact", "success")] = code[None, :].copy()
     descriptors = [(n_cell, exact(v), 0) for v in (1, 2, 3, 4)]
     scores = tree.oracle_scores(inst, descriptors)
     assert max(range(4), key=lambda i: scores[i]) == 2
@@ -383,7 +383,7 @@ def _reference_scores(inst, descriptors, tree, memory):
         mem = memory[frame.defname]
         feats = featurize(frame, inst.network, inst.program,
                           override={cell: info})
-        code = tree.encoder_for(frame.defname).encode(feats).vector
+        code = tree.encoder_for(frame.defname).encode(feats)
         d_succ = [np.linalg.norm(code - v) for v, lab in mem
                   if lab == "success"]
         d_dead = [np.linalg.norm(code - v) for v, lab in mem
@@ -411,7 +411,7 @@ def test_deduplicated_memory_scores_like_every_outcome():
     every_outcome = {}
     for d, vec, lab in log.outcomes:
         every_outcome.setdefault(d, []).append(
-            (tree.encoder_for(d).encode(vec).vector, lab))
+            (tree.encoder_for(d).encode(vec), lab))
 
     checked = []
 
@@ -502,20 +502,23 @@ def test_deadends_are_remembered():
 
 def test_self_recursive_bridge_doubles_as_spine(fact_tree, monkeypatch,
                                                 tmp_path):
-    bridge = fact_tree.bridge_encoders[("fact", "fact")]
-    n_bridges = len(fact_tree.bridge_encoders)
+    # training fits no combiner; the fold goes through the root
+    # definition's untrained spine combiner, which is never saved
+    spine = fact_tree.spine_for("fact")
     calls = []
-    encode = bridge.encode
-    monkeypatch.setattr(bridge, "encode",
+    encode = spine.encode
+    monkeypatch.setattr(spine, "encode",
                         lambda x: calls.append(1) or encode(x))
     inst = fact_chain(6)
     leaf = max(expanded(inst), key=lambda f: f.depth)
+    assert leaf.depth == 6
     fact_tree.compose_path(inst, leaf)
     # seven frames on the path fold with six combines, all through it
-    assert len(calls) == leaf.depth
-    assert len(fact_tree.bridge_encoders) == n_bridges
+    assert len(calls) == 6
+    assert list(fact_tree.spine_combiners) == ["fact"]
     save_bundle(fact_tree, tmp_path)
-    assert not list(tmp_path.glob("spine_*"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "enc_fact.aenc", "manifest.json"]
 
 
 # -- persistence ----------------------------------------------------------------
