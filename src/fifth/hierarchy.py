@@ -238,34 +238,37 @@ class TraceLog:
 
     `node` logs every expanded frame's features; `solution` and `deadend`
     log every expanded frame with that outcome, so the same state recurs
-    once per leaf that reaches it.
+    once per leaf that reaches it. Handed the instance `node` just saw,
+    they reuse its features for the frames still expanded (`--gc` may fold
+    some in between, and folding changes no boundary cell).
     """
 
     def __init__(self):
         self.states = []    # (defname, features)
         self.outcomes = []  # (defname, features, label)
         self.n_nodes = 0
+        self._last = (None, [])  # the last node's instance, (frame, features)
 
-    def _live(self, inst):
-        return [f for f in inst.frames if f.state == EXPANDED]
+    def _features(self, inst):
+        seen, feats = self._last
+        if seen is inst:
+            return [(f, x) for f, x in feats if f.state == EXPANDED]
+        return [(f, featurize(f, inst.network, inst.program))
+                for f in inst.frames if f.state == EXPANDED]
 
     def node(self, inst):
         self.n_nodes += 1
-        for f in self._live(inst):
-            self.states.append(
-                (f.defname, featurize(f, inst.network, inst.program)))
+        self._last = (None, [])  # a node is always featurized afresh
+        self._last = (inst, self._features(inst))
+        self.states.extend((f.defname, x) for f, x in self._last[1])
 
     def solution(self, inst):
-        for f in self._live(inst):
-            self.outcomes.append(
-                (f.defname, featurize(f, inst.network, inst.program),
-                 "success"))
+        self.outcomes.extend(
+            (f.defname, x, "success") for f, x in self._features(inst))
 
     def deadend(self, inst):
-        for f in self._live(inst):
-            self.outcomes.append(
-                (f.defname, featurize(f, inst.network, inst.program),
-                 "deadend"))
+        self.outcomes.extend(
+            (f.defname, x, "deadend") for f, x in self._features(inst))
 
 
 # -- persistence -------------------------------------------------------------

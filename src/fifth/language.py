@@ -1,12 +1,14 @@
 """Surface language: s-expression programs over cells and constraints.
 
 A program is a set of definitions. Instantiating one builds a propagator
-network; recursive calls become child frames that stay unexpanded until
-demanded and their gate holds, so recursion is unbounded but only paid for
-where information actually flows.
+network. A call becomes a child frame that waits unexpanded until demand
+reaches it, and an `if` branch waits dormant until its condition decides;
+neither is attached before it opens. So recursion is unbounded but only
+paid for where information actually flows.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,7 +21,7 @@ from .lattice import (
     truth_value,
     width_of,
 )
-from .network import Network
+from .network import Network, QuiescenceReport
 
 # deepest `if` nesting a definition may have; parsing, checking and
 # elaboration recurse once per level, so this keeps them off the Python
@@ -382,8 +384,8 @@ def _check_program(program):
 
 def _check_body(program, d, body, known):
     # declare-before-use, single pass; `if` branches see the same scope and
-    # may declare independently (their declarations stay visible afterwards,
-    # guards keep the writes apart)
+    # may declare independently (their cells exist from the `if` on, and a
+    # branch writes them only once it opens)
     for stmt in body:
         line, col = stmt.pos or (None, None)
         if isinstance(stmt, CellDecl):
@@ -438,32 +440,26 @@ SUMMARIZED = "summarized"
 class Frame:
     """One activation of a definition; a unit of laziness and summarization.
 
-    `guard` is the frame's gate: None for an ungated call, else one
-    (cell, polarity) pair living in the parent frame, either the condition
-    of the `if` the call sits in or, for an `if` nested in another `if`
-    branch, the derived gate cell of that branch. A frame is expanded only
-    once its gate holds, and its body is then elaborated ungated, so the
-    guard matters only while the frame is unexpanded. `cellmap` also names
-    those gate cells, under names the parser cannot produce, so
-    summarization treats them like any other interior cell, except that a
-    guard cell keeps its decided content.
+    A frame exists once its call is attached, in an expanded body or an
+    opened `if` branch, so nothing conditions it: it waits unexpanded until
+    demand reaches it, and its body is then elaborated like the root's.
+    `cellmap` maps the definition's names to cell ids, its parameters (the
+    boundary) from the start and its locals once expanded.
     """
 
-    __slots__ = ("id", "defname", "parent", "depth", "cellmap", "state",
-                 "guard")
+    __slots__ = ("id", "defname", "parent", "depth", "cellmap", "state")
 
-    def __init__(self, fid, defname, parent, depth, cellmap, state, guard):
+    def __init__(self, fid, defname, parent, depth, cellmap, state):
         self.id = fid
         self.defname = defname
         self.parent = parent
         self.depth = depth
         self.cellmap = cellmap
         self.state = state
-        self.guard = guard
 
     def copy(self):
         return Frame(self.id, self.defname, self.parent, self.depth,
-                     dict(self.cellmap), self.state, self.guard)
+                     dict(self.cellmap), self.state)
 
     def boundary_cells(self, program):
         params = program.definitions[self.defname].params
@@ -473,25 +469,14 @@ class Frame:
         return f"Frame({self.id}, {self.defname}, depth={self.depth}, {self.state})"
 
 
-class ChoicePoint:
-    """A cell the search module may branch on, with the gate context that
-    decides whether the choice is actually part of the problem: the guard
-    of the statement's context, None or one pair like `Frame.guard`."""
-
-    __slots__ = ("cell", "values", "frame", "guard")
-
-    def __init__(self, cell, values, frame, guard):
-        self.cell = cell
-        self.values = values
-        self.frame = frame
-        self.guard = guard
+# the cell of an attached `choose`, which search may branch on
+ChoicePoint = namedtuple("ChoicePoint", "cell values frame")
 
 
 @dataclass
 class DemandReport:
     steps_used: int
     expansions: int
-    quiescent: bool
     contradiction: Optional[int]
     targets_met: bool
     depth_exhausted: bool = False
@@ -502,36 +487,27 @@ class Instance:
     """A program wired into a live network plus its frame tree."""
 
     def __init__(self, program, network, frames, choices, expansions=0,
-                 unexpanded=None):
+                 unexpanded=None, dormant=None):
         self.program = program
         self.network = network
         self.frames = frames
         self.choices = choices
         self.expansions = expansions
-        # ids of frames still awaiting expansion, ascending; refuted ones
-        # leave when the frontier scan meets them
+        # ids of frames awaiting expansion, ascending
         self.unexpanded = [] if unexpanded is None else unexpanded
+        # `if` branches not attached yet, each (frame id, condition cell,
+        # polarity, body); `settle` opens or drops them once they decide
+        self.dormant = [] if dormant is None else dormant
 
     @property
     def root(self):
         return self.frames[0]
-
-    def frame(self, fid) -> Frame:
-        return self.frames[fid]
 
     def cell_of(self, fid, name):
         try:
             return self.frames[fid].cellmap[name]
         except KeyError:
             raise StructuralError(f"frame {fid} has no cell {name!r}")
-
-    def guard_state(self, guard):
-        """A frame's or a choice point's guard read three ways: True = it
-        holds, False = refuted, None = undecided."""
-        if guard is None:
-            return True
-        tv = truth_value(self.network.content(guard[0]))
-        return None if tv is None else tv == guard[1]
 
     def clone(self):
         return Instance(
@@ -541,6 +517,7 @@ class Instance:
             list(self.choices),
             self.expansions,
             list(self.unexpanded),
+            list(self.dormant),
         )
 
 
@@ -551,11 +528,11 @@ def instantiate(program: Program, name: str, bindings=None) -> Instance:
         raise StructuralError(f"unknown definition {name!r}")
     net = Network()
     cellmap = {}
-    root = Frame(0, name, None, 0, cellmap, EXPANDED, None)
+    root = Frame(0, name, None, 0, cellmap, EXPANDED)
     inst = Instance(program, net, [root], [])
     for p in d.params:
         cellmap[p] = net.add_cell((0, p))
-    _elaborate_body(inst, root, d.body, None)
+    _elaborate_body(inst, root, d.body)
     for pname, value in (bindings or {}).items():
         if pname not in cellmap:
             raise StructuralError(
@@ -566,77 +543,61 @@ def instantiate(program: Program, name: str, bindings=None) -> Instance:
     return inst
 
 
-def _elaborate_body(inst, frame, body, guard):
-    """Attach `body` in the context `guard` (None or one pair)."""
+def _elaborate_body(inst, frame, body):
+    """Attach `body` in `frame`; each non-empty `if` branch waits dormant."""
     net = inst.network
+    cellmap = frame.cellmap
     for stmt in body:
         if isinstance(stmt, CellDecl):
-            frame.cellmap[stmt.name] = net.add_cell((frame.id, stmt.name))
+            _declare(net, frame, stmt.name)
         elif isinstance(stmt, IntDecl):
-            cid = frame.cellmap.get(stmt.name)
-            if cid is None:
-                cid = net.add_cell((frame.id, stmt.name))
-                frame.cellmap[stmt.name] = cid
-            _declare_write(net, cid, int_interval(stmt.lo, stmt.hi),
-                           frame, stmt.name, guard)
+            net.write(_declare(net, frame, stmt.name),
+                      int_interval(stmt.lo, stmt.hi),
+                      f"decl:{frame.id}:{stmt.name}")
         elif isinstance(stmt, ConstDecl):
-            cid = frame.cellmap.get(stmt.name)
-            if cid is None:
-                cid = net.add_cell((frame.id, stmt.name))
-                frame.cellmap[stmt.name] = cid
-            _declare_write(net, cid, exact(stmt.value), frame, stmt.name, guard)
+            net.write(_declare(net, frame, stmt.name), exact(stmt.value),
+                      f"decl:{frame.id}:{stmt.name}")
         elif isinstance(stmt, PropStmt):
-            cells = tuple(frame.cellmap[a] for a in stmt.args)
-            net.attach(stmt.kind, cells, guard)
+            net.attach(stmt.kind, tuple(cellmap[a] for a in stmt.args))
         elif isinstance(stmt, AlldiffStmt):
-            cells = tuple(frame.cellmap[a] for a in stmt.names)
-            net.attach("alldifferent", cells, guard)
+            net.attach("alldifferent", tuple(cellmap[a] for a in stmt.names))
         elif isinstance(stmt, ChooseStmt):
-            cid = frame.cellmap[stmt.name]
-            _declare_write(net, cid, finite_domain(stmt.values),
-                           frame, stmt.name, guard)
-            inst.choices.append(
-                ChoicePoint(cid, stmt.values, frame.id, guard)
-            )
+            cid = cellmap[stmt.name]
+            net.write(cid, finite_domain(stmt.values),
+                      f"decl:{frame.id}:{stmt.name}")
+            inst.choices.append(ChoicePoint(cid, stmt.values, frame.id))
         elif isinstance(stmt, IfStmt):
-            cond = frame.cellmap[stmt.cond]
+            cond = cellmap[stmt.cond]
             for polarity, branch in ((True, stmt.then_body),
                                      (False, stmt.else_body)):
                 if branch:
-                    _elaborate_body(inst, frame, branch, _branch_guard(
-                        net, frame, stmt, cond, polarity, guard))
+                    _declare_cells(net, frame, branch)
+                    inst.dormant.append((frame.id, cond, polarity, branch))
         elif isinstance(stmt, CallStmt):
-            _elaborate_call(inst, frame, stmt, guard)
+            _elaborate_call(inst, frame, stmt)
         else:
             raise AssertionError(stmt)
 
 
-def _branch_guard(net, frame, stmt, cond, polarity, guard):
-    """The guard of an if branch. In an ungated context that is the
-    condition itself; in a gated one it is a fresh 0/1 gate cell, the AND of
-    the enclosing guard and the condition, kept in the frame's cellmap under
-    a name no token can spell."""
-    if guard is None:
-        return (cond, polarity)
-    outer, outer_polarity = guard
-    line, col = stmt.pos
-    name = f"(if {line}:{col}){'+' if polarity else '-'}"
-    gate = net.add_cell((frame.id, name))
-    frame.cellmap[name] = gate
-    net.attach("gate", (outer, cond, gate), payload=(outer_polarity, polarity))
-    return (gate, True)
+def _declare(net, frame, name):
+    """The cell `name` of `frame`, created on first declaration."""
+    cid = frame.cellmap.get(name)
+    if cid is None:
+        cid = frame.cellmap[name] = net.add_cell((frame.id, name))
+    return cid
 
 
-def _declare_write(net, cid, info, frame, name, guard):
-    # ungated declarations are plain writes; gated ones must wait for the
-    # gate, so they ride a constant propagator
-    if guard is not None:
-        net.attach("constant", (cid,), guard, payload=info)
-    else:
-        net.write(cid, info, f"decl:{frame.id}:{name}")
+def _declare_cells(net, frame, body):
+    # a name declared in a branch is visible after the `if`, opened or not
+    for stmt in body:
+        if isinstance(stmt, (CellDecl, IntDecl, ConstDecl)):
+            _declare(net, frame, stmt.name)
+        elif isinstance(stmt, IfStmt):
+            _declare_cells(net, frame, stmt.then_body)
+            _declare_cells(net, frame, stmt.else_body)
 
 
-def _elaborate_call(inst, frame, stmt, guard):
+def _elaborate_call(inst, frame, stmt):
     net = inst.network
     target = inst.program.definitions[stmt.target]
     child_id = len(inst.frames)
@@ -644,65 +605,99 @@ def _elaborate_call(inst, frame, stmt, guard):
     for p in target.params:
         boundary[p] = net.add_cell((child_id, p))
     child = Frame(child_id, stmt.target, frame.id, frame.depth + 1, boundary,
-                  UNEXPANDED, guard)
+                  UNEXPANDED)
     inst.frames.append(child)
     inst.unexpanded.append(child_id)
-    # fresh boundary cells keep the callee identifiable; gated equality links
+    # fresh boundary cells keep the callee identifiable; equality links
     # them to the caller's argument cells
     for arg, p in zip(stmt.args, target.params):
-        net.attach("equal", (frame.cellmap[arg], boundary[p]), guard)
+        net.attach("equal", (frame.cellmap[arg], boundary[p]))
 
 
 def expand(inst: Instance, frame_id: int) -> Frame:
-    """Attach the body of an unexpanded frame whose gate holds; behind a
-    refuted or undecided gate this is a no-op. A gate that holds stays true
-    in this branch, so the body is elaborated ungated, like the root's."""
+    """Attach the body of an unexpanded frame, elaborated like the root's."""
     frame = inst.frames[frame_id]
     if frame.state == SUMMARIZED:
         raise StructuralError(f"frame {frame_id} is summarized; not expandable")
     if frame.state == EXPANDED:
         raise StructuralError(f"frame {frame_id} is already expanded")
-    if inst.guard_state(frame.guard) is not True:
-        return frame
     inst.unexpanded.remove(frame_id)
     d = inst.program.definitions[frame.defname]
-    _elaborate_body(inst, frame, d.body, None)
+    _elaborate_body(inst, frame, d.body)
     frame.state = EXPANDED
     inst.expansions += 1
     return frame
 
 
-def unsettled_choices(inst):
-    """Choice points of expanded frames that are not settled yet, each with
-    its guard's state. A choose inside a refuted if branch is dead even
-    though its frame is live, so it never appears. One whose guard holds
-    (True) is unsettled while its cell is not exact: search can branch on
-    it now. One behind an undecided guard (None) is unsettled even with an
-    exact cell, since deciding the guard may still post it."""
+def _open_decided(inst):
+    """Open every dormant branch whose condition holds and drop every one
+    it refutes. Returns whether any opened."""
+    contents = inst.network.contents
+    kept = []
+    opened = False
+    # opening appends nested branches to inst.dormant; the loop visits them
+    for entry in inst.dormant:
+        fid, cond, polarity, body = entry
+        truth = truth_value(contents[cond])
+        if truth is None:
+            kept.append(entry)
+        elif truth == polarity:
+            _elaborate_body(inst, inst.frames[fid], body)
+            opened = True
+    inst.dormant = kept
+    return opened
+
+
+def settle(inst: Instance, step_budget=None) -> QuiescenceReport:
+    """Quiesce, opening the dormant branches that decide. Each round opens
+    every branch whose condition holds, before quiescing, and drops every
+    one its condition refutes; rounds repeat until a scan opens nothing."""
     net = inst.network
-    for cp in inst.choices:
-        if inst.frames[cp.frame].state != EXPANDED:
-            continue
-        live = inst.guard_state(cp.guard)
-        if live is None or (live and net.content(cp.cell).kind != "exact"):
-            yield cp, live
+    if not inst.dormant:
+        return net.run_to_quiescence(step_budget)
+    rep = None
+    steps = 0
+    while _open_decided(inst) or rep is None:
+        rep = net.run_to_quiescence(
+            None if step_budget is None else step_budget - steps)
+        steps += rep.steps_used
+        if not rep.quiescent:
+            break
+    return QuiescenceReport(steps, rep.quiescent, rep.contradiction)
 
 
-def _frontier(inst):
-    """Next frame to expand: the lowest-id frame whose gate holds. A frame
-    behind an undecided gate stays dormant until search decides the gate.
-    Scans only the unexpanded worklist, dropping the refuted frames it
-    meets."""
-    live = []
-    for i, fid in enumerate(inst.unexpanded):
-        gs = inst.guard_state(inst.frames[fid].guard)
-        if gs is True:
-            inst.unexpanded[:i] = live
-            return inst.frames[fid]
-        if gs is None:
-            live.append(fid)
-    inst.unexpanded = live
-    return None
+def may_post(inst, kinds):
+    """Ids of the frames with a dormant branch that may still attach a
+    statement of one of `kinds` (statement classes): one in the branch, or
+    in a nested `if` branch whose condition does not refute it."""
+    contents = inst.network.contents
+
+    def could(cellmap, body):
+        for stmt in body:
+            if isinstance(stmt, kinds):
+                return True
+            if isinstance(stmt, IfStmt):
+                truth = truth_value(contents[cellmap[stmt.cond]])
+                if (truth is not False and could(cellmap, stmt.then_body)
+                        or truth is not True
+                        and could(cellmap, stmt.else_body)):
+                    return True
+        return False
+
+    return {fid for fid, _, _, body in inst.dormant
+            if could(inst.frames[fid].cellmap, body)}
+
+
+def unsettled_choices(inst):
+    """The attached choices search may still branch on: those of expanded
+    frames whose cell is not exact, in attachment order. The others are
+    settled for good (an exact cell stays exact, a folded frame stays
+    folded), so they leave `inst.choices` and clones stop copying them."""
+    frames, contents = inst.frames, inst.network.contents
+    inst.choices = [cp for cp in inst.choices
+                    if frames[cp.frame].state == EXPANDED
+                    and contents[cp.cell].kind != "exact"]
+    return inst.choices
 
 
 def targets_met(inst, targets, precision=0.0) -> bool:
@@ -718,15 +713,14 @@ def targets_met(inst, targets, precision=0.0) -> bool:
 
 def demand_loop(inst: Instance, targets, depth_budget: int, step_budget: int,
                 precision: float = 0.0) -> DemandReport:
-    """Alternate quiescence with frontier expansion until the targets are
-    pinned down, the budgets run out, or the instance contradicts."""
+    """Alternate `settle` with expanding the lowest-id unexpanded frame
+    until the targets are pinned down, the budgets run out, or the instance
+    contradicts."""
     if depth_budget < 0 or step_budget < 0:
         raise ValueError("budgets must be >= 0")
     net = inst.network
-    steps = 0
     expansions = 0
-    rep = net.run_to_quiescence(step_budget)
-    steps += rep.steps_used
+    steps = settle(inst, step_budget).steps_used
     depth_exhausted = False
     while True:
         met = targets_met(inst, targets, precision)
@@ -737,17 +731,14 @@ def demand_loop(inst: Instance, targets, depth_budget: int, step_budget: int,
         if expansions >= depth_budget:
             depth_exhausted = True
             break
-        f = _frontier(inst)
-        if f is None:
+        if not inst.unexpanded:
             break
-        expand(inst, f.id)
+        expand(inst, inst.unexpanded[0])
         expansions += 1
-        rep = net.run_to_quiescence(step_budget - steps)
-        steps += rep.steps_used
+        steps += settle(inst, step_budget - steps).steps_used
     return DemandReport(
         steps_used=steps,
         expansions=expansions,
-        quiescent=net.quiescent,
         contradiction=net.contradiction,
         targets_met=met,
         depth_exhausted=depth_exhausted,

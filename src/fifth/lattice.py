@@ -399,7 +399,7 @@ def is_integer_valued(a: PartialInfo) -> bool:
 
 
 def truth_value(a: PartialInfo):
-    """Three-valued truth used by gates: a cell is true when its value is
+    """Three-valued truth of a condition: a cell is true when its value is
     provably nonzero, false when it is exactly zero, undecided otherwise."""
     k = a.kind
     if k == "exact":

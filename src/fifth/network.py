@@ -22,38 +22,31 @@ functions emit only writes that can refine: each candidate is compared
 with the target's current content before a lattice value is built, and
 dropped when the content already lies inside its bounds, already holds its
 exact value, or already lies inside the other side of an equality. Of what
-still reaches `merge` without changing the cell (a constant's payload,
-declarations, branches, search bounds), `merge` hands back the old value
-itself, so it costs one identity test. A refinement alerts the cell's
-watchers, in ascending id order, through a FIFO queue with a membership
-set, so the queue never holds duplicates.
+still reaches `merge` without changing the cell (declarations, branches,
+search bounds), `merge` hands back the old value itself, so it costs one
+identity test. A refinement alerts the cell's watchers, in ascending id
+order, through a FIFO queue with a membership set, so the queue never holds
+duplicates.
 Scheduling order is semantically irrelevant (the catalog propagators are
 monotone, so the quiescent state is confluent) but FIFO keeps runs
 reproducible.
 
 A propagator's own refining write does not alert it again when a rerun
 could write nothing (Schulte & Stuckey, TOPLAS 2008): with distinct cells,
-`equal` (both sides then hold one join), `gate` (its output is no input),
-`less_equal` into interval bounds (neither direction reads the bound it
-moves), and `sum` over integer cells writing an integer into an integer
-interval, or into an empty cell while all its cells lie within ±2^60
-(integer projections of a + b = c are a fixpoint of each other, and no new
-direction reaches the ±2^62 clamp). Real sums can land an ulp past a bound.
+`equal` (both sides then hold one join), `less_equal` into interval bounds
+(neither direction reads the bound it moves), and `sum` over integer cells
+writing an integer into an integer interval, or into an empty cell while
+all its cells lie within ±2^60 (integer projections of a + b = c are a
+fixpoint of each other, and no new direction reaches the ±2^62 clamp).
+Real sums can land an ulp past a bound.
 
 A propagator's writes carry its integer id as their write id. The name
 `p{id}:{kind}` is rendered only where a person reads it: in a
 contradiction's provenance and in `trace_sink` records. Other writes name
 themselves with a string (`decl:...`, `branch:...`, or `w{n}` by default).
 
-Gating: a propagator may carry one guard, a (cell, polarity) pair, or None.
-One behind a refuted guard never runs; behind an undecided guard it stays
-dormant until the guard cell decides. The language guards the statements
-of an `if` branch with the branch condition. Recursive frames need no
-guard of their own: a frame is only expanded once its gate holds. An `if`
-nested inside another `if` branch reads a derived 0/1 cell written by an
-ungated `gate` propagator (the AND of the enclosing guard and the local
-condition), so each propagator carries at most one guard however deep the
-nesting goes.
+Nothing in the kernel is conditional: the language layer attaches the
+statements of a frame or of an `if` branch only once it opens.
 """
 
 from __future__ import annotations
@@ -76,7 +69,6 @@ from fifth.lattice import (
     merge,
     real_interval,
     render,
-    truth_value,
 )
 
 REAL_SAT = float(INT_SAT)
@@ -104,17 +96,14 @@ class QuiescenceReport:
 
 
 class Propagator:
-    """Immutable once attached; per-branch dynamic state lives on the network.
-    `guard` is None or one (cell id, required polarity) pair."""
+    """Immutable once attached; per-branch state lives on the network."""
 
-    __slots__ = ("id", "kind", "cells", "guard", "payload", "distinct")
+    __slots__ = ("id", "kind", "cells", "distinct")
 
-    def __init__(self, pid, kind, cells, guard, payload):
+    def __init__(self, pid, kind, cells):
         self.id = pid
         self.kind = kind
         self.cells = tuple(cells)
-        self.guard = guard
-        self.payload = payload
         self.distinct = len(set(self.cells)) == len(self.cells)
 
     def __repr__(self):
@@ -159,18 +148,16 @@ class Network:
                 return info
         raise StructuralError(f"unknown cell id {cid}")
 
-    def attach(self, kind, cells, guard=None, payload=None):
+    def attach(self, kind, cells):
         if kind not in _TRANSFER:
             raise StructuralError(f"unknown propagator kind {kind!r}")
-        prop = Propagator(len(self.propagators), kind, cells, guard, payload)
-        guard_cells = () if guard is None else (guard[0],)
-        for cid in prop.cells + guard_cells:
+        prop = Propagator(len(self.propagators), kind, cells)
+        for cid in prop.cells:
             self.content(cid)
         pid = prop.id
         self.propagators.append(prop)
-        watched = prop.cells if kind != "constant" else ()
         watchers = self.watchers
-        for cid in set(watched + guard_cells):
+        for cid in set(prop.cells):
             watchers[cid] = watchers[cid] + (pid,)  # pid is the largest id
         self.pending.add(pid)
         self.queue.append(pid)
@@ -254,7 +241,6 @@ class Network:
             queue.clear()
             pending.clear()
             return QuiescenceReport(0, False, self.contradiction)
-        contents = self.contents
         propagators = self.propagators
         write = self.write
         steps = 0
@@ -266,9 +252,6 @@ class Network:
             steps += 1
             self.steps_total += 1
             prop = propagators[pid]
-            guard = prop.guard
-            if guard is not None and truth_value(contents[guard[0]]) != guard[1]:
-                continue
             for cid, info in _TRANSFER[prop.kind](self, prop):
                 if write(cid, info, pid) is WriteResult.CONTRADICTION:
                     queue.clear()
@@ -300,10 +283,8 @@ class Network:
             self.pending.discard(pid)
             self.queue.remove(pid)
         # attach() registered the pid on these cells and nowhere else
-        prop = self.propagators[pid]
-        guard_cells = () if prop.guard is None else (prop.guard[0],)
         watchers = self.watchers
-        for cid in set(prop.cells + guard_cells):
+        for cid in set(self.propagators[pid].cells):
             if pid in watchers[cid]:
                 watchers[cid] = tuple(p for p in watchers[cid] if p != pid)
 
@@ -328,7 +309,7 @@ def _idle_after(net, prop, old, info):
         return all(map(is_integer_valued, cells)) and (
             old.kind == "int_interval" or old.kind == "nothing" and all(
                 max(map(abs, bounds_of(x))) < 2**60 for x in cells))
-    return kind == "equal" or kind == "gate"
+    return kind == "equal"
 
 
 # -- interval helpers ----------------------------------------------------------
@@ -395,10 +376,6 @@ def _range_write(net, cid, lo, hi, integral):
 # loosen) the outputs. Before building a lattice value, each compares the
 # candidate with the target's current content and drops it when merge
 # would hand that content back unchanged.
-
-
-def _t_constant(net, prop):
-    return [(prop.cells[0], prop.payload)]
 
 
 def _inside(info, outer):
@@ -562,31 +539,10 @@ def _t_alldifferent(net, prop):
     return writes
 
 
-def _t_gate(net, prop):
-    # out = 1 once outer and cond both read their wanted polarity, 0 as soon
-    # as either reads the other one
-    outer, cond, out = prop.cells
-    want_outer, want_cond = prop.payload
-    t_outer = truth_value(net.contents[outer])
-    t_cond = truth_value(net.contents[cond])
-    if t_outer == (not want_outer) or t_cond == (not want_cond):
-        value = 0
-    elif t_outer == want_outer and t_cond == want_cond:
-        value = 1
-    else:
-        return []
-    held = net.contents[out]
-    if held.kind == "exact" and held.value == value:
-        return []
-    return [(out, exact(value))]
-
-
 _TRANSFER = {
-    "constant": _t_constant,
     "equal": _t_equal,
     "sum": _t_sum,
     "product": _t_product,
     "less_equal": _t_less_equal,
     "alldifferent": _t_alldifferent,
-    "gate": _t_gate,
 }

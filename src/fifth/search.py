@@ -13,6 +13,8 @@ from typing import Optional
 
 from .errors import StructuralError
 from .language import (
+    CallStmt,
+    ChooseStmt,
     Instance,
     Program,
     QuerySpec,
@@ -20,11 +22,12 @@ from .language import (
     UNEXPANDED,
     demand_loop,
     instantiate,
+    may_post,
+    settle,
     unsettled_choices,
 )
 from .lattice import (
     INT_SAT, bounds_of, exact, int_interval, is_integer_valued, real_interval,
-    truth_value,
 )
 
 
@@ -116,13 +119,12 @@ def _branch_candidates(inst, cp):
     return ()
 
 
-def _pick_choice(inst):
-    """Smallest remaining domain, ties by lowest cell id. Returns (cp, values)."""
+def _pick_choice(inst, choices):
+    """Smallest domain among `choices`, ties by lowest cell id.
+    Returns (cp, values)."""
     best = None
     best_vals = None
-    for cp, holds in unsettled_choices(inst):
-        if not holds:
-            continue
+    for cp in choices:
         vals = _branch_candidates(inst, cp)
         if len(vals) < 2:
             continue
@@ -197,9 +199,10 @@ def _dfs(program, query, state, leaf, oracle, trace, gc, write_sink,
     Each popped node goes to `pre_run`, if given, which may write into it
     (optimize() posts its incumbent bound), then is quiesced and reported
     to `trace`; contradicted and half-run nodes go no further. A surviving
-    node is handed to `leaf` when every live choice is decided, and
-    otherwise split on one choice cell, one clone per value; with no cell
-    to split on, it leaves the search incomplete.
+    node is handed to `leaf` when every attached choice is decided and no
+    dormant `if` branch could still post a `choose`, and otherwise split on
+    one choice cell, one clone per value; with no cell to split on, it
+    leaves the search incomplete.
     """
     oracle = oracle or UniformOracle()
     root = instantiate(program, query.entry, dict(query.bindings))
@@ -228,10 +231,12 @@ def _dfs(program, query, state, leaf, oracle, trace, gc, write_sink,
             folded = collect_garbage(
                 inst, _resolve_targets(inst, query.targets))
             state.summarized += len(folded.summarized)
-        if report.targets_met and next(unsettled_choices(inst), None) is None:
+        choices = unsettled_choices(inst)
+        if report.targets_met and not choices and not may_post(
+                inst, ChooseStmt):
             leaf(inst)
             continue
-        cp, values = _pick_choice(inst)
+        cp, values = _pick_choice(inst, choices)
         if cp is None:
             # not a solution, yet nothing contradicted and nothing is left
             # to branch on: the branch is under-determined, not refuted
@@ -254,9 +259,10 @@ def solve(program: Program, query: Query, oracle=None, trace=None,
 
     `gc` summarizes decided frames after each node quiesces, so clones stay
     small on deep recursions. Summarization only folds a frame whose
-    boundary is exact and whose live choices are all decided, so search
-    still branches on a choice the boundary no longer depends on; answers,
-    their repeats and node counts must not depend on the flag.
+    boundary is exact, whose attached choices are all decided and none of
+    whose dormant `if` branches could still post a `choose` or a `call`, so
+    search still branches on a choice the boundary no longer depends on;
+    answers, their repeats and node counts must not depend on the flag.
 
     `write_sink` taps every cell write made during the search (clones
     inherit it); instantiation writes happen before it is installed.
@@ -328,7 +334,7 @@ def optimize(program: Program, query: Query, oracle=None,
         obj_cell = inst.cell_of(0, obj_name)
         pinned = inst.clone()
         pinned.network.write(obj_cell, exact(lb), "probe:objective")
-        report = pinned.network.run_to_quiescence(query.step_budget)
+        report = settle(pinned, query.step_budget)
         state.steps += report.steps_used
         if report.contradiction is not None:
             # the lower bound is not attainable in this branch, but a larger
@@ -372,37 +378,31 @@ class SummarizationReport:
 def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
     """Summarize frames whose work is finished.
 
-    A frame folds up when its boundary is fully decided, every choice in it
-    is decided or behind a refuted guard, every descendant has folded or
-    waits behind a refuted gate (refuted descendants are dead, not
-    pending), and no query target lives in its interior. Its interior
-    propagators are detached and its interior cells dropped, except a cell
-    some frame or choice reads as its guard: that one keeps its decided
-    content, so `Instance.guard_state` still answers for it. Boundary
-    contents are untouched, so every already derived answer survives by
-    construction.
+    A frame folds up when its boundary is fully decided, every choice
+    attached in it is decided, no dormant branch of it could still post a
+    `choose` or a `call`, every descendant has folded, and no query target
+    lives in its interior. Its interior propagators are detached, its
+    interior cells dropped and its dormant branches forgotten: none of them
+    could change a boundary cell or start a search. Boundary contents are
+    untouched, so every already derived answer survives by construction.
     """
     net = inst.network
     targets = set(target_cells)
 
-    # Guards outlive the frames that declared their cells: a child's gate
-    # is a parent's local (its if condition or derived gate cell). A frame
-    # holding such a cell folds only once the cell's truth is decided.
-    guard_refs = {c.guard[0] for c in inst.frames + inst.choices
-                  if c.guard is not None}
-    # An open live choice keeps its frame even when the boundary no longer
-    # depends on it: search has yet to branch on it, once per repeat.
-    open_choice = {cp.frame for cp, _ in unsettled_choices(inst)
-                   if net.content(cp.cell).kind != "exact"}
+    # An open choice keeps its frame even when the boundary no longer
+    # depends on it: search has yet to branch on it, once per repeat. So
+    # does a dormant branch that could still post one, or a call.
+    busy = {cp.frame for cp in unsettled_choices(inst)}
+    busy |= may_post(inst, (ChooseStmt, CallStmt))
 
-    # A frame folds bottom-up: only once every descendant is finished too,
-    # that is summarized, or awaiting expansion behind a refuted gate. A
-    # child left expanded is still tied to its parent's cells by the call's
-    # equality links, which fold with the parent, so the parent must stay.
-    # Children always have larger ids than their parents, so one sweep from
-    # the last frame back settles every frame. A frame that is finished but
-    # holds a query target in its interior stays expanded without holding up
-    # its parent: folding the parent detaches no more than folding it would.
+    # A frame folds bottom-up: only once every descendant has folded. A
+    # child left unexpanded or expanded is still tied to its parent's cells
+    # by the call's equality links, which fold with the parent, so the
+    # parent must stay. Children always have larger ids than their parents,
+    # so one sweep from the last frame back settles every frame. A frame
+    # that is finished but holds a query target in its interior stays
+    # expanded without holding up its parent: folding the parent detaches
+    # no more than folding it would.
     unfinished = [False] * len(inst.frames)
     summarized = []
     dropped = 0
@@ -411,33 +411,31 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
         if f.id == 0 or f.state == SUMMARIZED:
             continue
         if f.state == UNEXPANDED:
-            if inst.guard_state(f.guard) is not False:
-                unfinished[f.parent] = True
+            unfinished[f.parent] = True
             continue
         boundary = set(f.boundary_cells(inst.program))
-        interior = [c for c in f.cellmap.values() if c not in boundary]
         if (
             unfinished[f.id]
-            or f.id in open_choice
+            or f.id in busy
             or any(net.content(c).kind != "exact" for c in boundary)
-            or any(cid in guard_refs and truth_value(net.content(cid)) is None
-                   for cid in interior)
         ):
             unfinished[f.parent] = True
             continue
+        interior = [c for c in f.cellmap.values() if c not in boundary]
         if targets & set(interior):
             continue
         for cid in interior:
             for pid in net.watchers[cid]:
                 net.detach(pid)
                 detached += 1
-            if cid not in guard_refs:
-                net.drop_cell(cid)
-                dropped += 1
+            net.drop_cell(cid)
+            dropped += 1
         f.cellmap = {
             name: cid for name, cid in f.cellmap.items() if cid in boundary
         }
         f.state = SUMMARIZED
         summarized.append(f.id)
+    inst.dormant = [e for e in inst.dormant
+                    if inst.frames[e[0]].state != SUMMARIZED]
     summarized.reverse()
     return SummarizationReport(tuple(summarized), dropped, detached)

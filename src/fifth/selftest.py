@@ -92,26 +92,16 @@ def random_network(rng, max_cells=40, max_propagators=60):
     # of cells contradicts almost surely and tests nothing
     n_props = rng.randrange(2, min(max_propagators, n_cells + n_cells // 2) + 1)
     for _ in range(n_props):
-        guard = None
-        if rng.randint(5) == 0:
-            guard = (pick(), rng.randint(2) == 0)
         kind = rng.choice(
-            ("sum", "sum", "product", "equal", "less_equal",
-             "alldifferent", "gate", "constant")
-        )
+            ("sum", "sum", "product", "equal", "less_equal", "alldifferent"))
         if kind in ("sum", "product"):
-            net.attach(kind, (pick(), pick(), pick()), guard)
-        elif kind == "gate":
-            net.attach(kind, (pick(), pick(), pick()), guard,
-                       payload=(rng.randint(2) == 0, rng.randint(2) == 0))
+            net.attach(kind, (pick(), pick(), pick()))
         elif kind in ("equal", "less_equal"):
-            net.attach(kind, (pick(), pick()), guard)
-        elif kind == "alldifferent":
+            net.attach(kind, (pick(), pick()))
+        else:
             members = tuple(set(pick() for _ in range(rng.randrange(2, 5))))
             if len(members) >= 2:
-                net.attach(kind, members, guard)
-        else:
-            net.attach(kind, (pick(),), guard, payload=_gentle_info(rng))
+                net.attach(kind, members)
     writes = []
     for cid in range(n_cells):
         if rng.randint(3) == 0:

@@ -116,11 +116,11 @@ def test_solve_steps_zero_exits_3(capsys):
 UNDER_DETERMINED = {
     # nothing contradicts and nothing is left to branch on
     "unbranched": "(def (m x) (int x 0 5))\n(query (m) (show x))\n",
-    # the choose waits on a gate no choice can decide
+    # the choose waits in a branch whose condition nothing decides
     "gated-choose": "(def (m c x) (int c 0 5) (if c ((choose x 1 2)) ()))\n"
                     "(query (m) (show x))\n",
     # x is already exact, but either value of c posts x in {1, 2}: the
-    # chooses behind the undecided gate keep the node from being a leaf
+    # chooses in the dormant branches keep the node from being a leaf
     "gated-exact": "(def (m c x) (int c 0 1) (const x 5)\n"
                    "  (if c ((choose x 1 2)) ((choose x 1 2))))\n"
                    "(query (m) (show x))\n",
@@ -136,6 +136,20 @@ def test_solve_under_determined_exits_3(name, tmp_path, capsys):
     payload = json.loads(out)
     assert payload["solutions"] == []
     assert payload["stats"]["complete"] is False
+
+
+def test_solve_refuted_inner_branch_is_a_leaf(tmp_path, capsys):
+    # c stays undecided, but k refutes the only branch that could post a
+    # choose, so the root is a leaf and x = 5 is the one solution
+    f = tmp_path / "leaf.5th"
+    f.write_text("(def (m c x) (int c 0 1) (const k 0) (const x 5)\n"
+                 "  (if c ((if k ((cell y) (choose y 1 2)) ())) ()))\n"
+                 "(query (m) (show x))\n")
+    code, out, _ = run(["solve", f], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["solutions"] == [{"cells": {"x": 5}}]
+    assert payload["stats"]["complete"] is True
 
 
 def test_solve_out_file(tmp_path, capsys):

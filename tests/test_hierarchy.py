@@ -102,10 +102,14 @@ def test_fresh_root_features_are_zero():
 
 
 def test_fresh_child_has_only_depth_term():
-    inst = fact_chain(4)
+    # an unconditional recursion cut by the depth budget: the frame left
+    # unexpanded has its boundary cell, linked to a free cell of its
+    # parent, so it carries nothing and only the depth term registers
+    prog = parse("(def (loop x) (cell y) (call loop y))")
+    inst = instantiate(prog, "loop")
+    report = demand_loop(inst, (inst.cell_of(0, "x"),), 3, 10_000)
+    assert report.depth_exhausted
     leaf = max(expanded(inst), key=lambda f: f.depth)
-    # the refuted unexpanded call below the base case: boundary cells exist
-    # but carry nothing, so only the depth term registers
     pending = next(f for f in inst.frames if f.state == "unexpanded")
     vec = featurize(pending, inst.network, inst.program)
     assert vec[-1] == pytest.approx(pending.depth / 1024.0)

@@ -12,6 +12,7 @@ from fifth.language import (
     expand,
     instantiate,
     parse,
+    settle,
     targets_met,
 )
 from fifth.lattice import NOTHING, exact, int_interval
@@ -141,8 +142,9 @@ def test_fact_ten_exactly_ten_expansions():
 
 
 def test_fact_unbound_leaves_the_gated_call_dormant():
-    # with n unbound the call's gate never decides, so nothing is expanded
-    # and the depth budget is never reached
+    # with n unbound the condition never decides, so the branch holding the
+    # call never opens: no child frame exists, nothing is expanded, and the
+    # depth budget is never reached
     program = parse(FACT)
     inst = instantiate(program, "fact")
     r = inst.cell_of(0, "r")
@@ -151,7 +153,14 @@ def test_fact_unbound_leaves_the_gated_call_dormant():
     assert not report.depth_exhausted
     assert not report.targets_met
     assert inst.network.content(r) == NOTHING
-    assert inst.unexpanded == [1]
+    assert [f.id for f in inst.frames] == [0] and inst.unexpanded == []
+    gated = program.definitions["fact"].body[-1]
+    n = inst.cell_of(0, "n")
+    assert inst.dormant == [(0, n, True, gated.then_body),
+                            (0, n, False, gated.else_body)]
+    with_call = [body for _, _, _, body in inst.dormant
+                 if any(isinstance(s, CallStmt) for s in body)]
+    assert len(with_call) == 1
 
 
 def test_countdown_four_expansions():
@@ -166,9 +175,12 @@ def test_countdown_four_expansions():
 def test_expand_creates_one_unexpanded_child():
     program = parse(FACT)
     inst = instantiate(program, "fact", {"n": 5})
+    assert [f.state for f in inst.frames] == [EXPANDED]
+    settle(inst)  # n = 5 opens the branch holding the call
     assert [f.state for f in inst.frames] == [EXPANDED, UNEXPANDED]
-    inst.network.run_to_quiescence()
     expand(inst, 1)
+    assert len(inst.frames) == 2
+    settle(inst)
     assert len(inst.frames) == 3
     child = inst.frames[2]
     assert child.state == UNEXPANDED
@@ -179,47 +191,31 @@ def test_expand_creates_one_unexpanded_child():
 def test_expansion_depth_counter():
     program = parse(FACT)
     inst = instantiate(program, "fact", {"n": 9})
-    inst.network.run_to_quiescence()
+    settle(inst)
     for k in (1, 2, 3):
         f = expand(inst, k)
-        inst.network.run_to_quiescence()
+        settle(inst)
         assert f.depth == k
     assert inst.expansions == 3
 
 
 def test_expand_refuted_gate_is_noop():
+    # n = 0 refutes the branch holding the call, so settle drops it before
+    # it attaches anything: no child frame exists and nothing is expanded
     program = parse(FACT)
     inst = instantiate(program, "fact", {"n": 0})
-    inst.network.run_to_quiescence()
-    child = inst.frames[1]
-    assert inst.guard_state(child.guard) is False
-    before_cells = len(inst.network.contents)
-    out = expand(inst, 1)
-    assert out.state == UNEXPANDED
-    assert inst.expansions == 0
-    assert len(inst.network.contents) == before_cells
-
-
-def test_expand_undecided_gate_is_noop():
-    program = parse(FACT)
-    inst = instantiate(program, "fact")
-    inst.network.run_to_quiescence()
-    child = inst.frames[1]
-    assert inst.guard_state(child.guard) is None
     net = inst.network
     before = (len(net.contents), len(net.propagators))
-    out = expand(inst, 1)
-    assert out.state == UNEXPANDED
-    assert inst.expansions == 0
-    assert inst.unexpanded == [1]
-    assert len(inst.frames) == 2
+    settle(inst)
+    assert [f.id for f in inst.frames] == [0] and inst.unexpanded == []
+    assert inst.expansions == 0 and inst.dormant == []
     assert (len(net.contents), len(net.propagators)) == before
 
 
 def test_expand_twice_rejected():
     program = parse(FACT)
     inst = instantiate(program, "fact", {"n": 2})
-    inst.network.run_to_quiescence()
+    settle(inst)
     expand(inst, 1)
     with pytest.raises(StructuralError):
         expand(inst, 1)
@@ -228,6 +224,7 @@ def test_expand_twice_rejected():
 def test_expand_summarized_rejected():
     program = parse(FACT)
     inst = instantiate(program, "fact", {"n": 2})
+    settle(inst)
     inst.frames[1].state = SUMMARIZED
     with pytest.raises(StructuralError):
         expand(inst, 1)
@@ -240,8 +237,9 @@ def test_elaboration_deterministic():
         demand_loop(inst, [inst.cell_of(0, "r")], 100, 100_000)
         return (
             len(inst.network.contents),
-            tuple((p.kind, p.cells, p.guard) for p in inst.network.propagators),
+            tuple((p.kind, p.cells) for p in inst.network.propagators),
             tuple((f.defname, f.parent, f.depth, f.state) for f in inst.frames),
+            tuple(entry[:3] for entry in inst.dormant),
         )
 
     assert fingerprint() == fingerprint()
@@ -276,12 +274,15 @@ def test_gated_int_decl_waits_for_gate():
     """
     program = parse(text)
     inst = instantiate(program, "g")
-    x = inst.cell_of(0, "x")
-    inst.network.run_to_quiescence()
+    x = inst.cell_of(0, "x")  # declared by the if, written by neither branch
+    settle(inst)
     assert inst.network.content(x) == NOTHING
+    assert len(inst.dormant) == 2
     inst.network.write(inst.cell_of(0, "c"), exact(0))
-    inst.network.run_to_quiescence()
+    settle(inst)  # the else branch opens, the then branch is dropped
     assert inst.network.content(x) == int_interval(10, 14)
+    assert inst.network.contributors[x] == ("decl:0:x", None)
+    assert inst.dormant == []
 
 
 def test_clone_isolates_instances():
@@ -291,7 +292,8 @@ def test_clone_isolates_instances():
     demand_loop(twin, [twin.cell_of(0, "r")], 100, 100_000)
     assert twin.network.content(twin.cell_of(0, "r")) == exact(24)
     assert inst.network.content(inst.cell_of(0, "r")) == NOTHING
-    assert inst.frames[1].state == UNEXPANDED
+    assert len(inst.frames) == 1 and len(inst.dormant) == 2
+    assert len(twin.frames) == 5 and twin.dormant == []
     assert twin.expansions == 4 and inst.expansions == 0
 
 
@@ -335,8 +337,9 @@ def nested_ifs(depth):
 def test_if_nesting_up_to_the_limit_parses():
     program = parse(nested_ifs(MAX_IF_NESTING))
     inst = instantiate(program, "f", {"x": 1})
-    inst.network.run_to_quiescence()
+    settle(inst)
     assert inst.network.content(inst.cell_of(0, "y")) == exact(1)
+    assert inst.dormant == []
 
 
 def test_if_nesting_past_the_limit_is_a_parse_error():
@@ -353,75 +356,37 @@ def test_unterminated_list_reports_the_innermost_open_paren():
     assert (e.value.line, e.value.col) == (2, 3)
 
 
-# the call sits in an `if` nested in another `if` branch, so its gate is a
-# derived cell: the AND of the outer condition and the inner one
-NESTED_COUNTDOWN = """
-(def (len n k)
-  (cell nm1)
-  (cell krest)
-  (const one 1)
-  (sum nm1 one n)
-  (if n
-    ((if one
-      ((call len nm1 krest)
-       (sum krest one k))
-      ()))
-    ((const k 0))))
-"""
-
-
-def test_nested_gated_ifs_carry_one_guard_each():
-    # every frame, the root too, opens its inner if through one derived gate
-    # cell, and the call in it inherits that cell as its guard
-    program = parse(NESTED_COUNTDOWN)
-    inst = instantiate(program, "len", {"n": 6})
-    demand_loop(inst, [inst.cell_of(0, "k")], 100, 100_000)
-    assert inst.network.content(inst.cell_of(0, "k")) == exact(6)
-    gates = [p for p in inst.network.propagators if p.kind == "gate"]
-    assert len(gates) == 7  # the inner then branch of frames 0..6
-    for f in inst.frames[1:]:
-        cid, polarity = f.guard
-        assert polarity is True
-        parent_gates = {c for name, c in inst.frames[f.parent].cellmap.items()
-                        if name.startswith("(")}
-        assert cid in parent_gates
-
-
 def test_countdown_structure_is_linear():
-    # exact counters, no wall time: a frame opens only once its gate holds
-    # and then elaborates like the root, so each of the 1024 expanded
-    # callees costs 5 cells and 5 propagators and no gate propagator
+    # exact counters, no wall time: a frame opens only once demand reaches
+    # it and a branch only once its condition holds, so each of the 1025
+    # frames costs 5 cells and 4 propagators, len(0) only its own sum
     program = parse(COUNTDOWN)
     inst = instantiate(program, "len", {"n": 1024})
     report = demand_loop(inst, [inst.cell_of(0, "k")], 2000, 1_000_000)
     assert inst.network.content(inst.cell_of(0, "k")) == exact(1024)
     assert report.expansions == 1024
-    props = inst.network.propagators
-    # root and callees alike: nm1 + 1 = n runs ungated, the rest carries
-    # the frame's own (n, polarity) guard; the refuted call under len(0)
-    # adds its two boundary cells
-    assert len(props) == 5 * (1 + 1024)
-    assert len(inst.network.contents) == 5 * (1 + 1024) + 2
-    assert not any(p.kind == "gate" for p in props)
-    ungated = [p.kind for p in props if p.guard is None]
-    assert ungated == ["sum"] * (1 + 1024)
-    assert all(type(p.guard[1]) is bool for p in props if p.guard is not None)
+    kinds = [p.kind for p in inst.network.propagators]
+    assert len(kinds) == 4097
+    assert kinds.count("sum") == 2049 and kinds.count("equal") == 2048
+    assert len(inst.network.contents) == 5 * (1 + 1024)
+    assert not any(name.startswith("(if") for _, name in inst.network.origins)
     watchers = sum(len(w) for w in inst.network.watchers)
-    assert watchers <= 4 * len(props)
+    assert watchers == 3 * 2049 + 2 * 2048  # one per cell each one reads
 
 
 def test_unexpanded_worklist_tracks_frames():
     program = parse(FACT)
     inst = instantiate(program, "fact", {"n": 2})
+    assert inst.unexpanded == []
+    settle(inst)
     assert inst.unexpanded == [1]
-    inst.network.run_to_quiescence()
     twin = inst.clone()
     expand(inst, 1)
+    settle(inst)
     assert inst.unexpanded == [2]
     assert twin.unexpanded == [1]
     demand_loop(inst, [inst.cell_of(0, "r")], 100, 100_000)
     assert inst.network.content(inst.cell_of(0, "r")) == exact(2)
-    # only the refuted call under fact(0) is left, and it is not expandable
-    left = [f.id for f in inst.frames if f.state == UNEXPANDED]
-    assert left == [3] and inst.guard_state(inst.frames[3].guard) is False
-    assert set(inst.unexpanded) <= {3}
+    # fact(0) refutes its call's branch, so no frame is left to expand
+    assert [f.state for f in inst.frames] == [EXPANDED] * 3
+    assert inst.unexpanded == []

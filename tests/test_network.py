@@ -1,6 +1,7 @@
 import pytest
 
 from fifth.errors import StructuralError
+from fifth.language import ConstDecl, instantiate, may_post, parse, settle
 from fifth.lattice import (
     NOTHING,
     exact,
@@ -247,80 +248,91 @@ def test_alldifferent_trims_interval_endpoints():
     assert net.content(y) == int_interval(1, 5)
 
 
+# -- conditions ------------------------------------------------------------
+# The kernel runs every propagator it holds; an `if` branch is attached only
+# once its condition holds, so the language layer does the gating.
+
+
 def test_guard_blocks_until_true():
-    net = Network()
-    g = net.add_cell()
-    x = net.add_cell()
-    net.attach("constant", (x,), guard=(g, True), payload=exact(9))
-    net.run_to_quiescence()
-    assert net.content(x) == NOTHING
-    net.write(g, exact(1))
-    net.run_to_quiescence()
-    assert net.content(x) == exact(9)
+    inst = instantiate(parse("(def (g c x) (if c ((const x 9)) ()))"), "g")
+    settle(inst)
+    x = inst.cell_of(0, "x")
+    assert inst.network.content(x) == NOTHING
+    assert inst.network.propagators == [] and len(inst.dormant) == 1
+    inst.network.write(inst.cell_of(0, "c"), exact(1))
+    settle(inst)
+    assert inst.network.content(x) == exact(9)
+
+
+def test_refuted_guard_never_fires():
+    text = "(def (g c x) (if c ((const x 9) (equal x c)) ()))"
+    inst = instantiate(parse(text), "g", {"c": 0})
+    settle(inst)
+    assert inst.network.content(inst.cell_of(0, "x")) == NOTHING
+    assert inst.network.propagators == [] and inst.dormant == []
+
+
+def _nested(want_outer, want_cond):
+    """(const x 1) in the `want_cond` branch of `if c`, itself in the
+    `want_outer` branch of `if o`."""
+    def branch(cond, want, body):
+        then, other = (body, "") if want else ("", body)
+        return f"(if {cond} ({then}) ({other}))"
+    inner = branch("c", want_cond, "(const x 1)")
+    return parse(f"(def (g o c x) {branch('o', want_outer, inner)})")
 
 
 @pytest.mark.parametrize("want_outer,want_cond", [
     (True, True), (True, False), (False, True), (False, False)])
 def test_gate_is_the_and_of_two_polarities(want_outer, want_cond):
     truth = {True: exact(3), False: exact(0)}
+    program = _nested(want_outer, want_cond)
     for v_outer in (True, False):
         for v_cond in (True, False):
-            net = Network()
-            outer, cond, out = (net.add_cell() for _ in range(3))
-            net.attach("gate", (outer, cond, out),
-                       payload=(want_outer, want_cond))
-            net.write(outer, truth[v_outer])
-            net.write(cond, truth[v_cond])
-            net.run_to_quiescence()
+            inst = instantiate(program, "g", {"o": truth[v_outer],
+                                              "c": truth[v_cond]})
+            settle(inst)
             holds = v_outer == want_outer and v_cond == want_cond
-            assert net.content(out) == exact(1 if holds else 0)
+            x = inst.network.content(inst.cell_of(0, "x"))
+            assert x == (exact(1) if holds else NOTHING)
+            assert inst.dormant == []
 
 
 def test_gate_refutes_on_either_input_alone():
-    for refuted in (0, 1):
-        net = Network()
-        cells = [net.add_cell() for _ in range(3)]
-        net.attach("gate", tuple(cells), payload=(True, True))
-        net.run_to_quiescence()
-        assert net.content(cells[2]) == NOTHING
-        net.write(cells[refuted], exact(0))
-        net.run_to_quiescence()
-        assert net.content(cells[2]) == exact(0)
+    program = _nested(True, True)
+    inst = instantiate(program, "g")
+    settle(inst)
+    assert may_post(inst, ConstDecl) == {0}
+    for refuted in ("o", "c"):
+        inst = instantiate(program, "g", {refuted: 0})
+        settle(inst)
+        assert may_post(inst, ConstDecl) == set()
+        assert inst.network.content(inst.cell_of(0, "x")) == NOTHING
 
 
 def test_gate_waits_while_the_other_input_is_undecided():
-    net = Network()
-    outer, cond, out = (net.add_cell() for _ in range(3))
-    net.attach("gate", (outer, cond, out), payload=(True, False))
-    net.write(outer, exact(1))
-    net.write(cond, int_interval(-1, 1))  # may still be 0
-    net.run_to_quiescence()
-    assert net.content(out) == NOTHING
-    net.write(cond, exact(0))
-    net.run_to_quiescence()
-    assert net.content(out) == exact(1)
-
-
-def test_refuted_guard_never_fires():
-    net = Network()
-    g = net.add_cell()
-    x = net.add_cell()
-    net.attach("constant", (x,), guard=(g, True), payload=exact(9))
-    net.write(g, exact(0))
-    net.run_to_quiescence()
-    assert net.content(x) == NOTHING
+    inst = instantiate(_nested(True, False), "g", {"o": 1})
+    inst.network.write(inst.cell_of(0, "c"), int_interval(-1, 1))  # may be 0
+    settle(inst)
+    x = inst.cell_of(0, "x")
+    assert inst.network.content(x) == NOTHING
+    assert len(inst.dormant) == 1  # the else branch of `if c`
+    inst.network.write(inst.cell_of(0, "c"), exact(0))
+    settle(inst)
+    assert inst.network.content(x) == exact(1)
 
 
 def test_contradiction_stops_eagerly():
     net = Network()
-    a, b, c = (net.add_cell() for _ in range(3))
-    d = net.add_cell()
-    net.attach("constant", (a,), payload=exact(1))
-    net.attach("constant", (a,), payload=exact(2))  # conflict
-    net.attach("constant", (d,), payload=exact(7))
-    net.write(b, exact(0))
+    a, b, c, d = (net.add_cell() for _ in range(4))
+    net.attach("equal", (a, b))  # p0
+    net.attach("equal", (c, d))  # p1, queued behind p0
+    net.write(a, exact(1))
+    net.write(b, exact(2))  # conflict, found by p0
+    net.write(c, exact(7))
     rep = net.run_to_quiescence()
     assert rep.contradiction is not None
+    assert net.content(d) == NOTHING  # p1 never ran
     assert not net.queue and not net.pending  # remaining work discarded
 
 
@@ -364,24 +376,23 @@ def test_contradiction_provenance_names_propagators():
     net.write(x, int_interval(0, 9), "decl:0:x")
     net.write(w, exact(6), "decl:0:w")
     net.write(z, int_interval(5, 20), "decl:0:z")
-    net.attach("constant", (y,), payload=exact(2))  # p0
-    net.attach("less_equal", (x, w))  # p1: x <= 6
-    net.attach("sum", (y, x, z))  # p2: x >= 3
+    net.write(y, exact(2), "decl:0:y")
+    net.attach("less_equal", (x, w))  # p0: x <= 6
+    net.attach("sum", (y, x, z))  # p1: x >= 3
     assert net.run_to_quiescence().quiescent
     assert net.content(x) == int_interval(3, 6)
     assert net.write(x, exact(1), f"branch:{x}=1") is WriteResult.CONTRADICTION
     assert net.content(x).provenance == (
-        "branch:0=1", "decl:0:x", "p1:less_equal", "p2:sum")
+        "branch:0=1", "decl:0:x", "p0:less_equal", "p1:sum")
 
 
 def test_contradiction_inside_propagation_names_the_writer():
     net = Network()
-    x, w, g = (net.add_cell() for _ in range(3))
+    x, w = (net.add_cell() for _ in range(2))
     net.write(x, int_interval(3, 9), "decl:0:x")
     net.write(w, exact(1), "decl:0:w")
-    net.attach("equal", (x, w), guard=(g, True))  # p0, dormant
     assert net.run_to_quiescence().quiescent
-    net.write(g, exact(1), f"branch:{g}=1")
+    net.attach("equal", (x, w))  # p0, attached once its branch opens
     report = net.run_to_quiescence()
     assert report.contradiction == x
     assert net.content(x).provenance == ("decl:0:x", "p0:equal")
@@ -504,19 +515,16 @@ def _random_single_prop_net(rng):
     n = rng.randrange(2, 6)
     cells = [net.add_cell() for _ in range(n)]
     kind = rng.choice(("sum", "product", "equal", "less_equal",
-                       "alldifferent", "gate"))
+                       "alldifferent"))
     if kind in ("sum", "product"):
         net.attach(kind, tuple(rng.choice(cells) for _ in range(3)))
     elif kind in ("equal", "less_equal"):
         net.attach(kind, (rng.choice(cells), rng.choice(cells)))
-    elif kind == "alldifferent":
+    else:
         members = tuple(set(rng.choice(cells) for _ in range(3)))
         if len(members) < 2:
             members = tuple(cells[:2])
         net.attach(kind, members)
-    else:
-        net.attach(kind, tuple(rng.choice(cells) for _ in range(3)),
-                   payload=(rng.randint(2) == 0, rng.randint(2) == 0))
     writes = []
     for cid in cells:
         if rng.randint(2) == 0:

@@ -1,5 +1,7 @@
 """Search, optimization, and frame summarization."""
 
+from pathlib import Path
+
 import pytest
 
 from fifth import (
@@ -15,6 +17,9 @@ from fifth import (
 )
 from fifth.errors import StructuralError
 from fifth.language import EXPANDED, SUMMARIZED, UNEXPANDED
+from fifth.lattice import truth_value
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def queens_text(n):
@@ -254,8 +259,9 @@ def test_depth_budget_marks_incomplete():
 
 
 def test_undecided_gate_marks_incomplete_without_expanding():
-    # n is never bound, so the recursive call's gate never decides: nothing
-    # is expanded, nothing is refuted, and the search cannot claim a proof
+    # n is never bound, so the branch holding the recursive call never
+    # opens: nothing is expanded, nothing is refuted, and the search cannot
+    # claim a proof
     prog = parse(FACT)
     res = solve(prog, Query(entry="fact", targets=("r",), depth_budget=40))
     assert res.solutions == []
@@ -296,9 +302,9 @@ def test_recursion_inside_search():
     assert got == {(3, 6), (4, 24), (5, 120)}
 
 
-# a call in each branch of `if c`: both child gates wait on the choice c,
-# which search decides by branching; expanding either child first would
-# speculate, and each speculative frame gates two more
+# a call in each branch of `if c`: both branches wait dormant on the choice
+# c, which search decides by branching; opening either one first would
+# speculate, and each speculative frame would hold two more
 SPLIT_CALL = """
 (def (rec n r)
   (cell nm1)
@@ -568,17 +574,20 @@ def test_collect_garbage_marks_frames_and_prunes_cellmaps():
     inst, r = run_fact(6)
     report = collect_garbage(inst, (r,))
     for fid in report.summarized:
-        f = inst.frame(fid)
+        f = inst.frames[fid]
         assert f.state == SUMMARIZED
         assert set(f.cellmap) == {"n", "r"}
 
 
 def test_collect_garbage_leaves_refuted_leaves_alone():
+    # the call under fact(0) sits in a branch its condition refutes, so it
+    # never became a frame: the whole chain folds, and nothing is left
+    # unexpanded or dormant for a later pass to trip over
     inst, r = run_fact(6)
-    collect_garbage(inst, (r,))
-    leaves = [f for f in inst.frames if f.state == UNEXPANDED]
-    assert leaves  # the gate-refuted call under fact(0)
-    assert all(inst.guard_state(f.guard) is False for f in leaves)
+    report = collect_garbage(inst, (r,))
+    assert len(report.summarized) == 6
+    assert not any(f.state == UNEXPANDED for f in inst.frames)
+    assert inst.dormant == []
 
 
 def test_collect_garbage_respects_interior_targets():
@@ -632,19 +641,69 @@ class _Leaves:
 @pytest.mark.parametrize("text,entry", [(FACT, "fact"), (COUNT, "count")],
                          ids=["fact", "count"])
 def test_gc_keeps_the_truth_of_guard_cells_it_folds(text, entry):
-    # summarization detaches the propagators around a decided guard cell
-    # but keeps its content, so every frame's gate still reads from the
-    # network: the 12 folded frames hold, the call under n = 0 is refuted
+    # each frame's `if n` reads its boundary cell n, which summarization
+    # keeps while it drops the interior: the conditions of the 12 folded
+    # frames still hold, the one under n = 0 is still refuted, and that
+    # refuted branch left neither a frame nor a dormant entry
     trace = _Leaves()
     q = Query(entry=entry, bindings=(("n", 12),), targets=("r",))
     res = solve(parse(text), q, trace=trace, gc=True)
     inst, = trace.leaves
     folded = [f for f in inst.frames if f.state == SUMMARIZED]
     assert len(folded) == res.stats["summarized"] == 12
+    assert len(inst.frames) == 13 and inst.dormant == []
     for f in folded:
-        assert inst.network.content(f.guard[0]).kind == "exact"
-    states = [inst.guard_state(f.guard) for f in inst.frames]
-    assert states == [True] * 13 + [False]
+        assert set(f.cellmap) == {"n", "r"}
+        assert inst.network.content(f.cellmap["n"]).kind == "exact"
+    states = [truth_value(inst.network.content(f.cellmap["n"]))
+              for f in inst.frames]
+    assert states == [True] * 12 + [False]
+
+
+# every frame posts nm1 <= n in a branch whose condition c nothing decides;
+# that branch could post no choose or call, so it must not keep its frame
+GUARDED_COUNT = COUNT.replace("(const one 1)",
+                              "(const one 1) (int c 0 1)"
+                              " (if c ((lesseq nm1 n)) ())")
+
+
+def test_gc_folds_a_frame_whose_dormant_branch_posts_no_search():
+    q = Query(entry="count", bindings=(("n", 6),), targets=("r",))
+    res = solve(parse(GUARDED_COUNT), q, gc=True)
+    assert res.assignments() == [{"r": 6}]
+    assert res.stats["summarized"] == res.stats["expansions"] == 6
+
+
+class _OrderingPair:
+    """Per quiesced node: whether the ordering bit o0 is decided, and how
+    many of the two `lesseq` its `if` chooses between are attached."""
+
+    def __init__(self):
+        self.seen = []
+
+    def node(self, inst):
+        net = inst.network
+        if net.contradiction is not None:
+            return
+        cell = inst.root.cellmap.get
+        pair = {(cell("e0x0"), cell("s1x1")), (cell("e1x1"), cell("s0x0"))}
+        attached = sum(p.kind == "less_equal" and p.cells in pair
+                       for p in net.propagators)
+        decided = net.content(cell("o0")).kind == "exact"
+        self.seen.append((decided, attached))
+
+    def solution(self, inst):
+        pass
+
+    def deadend(self, inst):
+        pass
+
+
+def test_jobshop_branch_attaches_one_ordering_lesseq():
+    prog = parse((CORPUS / "jobshop" / "js-3x3-a.5th").read_text())
+    pairs = _OrderingPair()
+    optimize(prog, Query.from_spec(prog.query), trace=pairs)
+    assert set(pairs.seen) == {(False, 0), (True, 1)}
 
 
 def test_solve_gc_on_a_long_chain():
@@ -659,9 +718,8 @@ def test_solve_gc_on_a_long_chain():
 
 
 # x is pinned in every recursive frame but open at the bottom one, where
-# the choice d hangs on the gate cell of `if x`, derived from the parent's
-# gate; the parent is decided first and must not fold while that child
-# still reads its gate
+# the choice d waits in the dormant branch of `if x`; the parent is decided
+# first and must not fold while that child could still post its choice
 OPEN_BOTTOM = """
 (def (f n r)
   (cell nm1) (cell rest) (cell x) (cell d)

@@ -21,7 +21,6 @@ from fifth.lattice import (
     int_interval,
     merge,
     real_interval,
-    truth_value,
 )
 from fifth.network import (
     _TRANSFER,
@@ -78,18 +77,17 @@ def test_range_write_drops_only_what_merge_keeps(cur, bounds, integral):
     assert net.saturated == empty.saturated
 
 
-ARITY = {"sum": 3, "product": 3, "less_equal": 2, "equal": 2, "gate": 3}
+ARITY = {"sum": 3, "product": 3, "less_equal": 2, "equal": 2}
 
 
 @settings(max_examples=600, deadline=None)
 @given(st.sampled_from(sorted(ARITY)), st.lists(CONTENTS, min_size=3,
-                                                 max_size=3),
-       st.tuples(st.booleans(), st.booleans()))
-def test_transfers_drop_only_what_merge_keeps(kind, contents, payload):
+                                                 max_size=3))
+def test_transfers_drop_only_what_merge_keeps(kind, contents):
     net = Network()
     cells = tuple(range(ARITY[kind]))
     net.contents.extend(contents[:len(cells)])
-    prop = Propagator(0, kind, cells, None, payload)
+    prop = Propagator(0, kind, cells)
     transfer = _TRANSFER[kind]
     emitted = transfer(net, prop)
     for cid in cells:
@@ -109,22 +107,20 @@ CELLS = st.permutations(range(3)) | st.lists(st.integers(0, 2), min_size=3,
 
 @settings(max_examples=1500, deadline=None)
 @given(st.sampled_from(sorted(ARITY) + ["alldifferent"]),
-       st.lists(CONTENTS, min_size=3, max_size=3), CELLS,
-       st.tuples(st.booleans(), st.booleans()))
+       st.lists(CONTENTS, min_size=3, max_size=3), CELLS)
 # real sums: (x - y) + y lands an ulp away from x
 @example("sum", [exact(2 / 3), real_interval(1 / 3, 2.2),
-                 real_interval(0.1, 2.2)], (0, 1, 2), (False, False))
-@example("sum", [exact(3.3), real_interval(0.1, 0.5), NOTHING], (0, 1, 2),
-         (False, False))
+                 real_interval(0.1, 2.2)], (0, 1, 2))
+@example("sum", [exact(3.3), real_interval(0.1, 0.5), NOTHING], (0, 1, 2))
 def test_a_propagator_left_asleep_by_its_own_writes_has_nothing_left(
-        kind, contents, cells, payload):
+        kind, contents, cells):
     """Run a transfer once and apply its writes as the kernel does; if that
     leaves the propagator unqueued, running it again must change nothing."""
     cells = tuple(cells[:ARITY.get(kind, 3)])
     net = Network()
     for info in contents:
         net.contents[net.add_cell()] = info
-    pid = net.attach(kind, cells, payload=payload)
+    pid = net.attach(kind, cells)
     net.queue.clear()
     net.pending.clear()
     prop = net.propagators[pid]
@@ -150,12 +146,6 @@ class _QuiescedNodes:
         if net.contradiction is not None or not net.quiescent:
             return
         for prop in net.propagators:
-            # a constant watches no cell and ran when its guard opened
-            if prop.kind == "constant" or (
-                    prop.guard is not None
-                    and truth_value(net.contents[prop.guard[0]])
-                    != prop.guard[1]):
-                continue
             assert _TRANSFER[prop.kind](net, prop) == [], prop
         self.checked += 1
 
