@@ -444,7 +444,7 @@ class Frame:
     opened `if` branch, so nothing conditions it: it waits unexpanded until
     demand reaches it, and its body is then elaborated like the root's.
     `cellmap` maps the definition's names to cell ids, its parameters (the
-    boundary) from the start and its locals once expanded.
+    caller's argument cells) from the start and its locals once expanded.
     """
 
     __slots__ = ("id", "defname", "parent", "depth", "cellmap", "state")
@@ -598,20 +598,14 @@ def _declare_cells(net, frame, body):
 
 
 def _elaborate_call(inst, frame, stmt):
-    net = inst.network
+    # the callee's parameters are the caller's argument cells themselves, so
+    # a call adds no cell and no propagator, and one cell may fill two
     target = inst.program.definitions[stmt.target]
+    cellmap = {p: frame.cellmap[a] for p, a in zip(target.params, stmt.args)}
     child_id = len(inst.frames)
-    boundary = {}
-    for p in target.params:
-        boundary[p] = net.add_cell((child_id, p))
-    child = Frame(child_id, stmt.target, frame.id, frame.depth + 1, boundary,
-                  UNEXPANDED)
-    inst.frames.append(child)
+    inst.frames.append(Frame(child_id, stmt.target, frame.id, frame.depth + 1,
+                             cellmap, UNEXPANDED))
     inst.unexpanded.append(child_id)
-    # fresh boundary cells keep the callee identifiable; equality links
-    # them to the caller's argument cells
-    for arg, p in zip(stmt.args, target.params):
-        net.attach("equal", (frame.cellmap[arg], boundary[p]))
 
 
 def expand(inst: Instance, frame_id: int) -> Frame:

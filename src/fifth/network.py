@@ -507,6 +507,8 @@ def _t_less_equal(net, prop):
 
 
 def _t_alldifferent(net, prop):
+    if not prop.distinct:  # a repeated cell cannot differ from itself
+        return [(max(prop.cells, key=prop.cells.count), Contradiction())]
     contents = [(cid, net.contents[cid]) for cid in prop.cells]
     exacts = [
         (cid, info.value)

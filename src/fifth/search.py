@@ -383,8 +383,9 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
     `choose` or a `call`, every descendant has folded, and no query target
     lives in its interior. Its interior propagators are detached, its
     interior cells dropped and its dormant branches forgotten: none of them
-    could change a boundary cell or start a search. Boundary contents are
-    untouched, so every already derived answer survives by construction.
+    could change a boundary cell or start a search. Boundary contents, and
+    every cell a frame names as a parameter, are untouched, so every
+    already derived answer survives by construction.
     """
     net = inst.network
     targets = set(target_cells)
@@ -396,13 +397,13 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
     busy |= may_post(inst, (ChooseStmt, CallStmt))
 
     # A frame folds bottom-up: only once every descendant has folded. A
-    # child left unexpanded or expanded is still tied to its parent's cells
-    # by the call's equality links, which fold with the parent, so the
-    # parent must stay. Children always have larger ids than their parents,
-    # so one sweep from the last frame back settles every frame. A frame
-    # that is finished but holds a query target in its interior stays
+    # child left unexpanded or expanded still reads its parent's cells, so
+    # the parent must stay. Children always have larger ids than their
+    # parents, so one sweep from the last frame back settles every frame. A
+    # frame that is finished but holds a query target in its interior stays
     # expanded without holding up its parent: folding the parent detaches
     # no more than folding it would.
+    params = {c for f in inst.frames for c in f.boundary_cells(inst.program)}
     unfinished = [False] * len(inst.frames)
     summarized = []
     dropped = 0
@@ -413,7 +414,7 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
         if f.state == UNEXPANDED:
             unfinished[f.parent] = True
             continue
-        boundary = set(f.boundary_cells(inst.program))
+        boundary = f.boundary_cells(inst.program)
         if (
             unfinished[f.id]
             or f.id in busy
@@ -421,7 +422,7 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
         ):
             unfinished[f.parent] = True
             continue
-        interior = [c for c in f.cellmap.values() if c not in boundary]
+        interior = [c for c in f.cellmap.values() if c not in params]
         if targets & set(interior):
             continue
         for cid in interior:

@@ -103,6 +103,22 @@ def test_solve_unsat_exits_2(tmp_path, capsys):
     assert payload["stats"]["complete"] is True
 
 
+@pytest.mark.parametrize("text", [
+    "(def (m x) (choose x 1 2) (alldiff x x))\n(query (m) (show x))",
+    "(def (m x y) (choose x 1 2) (choose y 1 2) (alldiff x y x))\n"
+    "(query (m) (show x y))",
+    # a call passes one cell to both parameters
+    "(def (g a b) (alldiff a b))\n"
+    "(def (m x) (choose x 1 2) (call g x x))\n(query (m) (show x))",
+], ids=["twice", "x-y-x", "call"])
+def test_alldiff_over_a_repeated_cell_exits_2(tmp_path, capsys, text):
+    f = tmp_path / "repeat.5th"
+    f.write_text(text)
+    code, out, _ = run(["solve", f], capsys)
+    assert code == 2
+    assert json.loads(out)["solutions"] == []
+
+
 def test_solve_steps_zero_exits_3(capsys):
     code, out, _ = run(
         ["solve", "--steps", 0, CORPUS / "queens" / "q4.5th"], capsys)

@@ -358,20 +358,22 @@ def test_unterminated_list_reports_the_innermost_open_paren():
 
 def test_countdown_structure_is_linear():
     # exact counters, no wall time: a frame opens only once demand reaches
-    # it and a branch only once its condition holds, so each of the 1025
-    # frames costs 5 cells and 4 propagators, len(0) only its own sum
+    # it and a branch only once its condition holds, and a call passes its
+    # argument cells themselves, so each of the 1025 frames costs 3 cells
+    # and 2 propagators, len(0) only its own sum; the root's two parameters
+    # are the only other cells
     program = parse(COUNTDOWN)
     inst = instantiate(program, "len", {"n": 1024})
     report = demand_loop(inst, [inst.cell_of(0, "k")], 2000, 1_000_000)
     assert inst.network.content(inst.cell_of(0, "k")) == exact(1024)
     assert report.expansions == 1024
     kinds = [p.kind for p in inst.network.propagators]
-    assert len(kinds) == 4097
-    assert kinds.count("sum") == 2049 and kinds.count("equal") == 2048
-    assert len(inst.network.contents) == 5 * (1 + 1024)
+    assert len(kinds) == 2049
+    assert kinds.count("sum") == 2049 and kinds.count("equal") == 0
+    assert len(inst.network.contents) == 3 * (1 + 1024) + 2 == 3077
     assert not any(name.startswith("(if") for _, name in inst.network.origins)
     watchers = sum(len(w) for w in inst.network.watchers)
-    assert watchers == 3 * 2049 + 2 * 2048  # one per cell each one reads
+    assert watchers == 3 * 2049 == 6147  # one per cell each one reads
 
 
 def test_unexpanded_worklist_tracks_frames():

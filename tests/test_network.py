@@ -238,6 +238,17 @@ def test_alldifferent_conflict_contradicts():
     assert net.contradiction is not None
 
 
+@pytest.mark.parametrize("repeat", [(0, 0), (0, 1, 0)])
+def test_alldifferent_over_a_repeated_cell_contradicts(repeat):
+    # whatever the cells hold, even nothing yet
+    net = Network()
+    cells = [net.add_cell() for _ in range(2)]
+    pid = net.attach("alldifferent", tuple(cells[i] for i in repeat))
+    net.run_to_quiescence()
+    assert net.contradiction == cells[0]
+    assert f"p{pid}:alldifferent" in net.content(cells[0]).provenance
+
+
 def test_alldifferent_trims_interval_endpoints():
     net = Network()
     x, y = net.add_cell(), net.add_cell()

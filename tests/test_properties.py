@@ -1,13 +1,15 @@
 """Property tests: random small recursive programs give the same solutions
 and node counts with and without frame summarization, the same answers
 under permuted scheduling, and those answers match a direct evaluation of
-the recursion; random small job-shops minimize to the brute-force optimum
-with and without summarization."""
+the recursion; a call answers like its body written inline, whichever
+argument cells it repeats; random small job-shops minimize to the
+brute-force optimum with and without summarization."""
 
+import itertools
 from collections import Counter
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from fifth import JobShopInstance, Query, emit_jobshop_program, optimize
@@ -135,6 +137,97 @@ def test_answers_agree_across_gc_and_scheduling(case, order_seed):
         folded = _solve(program, spec, gc=True, order_seed=seed)
         assert folded.solutions == plain.solutions
         assert folded.stats["nodes"] == plain.stats["nodes"]
+
+
+# the caller's cells a call may pass: two choices and a constant
+POOL = ("x0", "x1", "k0")
+# each callee statement and the relation it holds over its cells' values
+RELATIONS = {
+    "equal": (2, lambda a, b: a == b),
+    "lesseq": (2, lambda a, b: a <= b),
+    "sum": (3, lambda a, b, c: a + b == c),
+    "product": (3, lambda a, b, c: a * b == c),
+    "alldiff": (None, lambda *v: len(set(v)) == len(v)),
+}
+VALUES = st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def calls(draw):
+    """A callee over 2-3 parameters built from the catalog statements, with
+    an optional `choose` on one parameter, called once with arguments drawn
+    with repeats from the caller's choices x0, x1 and constant k0. x0 has
+    three values, so the root never meets its targets before the call
+    expands."""
+    arity = draw(st.integers(2, 3))
+    params = [f"p{i}" for i in range(arity)]
+    body = []
+    for _ in range(draw(st.integers(1, 3))):
+        head = draw(st.sampled_from(sorted(RELATIONS)))
+        n = RELATIONS[head][0] or draw(st.integers(2, 3))
+        body.append((head, tuple(draw(st.sampled_from(params))
+                                 for _ in range(n))))
+    if draw(st.booleans()):
+        body.append(("choose", (draw(st.sampled_from(params)),
+                                *draw(VALUES))))
+    return {
+        "params": params,
+        "body": body,
+        "args": [draw(st.sampled_from(POOL)) for _ in params],
+        "x1": draw(VALUES),
+        "k0": draw(st.integers(0, 3)),
+    }
+
+
+def _call_programs(spec):
+    """The program with the call, and the same program with the callee's
+    body inline, its parameters replaced by the argument names."""
+    def text(body):
+        return " ".join(f"({head} {' '.join(map(str, args))})"
+                        for head, args in body)
+    rename = dict(zip(spec["params"], spec["args"]))
+    inline = [(head, (rename[args[0]], *args[1:]) if head == "choose"
+               else tuple(map(rename.get, args)))
+              for head, args in spec["body"]]
+    top = (f"(def (main x0 x1 k0) (choose x0 0 1 2) "
+           f"(choose x1 {' '.join(map(str, spec['x1']))}) "
+           f"(const k0 {spec['k0']})")
+    callee = f"(def (g {' '.join(spec['params'])}) {text(spec['body'])})\n"
+    return (callee + f"{top} (call g {' '.join(spec['args'])}))\n",
+            f"{top} {text(inline)})\n")
+
+
+def _call_expected(spec):
+    """Every (x0, x1, k0) the callee's statements admit, by enumeration."""
+    answers = set()
+    for point in itertools.product((0, 1, 2), spec["x1"], (spec["k0"],)):
+        value = dict(zip(POOL, point))
+        cells = dict(zip(spec["params"], (value[a] for a in spec["args"])))
+        if all(cells[args[0]] in args[1:] if head == "choose"
+               else RELATIONS[head][1](*(cells[a] for a in args))
+               for head, args in spec["body"]):
+            answers.add(point)
+    return answers
+
+
+@settings(max_examples=150, deadline=None)
+@given(calls())
+# one cell passed to both parameters of an alldiff
+@example({"params": ["p0", "p1"], "body": [("alldiff", ("p0", "p1"))],
+          "args": ["x0", "x0"], "x1": [1], "k0": 0})
+def test_a_call_answers_like_its_inlined_body(spec):
+    # the call and its inline body must each give exactly the enumerated
+    # answers, so they agree, and a fault they share still shows
+    query = Query(entry="main", targets=POOL, depth_budget=5)
+    expected = _call_expected(spec)
+    for text in _call_programs(spec):
+        program = parse(text)
+        for gc in (False, True):
+            res = solve(program, query, gc=gc)
+            assert res.stats["complete"]
+            answers = [tuple(a[name] for name in POOL)
+                       for a in res.assignments()]
+            assert sorted(answers) == sorted(expected), text
 
 
 @st.composite
