@@ -6,6 +6,8 @@ lazily and without bound, search branches over explicit choice points by
 cloning, and one autoencoder per definition compresses frame states into
 codes that, matched against the codes remembered from successes and dead
 ends, guide value ordering in search, planning, and scheduling queries.
+
+The names in `_GUIDANCE` import `fifth.hierarchy`, and numpy, on first use.
 """
 
 from fifth.lattice import (
@@ -33,14 +35,6 @@ from fifth.language import (
     expand,
     instantiate,
     parse,
-)
-from fifth.hierarchy import (
-    AugmentationTree,
-    LearnedOracle,
-    TraceLog,
-    featurize,
-    load_bundle,
-    save_bundle,
 )
 from fifth.search import (
     OptimizeResult,
@@ -109,3 +103,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_GUIDANCE = ("AugmentationTree", "LearnedOracle", "TraceLog", "featurize",
+             "load_bundle", "save_bundle")
+
+
+def __getattr__(name):
+    if name in _GUIDANCE:
+        from fifth import hierarchy
+        return getattr(hierarchy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

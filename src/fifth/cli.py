@@ -8,8 +8,10 @@ Four commands share one process model: parse, run, emit JSON, exit.
   check    run the built-in consistency suites
 
 Exit codes: 0 found, 1 usage or parse error, 2 exhausted with proof of
-unsatisfiability, 3 exhausted by budget. Reports carry no timing fields,
-so equal seeds give byte-equal output.
+unsatisfiability, 3 exhausted by budget. A report is one line of JSON and
+carries no timing fields, so equal seeds give byte-equal output. Only
+`train`, `measure`, `check`, `solve --oracle learned` and `solve --trace`
+import the guidance stack (`fifth.hierarchy`, `fifth.autoenc`, numpy).
 """
 
 import argparse
@@ -24,13 +26,6 @@ from pathlib import Path
 
 from fifth import selftest
 from fifth.errors import FifthError
-from fifth.hierarchy import (
-    AugmentationTree,
-    LearnedOracle,
-    TraceLog,
-    load_bundle,
-    save_bundle,
-)
 from fifth.language import parse
 from fifth.search import Query, UniformOracle, optimize, solve
 
@@ -42,6 +37,17 @@ EXIT_BUDGET = 3
 
 class UsageError(Exception):
     pass
+
+
+# perfbench/tracer.py wraps these two names; they import on first call
+def load_bundle(path):
+    from fifth.hierarchy import load_bundle
+    return load_bundle(path)
+
+
+def save_bundle(tree, path):
+    from fifth.hierarchy import save_bundle
+    save_bundle(tree, path)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,7 +137,7 @@ def _query(program, cfg):
 
 
 def _emit(payload, out):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, sort_keys=True) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -169,12 +175,14 @@ def cmd_solve(cfg):
     if cfg.oracle == "learned":
         if cfg.model is None:
             raise UsageError("--oracle learned needs --model")
+        from fifth.hierarchy import LearnedOracle
         oracle = LearnedOracle(load_bundle(_resolve(cfg.model)))
     else:
         oracle = UniformOracle()
-    log = TraceLog() if cfg.trace else None
-    sink = None
+    log = sink = None
     if cfg.trace:
+        from fifth.hierarchy import TraceLog
+        log = TraceLog()
         sink = lambda rec: sys.stderr.write(
             json.dumps(rec, sort_keys=True) + "\n")
     result = _run(program, query, oracle, trace=log, gc=cfg.gc,
@@ -199,6 +207,7 @@ def _corpus_files(dir_str):
 def _fit_bundle(cfg, corpus_dir, model_out):
     """Solve every corpus instance with tracing, fit, save. Returns the
     instance names and the training report."""
+    from fifth.hierarchy import AugmentationTree, TraceLog
     files = _corpus_files(corpus_dir)
     if not files:
         raise UsageError(f"no instances in {corpus_dir}")
@@ -257,6 +266,7 @@ def cmd_measure(cfg):
     if not (model_dir / "manifest.json").is_file():
         _fit_bundle(cfg, cfg.train_dir, model_dir)
         trained = True
+    from fifth.hierarchy import LearnedOracle
     tree = load_bundle(str(model_dir))
     files = _corpus_files(cfg.eval_dir)
     if not files:

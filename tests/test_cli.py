@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -64,6 +67,7 @@ def tiny_corpus(tmp_path):
 def test_solve_queens4(capsys):
     code, out, _ = run(["solve", CORPUS / "queens" / "q4.5th"], capsys)
     assert code == 0
+    assert out.count("\n") == 1 and out.endswith("\n")  # one line of JSON
     payload = json.loads(out)
     check_schema(payload, "solution.schema.json")
     assert len(payload["solutions"]) == 2
@@ -705,3 +709,58 @@ def test_hostile_programs_and_flags_exit_cleanly(tmp_path_factory, text,
     max_size=6))
 def test_hostile_argv_exits_cleanly(argv):
     assert _main_quietly(argv) in (0, 1, 2, 3)
+
+
+# -- fresh interpreters ------------------------------------------------------
+# `fifth.cli` imports the guidance stack (`fifth.hierarchy`, `fifth.autoenc`,
+# numpy) only on the paths that use it. In this process another test may
+# have loaded it already, so these cases each start a new interpreter.
+
+SOLVE_WITHOUT_GUIDANCE = """\
+import sys
+from fifth.cli import main
+code = main(["solve", "corpus/queens/q4.5th", "--out", sys.argv[1]])
+print(code, [m for m in ("numpy", "fifth.hierarchy", "fifth.autoenc")
+             if m in sys.modules])
+"""
+
+
+def _fresh(args):
+    path = os.pathsep.join(
+        p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *map(str, args)], cwd=REPO,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_solve_without_guidance_never_imports_numpy(tmp_path):
+    out = tmp_path / "q4.json"
+    done = _fresh(["-c", SOLVE_WITHOUT_GUIDANCE, out])
+    assert done.stdout == "0 []\n", done.stderr
+    assert len(json.loads(out.read_text())["solutions"]) == 2
+
+
+@pytest.fixture(scope="module")
+def fact_model(tmp_path_factory):
+    model = tmp_path_factory.mktemp("fact") / "model"
+    assert main(["train", str(CORPUS / "fact"), "--model", str(model),
+                 "--out", str(model.parent / "report.json")]) == 0
+    return model
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "corpus/fact", "--model", "{tmp}/model"],
+    ["measure", "corpus/fact", "corpus/fact", "--model", "{tmp}/model"],
+    ["solve", "--oracle", "learned", "--model", "{model}",
+     "corpus/fact/fact10.5th"],
+    ["solve", "--trace", "corpus/fact/fact10.5th"],
+    ["check"],
+], ids=["train", "measure", "solve-learned", "solve-trace", "check"])
+def test_guidance_entry_points_run_in_a_fresh_interpreter(argv, fact_model,
+                                                          tmp_path):
+    argv = [a.format(tmp=tmp_path, model=fact_model) for a in argv]
+    done = _fresh(["-m", "fifth.cli", *argv])
+    assert done.returncode == 0, done.stderr
+    if argv[0] != "check":
+        assert len(done.stdout.splitlines()) == 1
+        assert json.loads(done.stdout)["command"] == argv[0]

@@ -112,6 +112,10 @@ CELLS = st.permutations(range(3)) | st.lists(st.integers(0, 2), min_size=3,
 @example("sum", [exact(2 / 3), real_interval(1 / 3, 2.2),
                  real_interval(0.1, 2.2)], (0, 1, 2))
 @example("sum", [exact(3.3), real_interval(0.1, 0.5), NOTHING], (0, 1, 2))
+# within REAL_TOL an exact float still moves (here to an integer), so a
+# propagator must stay a watcher of the cells that are exact when it attaches
+@example("sum", [NOTHING, exact(9.356141043527195e-110),
+                 exact(-4611686018427387904)], (1, 2, 2))
 def test_a_propagator_left_asleep_by_its_own_writes_has_nothing_left(
         kind, contents, cells):
     """Run a transfer once and apply its writes as the kernel does; if that
