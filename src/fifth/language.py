@@ -5,6 +5,10 @@ network. A call becomes a child frame that waits unexpanded until demand
 reaches it, and an `if` branch waits dormant until its condition decides;
 neither is attached before it opens. So recursion is unbounded but only
 paid for where information actually flows.
+
+A body (a frame's, or an opened branch's) is attached by running its plan,
+opcodes with prebuilt lattice values that the program compiles on the
+body's first elaboration and keeps, so a recursion walks its AST once.
 """
 
 import math
@@ -113,6 +117,9 @@ class QuerySpec:
 class Program:
     definitions: dict
     query: Optional[QuerySpec] = None
+    # id(body) -> plan, for each body it owns that was elaborated so far
+    plans: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
 
 # -- tokenizer / reader ------------------------------------------------------
@@ -544,68 +551,86 @@ def instantiate(program: Program, name: str, bindings=None) -> Instance:
 
 
 def _elaborate_body(inst, frame, body):
-    """Attach `body` in `frame`; each non-empty `if` branch waits dormant."""
+    """Attach `body` in `frame` by running its plan, compiled once per
+    program; each non-empty `if` branch waits dormant."""
+    plans = inst.program.plans
+    plan = plans.get(id(body))
+    if plan is None:
+        plan = plans[id(body)] = _compile(inst.program, body)
     net = inst.network
     cellmap = frame.cellmap
+    fid = frame.id
+    for op, name, operand in plan:
+        if op == "declare":
+            cid = cellmap.get(name)
+            if cid is None:
+                cid = cellmap[name] = net.add_cell((fid, name))
+            if operand is not None:
+                net.write(cid, operand, f"decl:{fid}:{name}")
+        elif op == "attach":
+            net.attach(name, [cellmap[a] for a in operand])
+        elif op == "if":
+            cond = cellmap[name]
+            for polarity, branch, declared in operand:
+                for local in declared:
+                    if local not in cellmap:
+                        cellmap[local] = net.add_cell((fid, local))
+                inst.dormant.append((fid, cond, polarity, branch))
+        elif op == "call":
+            # the callee's parameters are the caller's argument cells
+            # themselves, so a call adds no cell and no propagator
+            child_id = len(inst.frames)
+            inst.frames.append(Frame(
+                child_id, name, fid, frame.depth + 1,
+                {p: cellmap[a] for p, a in operand}, UNEXPANDED))
+            inst.unexpanded.append(child_id)
+        else:  # "choose"
+            cid = cellmap[name]
+            domain, values = operand
+            net.write(cid, domain, f"decl:{fid}:{name}")
+            inst.choices.append(ChoicePoint(cid, values, fid))
+
+
+def _compile(program, body):
+    """The plan of `body`: one (opcode, name, operand) triple per statement,
+    with its lattice values built once and, for an `if`, the names each
+    non-empty branch declares."""
+    plan = []
     for stmt in body:
         if isinstance(stmt, CellDecl):
-            _declare(net, frame, stmt.name)
+            plan.append(("declare", stmt.name, None))
         elif isinstance(stmt, IntDecl):
-            net.write(_declare(net, frame, stmt.name),
-                      int_interval(stmt.lo, stmt.hi),
-                      f"decl:{frame.id}:{stmt.name}")
+            plan.append(("declare", stmt.name, int_interval(stmt.lo, stmt.hi)))
         elif isinstance(stmt, ConstDecl):
-            net.write(_declare(net, frame, stmt.name), exact(stmt.value),
-                      f"decl:{frame.id}:{stmt.name}")
+            plan.append(("declare", stmt.name, exact(stmt.value)))
         elif isinstance(stmt, PropStmt):
-            net.attach(stmt.kind, tuple(cellmap[a] for a in stmt.args))
+            plan.append(("attach", stmt.kind, stmt.args))
         elif isinstance(stmt, AlldiffStmt):
-            net.attach("alldifferent", tuple(cellmap[a] for a in stmt.names))
+            plan.append(("attach", "alldifferent", stmt.names))
         elif isinstance(stmt, ChooseStmt):
-            cid = cellmap[stmt.name]
-            net.write(cid, finite_domain(stmt.values),
-                      f"decl:{frame.id}:{stmt.name}")
-            inst.choices.append(ChoicePoint(cid, stmt.values, frame.id))
+            plan.append(("choose", stmt.name,
+                         (finite_domain(stmt.values), stmt.values)))
         elif isinstance(stmt, IfStmt):
-            cond = cellmap[stmt.cond]
-            for polarity, branch in ((True, stmt.then_body),
-                                     (False, stmt.else_body)):
-                if branch:
-                    _declare_cells(net, frame, branch)
-                    inst.dormant.append((frame.id, cond, polarity, branch))
+            branches = ((True, stmt.then_body), (False, stmt.else_body))
+            plan.append(("if", stmt.cond, tuple(
+                (polarity, branch, tuple(dict.fromkeys(_declared(branch))))
+                for polarity, branch in branches if branch)))
         elif isinstance(stmt, CallStmt):
-            _elaborate_call(inst, frame, stmt)
+            params = program.definitions[stmt.target].params
+            plan.append(("call", stmt.target, tuple(zip(params, stmt.args))))
         else:
             raise AssertionError(stmt)
+    return tuple(plan)
 
 
-def _declare(net, frame, name):
-    """The cell `name` of `frame`, created on first declaration."""
-    cid = frame.cellmap.get(name)
-    if cid is None:
-        cid = frame.cellmap[name] = net.add_cell((frame.id, name))
-    return cid
-
-
-def _declare_cells(net, frame, body):
+def _declared(body):
     # a name declared in a branch is visible after the `if`, opened or not
     for stmt in body:
         if isinstance(stmt, (CellDecl, IntDecl, ConstDecl)):
-            _declare(net, frame, stmt.name)
+            yield stmt.name
         elif isinstance(stmt, IfStmt):
-            _declare_cells(net, frame, stmt.then_body)
-            _declare_cells(net, frame, stmt.else_body)
-
-
-def _elaborate_call(inst, frame, stmt):
-    # the callee's parameters are the caller's argument cells themselves, so
-    # a call adds no cell and no propagator, and one cell may fill two
-    target = inst.program.definitions[stmt.target]
-    cellmap = {p: frame.cellmap[a] for p, a in zip(target.params, stmt.args)}
-    child_id = len(inst.frames)
-    inst.frames.append(Frame(child_id, stmt.target, frame.id, frame.depth + 1,
-                             cellmap, UNEXPANDED))
-    inst.unexpanded.append(child_id)
+            yield from _declared(stmt.then_body)
+            yield from _declared(stmt.else_body)
 
 
 def expand(inst: Instance, frame_id: int) -> Frame:

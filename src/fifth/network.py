@@ -303,12 +303,26 @@ def _idle_after(net, prop, old, info):
     if kind == "less_equal":
         return old.kind == "int_interval" or old.kind == "real_interval"
     if kind == "sum" and is_integer_valued(info):
-        if info.kind == "int_interval" and old.kind == "int_interval":
+        if old.kind == "int_interval" and info.kind == "int_interval":
             return True  # only integer operands build an IntInterval
-        cells = [net.contents[c] for c in prop.cells]
-        return all(map(is_integer_valued, cells)) and (
-            old.kind == "int_interval" or old.kind == "nothing" and all(
-                max(map(abs, bounds_of(x))) < 2**60 for x in cells))
+        if old.kind != "int_interval" and old.kind != "nothing":
+            return False
+        bound = _INF if old.kind == "int_interval" else 2**60
+        # one pass: every cell integer-valued and strictly within ±bound
+        for c in prop.cells:
+            x = net.contents[c]
+            k = x.kind
+            if k == "int_interval":
+                lo, hi = x.lo, x.hi
+            elif k == "finite_domain":
+                lo, hi = x.elements[0], x.elements[-1]
+            elif k == "exact" and isinstance(x.value, int):
+                lo = hi = x.value
+            else:
+                return False
+            if lo <= -bound or hi >= bound:
+                return False
+        return True
     return kind == "equal"
 
 

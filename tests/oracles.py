@@ -8,18 +8,15 @@ import itertools
 
 
 def queens_solutions(n):
-    """All n-queens placements, 1-indexed columns, by trying every row tuple."""
+    """All n-queens placements, 1-indexed columns, in lexicographic order.
+
+    Queens in distinct rows and distinct columns are exactly the
+    permutations of the columns, so every permutation is tried and only
+    the diagonals are tested."""
     out = []
-    for qs in itertools.product(range(1, n + 1), repeat=n):
-        ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if qs[i] == qs[j] or abs(qs[i] - qs[j]) == j - i:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    for qs in itertools.permutations(range(1, n + 1)):
+        if all(abs(qs[i] - qs[j]) != j - i
+               for i in range(n) for j in range(i + 1, n)):
             out.append(qs)
     return out
 

@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import pytest
 
+from fifth import language
 from fifth.errors import ParseError, StructuralError
 from fifth.language import (
     MAX_IF_NESTING,
@@ -16,6 +20,7 @@ from fifth.language import (
     targets_met,
 )
 from fifth.lattice import NOTHING, exact, int_interval
+from fifth.search import Query, solve
 
 FACT = """
 ; factorial by countdown: nm1 + 1 = n ties the frames together
@@ -392,3 +397,55 @@ def test_unexpanded_worklist_tracks_frames():
     # fact(0) refutes its call's branch, so no frame is left to expand
     assert [f.state for f in inst.frames] == [EXPANDED] * 3
     assert inst.unexpanded == []
+
+
+@pytest.mark.parametrize("n", [1, 32, 1024])
+def test_each_body_compiles_one_plan_whatever_the_depth(n, monkeypatch):
+    # the definition body and both branches of its `if`, once each
+    compiled = []
+    compile_plan = language._compile
+
+    def counted(program, body):
+        compiled.append(body)
+        return compile_plan(program, body)
+
+    monkeypatch.setattr(language, "_compile", counted)
+    program = parse(COUNTDOWN)
+    inst = instantiate(program, "len", {"n": n})
+    report = demand_loop(inst, [inst.cell_of(0, "k")], 2000, 1_000_000)
+    assert inst.network.content(inst.cell_of(0, "k")) == exact(n)
+    assert report.expansions == n
+    body = program.definitions["len"].body
+    gated = body[-1]
+    assert compiled == [body, gated.then_body, gated.else_body]
+    assert set(program.plans) == {id(b) for b in compiled}
+
+
+def test_instances_of_one_program_build_identical_networks():
+    # the second instance runs the plans the first one compiled
+    program = parse(FACT)
+    nets = []
+    for _ in range(2):
+        inst = instantiate(program, "fact", {"n": 6})
+        demand_loop(inst, [inst.cell_of(0, "r")], 100, 100_000)
+        assert inst.network.content(inst.cell_of(0, "r")) == exact(720)
+        nets.append(inst.network)
+    first, second = nets
+    for attr in ("contents", "origins", "watchers", "contributors"):
+        assert getattr(first, attr) == getattr(second, attr), attr
+    assert ([(p.kind, p.cells) for p in first.propagators]
+            == [(p.kind, p.cells) for p in second.propagators])
+
+
+def test_a_solved_program_is_freed_with_its_plans():
+    program = parse(FACT + "(query (fact (n 5)) (show r))")
+    result = solve(program, Query.from_spec(program.query))
+    assert [s["cells"]["r"] for s in result.solutions] == [120]
+    assert program.plans
+    # a plan holds its branches' statements, so a cache that outlived the
+    # program would keep the call inside the `if` alive
+    gated = program.definitions["fact"].body[-1]
+    refs = [weakref.ref(x) for x in (program, gated, gated.then_body[0])]
+    del program, result, gated
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 3

@@ -116,6 +116,13 @@ CELLS = st.permutations(range(3)) | st.lists(st.integers(0, 2), min_size=3,
 # propagator must stay a watcher of the cells that are exact when it attaches
 @example("sum", [NOTHING, exact(9.356141043527195e-110),
                  exact(-4611686018427387904)], (1, 2, 2))
+# a sum into an empty cell sleeps only while every cell lies strictly
+# within ±2^60, and only over integer cells
+@example("sum", [exact(2**60 - 1), exact(0), NOTHING], (0, 1, 2))
+@example("sum", [exact(2**60), exact(0), NOTHING], (0, 1, 2))
+@example("sum", [exact(1 - 2**60), exact(0), NOTHING], (0, 1, 2))
+@example("sum", [exact(-2**60), exact(0), NOTHING], (0, 1, 2))
+@example("sum", [NOTHING, exact(0.5), exact(3.5)], (0, 1, 2))
 def test_a_propagator_left_asleep_by_its_own_writes_has_nothing_left(
         kind, contents, cells):
     """Run a transfer once and apply its writes as the kernel does; if that
