@@ -689,6 +689,8 @@ def may_post(inst, kinds):
     """Ids of the frames with a dormant branch that may still attach a
     statement of one of `kinds` (statement classes): one in the branch, or
     in a nested `if` branch whose condition does not refute it."""
+    if not inst.dormant:
+        return set()
     contents = inst.network.contents
 
     def could(cellmap, body):
@@ -720,8 +722,9 @@ def unsettled_choices(inst):
 
 
 def targets_met(inst, targets, precision=0.0) -> bool:
+    contents = inst.network.contents  # target cells are never dropped
     for cid in targets:
-        content = inst.network.content(cid)
+        content = contents[cid]
         if content.kind == "exact":
             continue
         w = width_of(content)

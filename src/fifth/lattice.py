@@ -254,13 +254,26 @@ def merge(a: PartialInfo, b: PartialInfo) -> PartialInfo:
     When b cannot refine a, a itself is returned and nothing is allocated:
     an exact a equal to an exact b; an integer exact, integer interval or
     finite domain inside an integer interval b; an exact or integer
-    interval inside a real interval b, within REAL_TOL.
+    interval inside a real interval b, within REAL_TOL. When b already is
+    the join, b itself is returned: over Nothing; an integer exact b inside
+    a's finite domain or its integer or real hull; an integer interval b
+    inside an integer interval a.
     """
     ka, kb = a.kind, b.kind
+    if ka == "nothing":
+        return b
 
     if kb == "exact":
-        if ka == "exact" and a.value == b.value:
-            return a
+        v = b.value
+        if ka == "exact":
+            if a.value == v:
+                return a
+        elif type(v) is int:
+            if ka == "finite_domain":
+                if v in a.elements:
+                    return b
+            elif ka != "contradiction" and a.lo <= v <= a.hi:
+                return b
     elif kb == "int_interval":
         if ka == "exact":
             if isinstance(a.value, int) and b.lo <= a.value <= b.hi:
@@ -268,6 +281,8 @@ def merge(a: PartialInfo, b: PartialInfo) -> PartialInfo:
         elif ka == "int_interval":
             if b.lo <= a.lo and a.hi <= b.hi:
                 return a
+            if a.lo <= b.lo and b.hi <= a.hi:
+                return b
             return int_interval(max(a.lo, b.lo), min(a.hi, b.hi))
         elif ka == "finite_domain":
             if b.lo <= a.elements[0] and a.elements[-1] <= b.hi:
@@ -285,8 +300,6 @@ def merge(a: PartialInfo, b: PartialInfo) -> PartialInfo:
     if ka == "contradiction":
         return a
     if kb == "contradiction":
-        return b
-    if ka == "nothing":
         return b
     if kb == "nothing":
         return a

@@ -24,7 +24,9 @@ dropped when the content already lies inside its bounds, already holds its
 exact value, or already lies inside the other side of an equality. Of what
 still reaches `merge` without changing the cell (declarations, branches,
 search bounds), `merge` hands back the old value itself, so it costs one
-identity test. A refinement alerts the cell's watchers, in ascending id
+identity test; a write that already is the join (an exact value inside
+the content, a narrower integer interval) comes back as itself, so no
+equal copy is built. A refinement alerts the cell's watchers, in ascending id
 order, through a FIFO queue with a membership set, so the queue never holds
 duplicates.
 Scheduling order is semantically irrelevant (the catalog propagators are

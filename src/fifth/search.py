@@ -110,12 +110,11 @@ class _SearchState:
 
 
 def _branch_candidates(inst, cp):
-    content = inst.network.content(cp.cell)
-    k = content.kind
-    if k == "finite_domain":
+    # once its domain is written, a choice cell holds a finite domain, an
+    # exact value or a contradiction: merging a finite domain never widens
+    content = inst.network.contents[cp.cell]
+    if content.kind == "finite_domain":
         return content.elements
-    if k == "int_interval":
-        return tuple(range(content.lo, content.hi + 1))
     return ()
 
 
@@ -140,22 +139,21 @@ def _pick_choice(inst, choices):
 def _order_values(inst, cp, values, oracle):
     descriptors = [(cp.cell, exact(v), cp.frame) for v in values]
     scores = oracle.scores(inst, descriptors)
+    if min(scores) == max(scores):
+        return values  # ascending already
     ranked = sorted(zip(values, scores), key=lambda t: (-t[1], t[0]))
     return [v for v, _ in ranked]
 
 
-def _resolve_targets(inst, names):
-    return tuple(inst.cell_of(0, n) for n in names)
-
-
-def _target_values(inst, names):
+def _target_values(inst, targets):
     """Exact values as numbers, anything else as its [lo, hi] hull. An
     endpoint at or beyond the saturation limit stands for every value past
     it, so it is reported open (null), and a saturated exact value becomes
     the half-open range it stands for."""
     cells = {}
-    for n in names:
-        content = inst.network.content(inst.cell_of(0, n))
+    contents = inst.network.contents
+    for n, cid in targets.items():
+        content = contents[cid]
         lo, hi = bounds_of(content)
         if content.kind == "exact" and -INT_SAT < lo < INT_SAT:
             cells[n] = lo
@@ -165,11 +163,11 @@ def _target_values(inst, names):
     return cells
 
 
-def _run_node(inst, query, state):
+def _run_node(inst, query, state, targets):
     """Quiesce one branch. Returns the demand report."""
     report = demand_loop(
         inst,
-        _resolve_targets(inst, query.targets),
+        targets.values(),
         max(query.depth_budget - inst.expansions, 0),
         query.step_budget,
         query.precision,
@@ -192,9 +190,11 @@ def _stats(state):
     }
 
 
-def _dfs(program, query, state, leaf, oracle, trace, gc, write_sink,
+def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
          pre_run=None):
-    """The depth-first search loop behind solve() and optimize().
+    """The depth-first search loop behind solve() and optimize(), from the
+    query's `root`. `targets` maps each target to its cell, resolved once:
+    the root never folds, and its cells keep their ids in every clone.
 
     Each popped node goes to `pre_run`, if given, which may write into it
     (optimize() posts its incumbent bound), then is quiesced and reported
@@ -205,7 +205,6 @@ def _dfs(program, query, state, leaf, oracle, trace, gc, write_sink,
     leaves the search incomplete.
     """
     oracle = oracle or UniformOracle()
-    root = instantiate(program, query.entry, dict(query.bindings))
     if write_sink is not None:
         root.network.trace_sink = write_sink
     state.stack.append(root)
@@ -216,7 +215,7 @@ def _dfs(program, query, state, leaf, oracle, trace, gc, write_sink,
         inst = state.stack.pop()
         if pre_run is not None:
             pre_run(inst)
-        report = _run_node(inst, query, state)
+        report = _run_node(inst, query, state, targets)
         if trace is not None:
             trace.node(inst)
         if report.contradiction is not None:
@@ -228,8 +227,7 @@ def _dfs(program, query, state, leaf, oracle, trace, gc, write_sink,
             # abandoned as incomplete rather than judged on a half-run
             continue
         if gc:
-            folded = collect_garbage(
-                inst, _resolve_targets(inst, query.targets))
+            folded = collect_garbage(inst, targets.values())
             state.summarized += len(folded.summarized)
         choices = unsettled_choices(inst)
         if report.targets_met and not choices and not may_post(
@@ -268,18 +266,20 @@ def solve(program: Program, query: Query, oracle=None, trace=None,
     inherit it); instantiation writes happen before it is installed.
     """
     state = _SearchState()
+    root = instantiate(program, query.entry, dict(query.bindings))
+    targets = {n: root.cell_of(0, n) for n in query.targets}
 
     def record(inst):
         if trace is not None:
             trace.solution(inst)
-        state.solutions.append({"cells": _target_values(inst, query.targets)})
+        state.solutions.append({"cells": _target_values(inst, targets)})
 
-    _dfs(program, query, state, record, oracle, trace, gc, write_sink)
+    _dfs(root, targets, query, state, record, oracle, trace, gc, write_sink)
     return SolutionSet(solutions=state.solutions, stats=_stats(state))
 
 
-def _objective_lower_bound(inst, obj_name):
-    r = bounds_of(inst.network.content(inst.cell_of(0, obj_name)))
+def _objective_lower_bound(inst, obj_cell):
+    r = bounds_of(inst.network.contents[obj_cell])
     return None if r is None else r[0]
 
 
@@ -304,16 +304,17 @@ def optimize(program: Program, query: Query, oracle=None,
     """
     if query.objective is None:
         raise StructuralError("optimize needs an objective")
-    obj_name = query.objective
     state = _SearchState()
     bound_trace = []
+    root = instantiate(program, query.entry, dict(query.bindings))
+    targets = {n: root.cell_of(0, n) for n in query.targets}
+    obj_cell = root.cell_of(0, query.objective)
 
     def post_bound(inst):
         incumbent = state.incumbent
         if incumbent is None:
             return
-        obj_cell = inst.cell_of(0, obj_name)
-        content = inst.network.content(obj_cell)
+        content = inst.network.contents[obj_cell]
         # an int bound would cut real values in (incumbent - 1, incumbent)
         if isinstance(incumbent, int) and is_integer_valued(content):
             limit, interval = incumbent - 1, int_interval
@@ -327,11 +328,10 @@ def optimize(program: Program, query: Query, oracle=None,
                            "bound:incumbent")
 
     def improve(inst):
-        lb = _objective_lower_bound(inst, obj_name)
+        lb = _objective_lower_bound(inst, obj_cell)
         if lb is None or (state.incumbent is not None
                           and lb >= state.incumbent):
             return
-        obj_cell = inst.cell_of(0, obj_name)
         pinned = inst.clone()
         pinned.network.write(obj_cell, exact(lb), "probe:objective")
         report = settle(pinned, query.step_budget)
@@ -339,7 +339,7 @@ def optimize(program: Program, query: Query, oracle=None,
         if report.contradiction is not None:
             # the lower bound is not attainable in this branch, but a larger
             # value may be
-            if is_integer_valued(inst.network.content(obj_cell)):
+            if is_integer_valued(inst.network.contents[obj_cell]):
                 above = inst.clone()
                 above.network.write(obj_cell, int_interval(lb + 1, INT_SAT),
                                     "bound:unattained")
@@ -352,12 +352,12 @@ def optimize(program: Program, query: Query, oracle=None,
             state.complete = False
             return
         state.incumbent = lb
-        state.solutions.append({"cells": _target_values(pinned, query.targets)})
+        state.solutions.append({"cells": _target_values(pinned, targets)})
         bound_trace.append({"nodes": state.nodes, "bound": lb})
         if trace is not None:
             trace.solution(pinned)
 
-    _dfs(program, query, state, improve, oracle, trace, gc, write_sink,
+    _dfs(root, targets, query, state, improve, oracle, trace, gc, write_sink,
          pre_run=post_bound)
     return OptimizeResult(
         solution=state.solutions[-1] if state.solutions else None,

@@ -88,6 +88,20 @@ def test_merge_that_cannot_refine_returns_its_first_argument(a, b):
     assert merge(a, b) is a
 
 
+@pytest.mark.parametrize("a, b", [
+    (NOTHING, exact(3)),
+    (NOTHING, int_interval(0, 9)),
+    (NOTHING, contradiction(("w1",))),
+    (finite_domain({1, 4, 7}), exact(4)),
+    (int_interval(0, 9), exact(9)),
+    (real_interval(-0.5, 9.5), exact(3)),
+    (int_interval(0, 9), int_interval(2, 5)),
+    (int_interval(0, 9), int_interval(0, 5)),
+])
+def test_merge_that_already_is_the_join_returns_its_second_argument(a, b):
+    assert merge(a, b) is b
+
+
 def test_contradiction_provenance_union():
     c = merge(contradiction(("w1",)), contradiction(("w2",)))
     assert c.provenance == ("w1", "w2")
@@ -188,6 +202,40 @@ def test_merge_laws(a, b, c):
     ab = merge(a, b)
     assert refines(a, ab)
     assert refines(b, ab)
+
+
+def _already_the_join(a, b):
+    """Whether b is one of the joins merge(a, b) hands back as itself."""
+    if a.kind == "nothing":
+        return True
+    if b.kind == "exact" and type(b.value) is int:
+        if a.kind == "finite_domain":
+            return b.value in a.elements
+        if a.kind in ("int_interval", "real_interval"):
+            return a.lo <= b.value <= a.hi
+    # an equal interval is handed back as a, the first argument
+    return (a.kind == b.kind == "int_interval" and a != b
+            and a.lo <= b.lo and b.hi <= a.hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_infos(), partial_infos(), ints, ints)
+def test_merge_hands_back_a_second_argument_that_already_is_the_join(
+        a, b, x, y):
+    # besides b as drawn, values narrowed into a, so that every case the
+    # fast path covers comes up often
+    candidates = [b, exact(x)]
+    r = bounds_of(a)
+    if r is not None:
+        lo, hi = math.ceil(r[0]), math.floor(r[1])
+        candidates.append(int_interval(max(lo, min(x, y)), min(hi, max(x, y))))
+        if a.kind == "finite_domain":
+            candidates.append(exact(a.elements[x % len(a.elements)]))
+    for b in candidates:
+        if _already_the_join(a, b):
+            out = merge(a, b)
+            assert out is b
+            assert out == merge(b, a)
 
 
 @settings(max_examples=300, deadline=None)

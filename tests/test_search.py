@@ -18,6 +18,7 @@ from fifth import (
 from fifth.errors import StructuralError
 from fifth.language import EXPANDED, SUMMARIZED, UNEXPANDED
 from fifth.lattice import truth_value
+from fifth.search import _order_values
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -362,6 +363,47 @@ def test_oracle_steers_first_solution():
     high = solve(prog, q, oracle=_HighFirst())
     assert low.solutions[0]["cells"]["a"] == 1
     assert high.solutions[0]["cells"]["a"] == 3
+
+
+class _Fixed:
+    """Scores the candidates from a fixed list, in the order given."""
+
+    def __init__(self, scores):
+        self.given = scores
+
+    def scores(self, instance, descriptors):
+        return list(self.given)
+
+
+@pytest.mark.parametrize("scores,expected", [
+    ([0.0, 0.0, 0.0, 0.0], [1, 2, 5, 7]),
+    ([0.75, 0.75, 0.75, 0.75], [1, 2, 5, 7]),
+    ([0.1, 0.9, 0.5, 0.3], [2, 5, 7, 1]),
+    ([0.5, 0.9, 0.5, 0.9], [2, 7, 1, 5]),
+])
+def test_value_order_is_descending_score_then_ascending_value(
+        scores, expected):
+    inst = instantiate(parse("(def (free a) (choose a 1 2 5 7))"), "free")
+    cp = inst.choices[0]
+    values = inst.network.content(cp.cell).elements
+    assert list(_order_values(inst, cp, values, _Fixed(scores))) == expected
+
+
+@pytest.mark.parametrize("gc", [False, True])
+def test_a_choice_branches_only_on_values_its_declaration_admits(gc):
+    prog = parse("(def (p x) (int x 0 9) (choose x 3 4 20))")
+    branches = []
+
+    def sink(rec):
+        if rec["propagator"].startswith("branch:"):
+            branches.append(rec["propagator"])
+
+    res = solve(prog, Query(entry="p", targets=("x",)), gc=gc,
+                write_sink=sink)
+    assert res.assignments() == [{"x": 3}, {"x": 4}]
+    # children are cloned, and their branch written, last value first
+    assert branches == ["branch:0=4", "branch:0=3"]
+    assert res.stats["nodes"] == 3 and res.stats["complete"]
 
 
 # -- optimize ----------------------------------------------------------------
