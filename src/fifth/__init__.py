@@ -48,16 +48,13 @@ from fifth.search import (
 from fifth.planning import (
     HorizonProblem,
     JobShopInstance,
-    check_temporal_locality,
     emit_horizon_program,
     emit_jobshop_program,
-    extract_schedule,
     generate_random_csp,
 )
 
 __all__ = [
     "AugmentationTree",
-    "check_temporal_locality",
     "collect_garbage",
     "Contradiction",
     "demand_loop",
@@ -66,7 +63,6 @@ __all__ = [
     "Exact",
     "exact",
     "expand",
-    "extract_schedule",
     "featurize",
     "finite_domain",
     "FiniteDomain",

@@ -70,33 +70,42 @@ def _precision(text):
     return x
 
 
+_FLAGS = {
+    "seed": dict(type=int, default=0),
+    "depth": dict(type=_budget, default=None),
+    "steps": dict(type=_budget, default=None),
+    "nodes": dict(type=_budget, default=None),
+    "precision": dict(type=_precision, default=None),
+    "oracle": dict(choices=("uniform", "learned"), default="uniform"),
+    "model": dict(default=None),
+    "trace": dict(action="store_true"),
+    "out": dict(default=None),
+    "gc": dict(action="store_true"),
+}
+_BUDGETS = ("depth", "steps", "nodes", "precision")
+
+
 @functools.lru_cache(maxsize=None)  # built once per process
 def _build_parser():
+    """Each command takes only the flags it reads; any other is a usage
+    error rather than a silent no-op."""
     parser = _Parser(prog="fifth")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--depth", type=_budget, default=None)
-        sp.add_argument("--steps", type=_budget, default=None)
-        sp.add_argument("--nodes", type=_budget, default=None)
-        sp.add_argument("--precision", type=_precision, default=None)
-        sp.add_argument("--oracle", choices=("uniform", "learned"),
-                        default="uniform")
-        sp.add_argument("--model", default=None)
-        sp.add_argument("--trace", action="store_true")
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--gc", action="store_true")
-        return sp
+    def command(name, summary, flags, *positional):
+        sp = sub.add_parser(name, help=summary)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag])
+        for arg in positional:
+            sp.add_argument(arg)
 
-    sp = common(sub.add_parser("solve", help="run one program"))
-    sp.add_argument("program")
-    sp = common(sub.add_parser("train", help="fit guidance from a corpus"))
-    sp.add_argument("corpus")
-    sp = common(sub.add_parser("measure", help="compare guided vs unguided"))
-    sp.add_argument("train_dir")
-    sp.add_argument("eval_dir")
-    common(sub.add_parser("check", help="run self-test suites"))
+    command("solve", "run one program",
+            (*_BUDGETS, "oracle", "model", "trace", "out", "gc"), "program")
+    command("train", "fit guidance from a corpus",
+            ("seed", *_BUDGETS, "model", "out"), "corpus")
+    command("measure", "compare guided vs unguided",
+            ("seed", *_BUDGETS, "model", "out"), "train_dir", "eval_dir")
+    command("check", "run self-test suites", ("seed",))
     return parser
 
 

@@ -92,18 +92,6 @@ def _fold_pairwise(items, combine):
     return level[0], hops
 
 
-def spine_audit(depth):
-    """Max leaf-to-root combine count for a path of `depth` frames. Leaf 0
-    is paired at every level of the fold, so this is the level count."""
-    if depth < 1:
-        raise ValueError("a path has at least one frame")
-    levels = 0
-    while depth > 1:
-        depth = (depth + 1) // 2
-        levels += 1
-    return levels
-
-
 class AugmentationTree:
     """Shared frame encoders, outcome memory, and spine combiners.
 

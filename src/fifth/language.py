@@ -6,14 +6,16 @@ reaches it, and an `if` branch waits dormant until its condition decides;
 neither is attached before it opens. So recursion is unbounded but only
 paid for where information actually flows.
 
-A body (a frame's, or an opened branch's) is attached by running its plan,
-opcodes with prebuilt lattice values that the program compiles on the
-body's first elaboration and keeps, so a recursion walks its AST once.
+`parse` compiles each body straight to the form that runs: a plan, one
+(opcode, name, operand) triple per statement with its lattice values built
+once, checked for syntax and scope in the same pass. A body (a frame's, or
+an opened branch's) is attached by running its plan, so a recursion reads
+its program text once.
 """
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParseError, StructuralError
@@ -27,79 +29,16 @@ from .lattice import (
 )
 from .network import Network, QuiescenceReport
 
-# deepest `if` nesting a definition may have; parsing, checking and
-# elaboration recurse once per level, so this keeps them off the Python
-# stack limit
+# deepest `if` nesting a definition may have; compiling and elaboration
+# recurse once per level, so this keeps them off the Python stack limit
 MAX_IF_NESTING = 200
-
-
-# -- AST -------------------------------------------------------------------
-
-
-_POS = dict(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class CellDecl:
-    name: str
-    pos: tuple = field(**_POS)
-
-
-@dataclass(frozen=True)
-class IntDecl:
-    name: str
-    lo: int
-    hi: int
-    pos: tuple = field(**_POS)
-
-
-@dataclass(frozen=True)
-class ConstDecl:
-    name: str
-    value: object
-    pos: tuple = field(**_POS)
-
-
-@dataclass(frozen=True)
-class PropStmt:
-    kind: str  # sum | product | equal | less_equal
-    args: tuple
-    pos: tuple = field(**_POS)
-
-
-@dataclass(frozen=True)
-class AlldiffStmt:
-    names: tuple
-    pos: tuple = field(**_POS)
-
-
-@dataclass(frozen=True)
-class ChooseStmt:
-    name: str
-    values: tuple
-    pos: tuple = field(**_POS)
-
-
-@dataclass(frozen=True)
-class IfStmt:
-    cond: str
-    then_body: tuple
-    else_body: tuple
-    pos: tuple = field(**_POS)
-
-
-@dataclass(frozen=True)
-class CallStmt:
-    target: str
-    args: tuple
-    pos: tuple = field(**_POS)
 
 
 @dataclass(frozen=True)
 class Definition:
     name: str
     params: tuple
-    body: tuple
+    plan: tuple  # compiled body, see `_compile`
 
 
 @dataclass(frozen=True)
@@ -117,9 +56,6 @@ class QuerySpec:
 class Program:
     definitions: dict
     query: Optional[QuerySpec] = None
-    # id(body) -> plan, for each body it owns that was elaborated so far
-    plans: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
 
 
 # -- tokenizer / reader ------------------------------------------------------
@@ -225,9 +161,11 @@ def _number_atom(node):
 
 
 def parse(text: str) -> Program:
-    """Parse program text, checking names, arities and the query form."""
+    """Parse program text and compile every body to its plan, checking
+    names, arities and the query form. Faults in bodies are reported in
+    source order, once every definition header is read."""
     reader = _Reader(_tokenize(text))
-    defs = {}
+    headers = {}  # name -> (params, body nodes)
     query = None
     while not reader.at_end():
         node = reader.read()
@@ -238,23 +176,27 @@ def parse(text: str) -> Program:
             if query is not None:
                 raise ParseError("definitions must precede the query",
                                  node[1], node[2])
-            d = _parse_def(node)
-            if d.name in defs:
-                raise ParseError(f"duplicate definition {d.name!r}",
+            name, params = _parse_header(node)
+            if name in headers:
+                raise ParseError(f"duplicate definition {name!r}",
                                  node[1], node[2])
-            defs[d.name] = d
+            headers[name] = (params, node[0][2:])
         elif head == "query":
             if query is not None:
                 raise ParseError("only one query form allowed", node[1], node[2])
             query = _parse_query(node)
         else:
             raise ParseError(f"unknown form {head!r}", node[0][0][1], node[0][0][2])
-    program = Program(defs, query)
-    _check_program(program)
+    arities = {name: params for name, (params, _) in headers.items()}
+    program = Program({
+        name: Definition(name, params,
+                         _compile(body, name, arities, set(params), []))
+        for name, (params, body) in headers.items()}, query)
+    _check_query(program)
     return program
 
 
-def _parse_def(node):
+def _parse_header(node):
     items, line, col = node
     if len(items) < 2 or not _is_list(items[1]) or not items[1][0]:
         raise ParseError("def needs a (name params...) header", line, col)
@@ -264,71 +206,111 @@ def _parse_def(node):
     if len(set(params)) != len(params):
         raise ParseError(f"duplicate parameter in {name!r}",
                          items[1][1], items[1][2])
-    body = tuple(_parse_stmt(s) for s in items[2:])
-    return Definition(name, params, body)
+    return name, params
 
 
-def _parse_stmt(node, nesting=0):
-    if not _is_list(node) or not node[0]:
-        raise ParseError("expected a statement", node[1], node[2])
-    items, line, col = node
-    head = _atom(items[0], "statement name")
-    args = items[1:]
+# statements that take a fixed number of arguments
+_ARITY = {"cell": 1, "int": 3, "const": 2, "sum": 3, "product": 3,
+          "equal": 2, "lesseq": 2, "if": 3}
+# relation statement -> propagator kind
+_KIND = {"sum": "sum", "product": "product", "equal": "equal",
+         "lesseq": "less_equal"}
 
-    def need(n):
-        if len(args) != n:
+
+def _compile(nodes, dname, arities, known, declared, nesting=0):
+    """The plan of the statements `nodes` in definition `dname`, checked as
+    it is built: one (opcode, name, operand) triple per statement, with its
+    lattice values built once. `known` is the scope, names declared so far,
+    which `if` branches share with the enclosing body; every name this body
+    and its nested branches declare is appended to `declared`. An `if`
+    holds, for each non-empty branch, its polarity, its plan and the names
+    it declares."""
+    plan = []
+    for node in nodes:
+        if not _is_list(node) or not node[0]:
+            raise ParseError("expected a statement", node[1], node[2])
+        items, line, col = node
+        head = _atom(items[0], "statement name")
+        args = items[1:]
+        n = _ARITY.get(head)
+        if n is not None and len(args) != n:
             raise ParseError(f"{head} takes {n} arguments, got {len(args)}",
                              line, col)
+        if head in ("cell", "int", "const"):
+            name = _atom(args[0])
+            if head == "cell":
+                if name in known:
+                    raise ParseError(f"duplicate cell {name!r} in {dname!r}",
+                                     line, col)
+                value = None
+            elif head == "int":
+                value = int_interval(_int_atom(args[1]), _int_atom(args[2]))
+            else:
+                value = exact(_number_atom(args[1]))
+            known.add(name)
+            declared.append(name)
+            plan.append(("declare", name, value))
+        elif head in _KIND:
+            plan.append(("attach", _KIND[head],
+                         _names(args, known, dname, line, col)))
+        elif head == "alldiff":
+            if len(args) < 2:
+                raise ParseError("alldiff needs at least two cells", line, col)
+            plan.append(("attach", "alldifferent",
+                         _names(args, known, dname, line, col)))
+        elif head == "choose":
+            if len(args) < 2:
+                raise ParseError("choose needs a cell and at least one value",
+                                 line, col)
+            name, = _names(args[:1], known, dname, line, col)
+            values = tuple(_int_atom(a) for a in args[1:])
+            plan.append(("choose", name, (finite_domain(values), values)))
+        elif head == "if":
+            if nesting >= MAX_IF_NESTING:
+                raise ParseError(f"if nested more than {MAX_IF_NESTING} deep",
+                                 line, col)
+            cond, = _names(args[:1], known, dname, line, col)
+            branches = []
+            for polarity, branch in ((True, args[1]), (False, args[2])):
+                if not _is_list(branch):
+                    raise ParseError("if branches must be statement lists",
+                                     branch[1], branch[2])
+                if branch[0]:
+                    local = []
+                    branches.append((polarity, _compile(
+                        branch[0], dname, arities, known, local, nesting + 1),
+                        tuple(dict.fromkeys(local))))
+                    declared += local
+            plan.append(("if", cond, tuple(branches)))
+        elif head == "call":
+            if not args:
+                raise ParseError("call needs a target", line, col)
+            target = _atom(args[0])
+            params = arities.get(target)
+            if params is None:
+                raise ParseError(
+                    f"call to undefined {target!r} in {dname!r}", line, col)
+            if len(args) - 1 != len(params):
+                raise ParseError(
+                    f"call to {target!r} with {len(args) - 1} args,"
+                    f" expected {len(params)}",
+                    line, col,
+                )
+            names = _names(args[1:], known, dname, line, col)
+            plan.append(("call", target, tuple(zip(params, names))))
+        else:
+            raise ParseError(f"unknown statement {head!r}", line, col)
+    return tuple(plan)
 
-    pos = (line, col)
-    if head == "cell":
-        need(1)
-        return CellDecl(_atom(args[0]), pos=pos)
-    if head == "int":
-        need(3)
-        return IntDecl(_atom(args[0]), _int_atom(args[1]), _int_atom(args[2]),
-                       pos=pos)
-    if head == "const":
-        need(2)
-        return ConstDecl(_atom(args[0]), _number_atom(args[1]), pos=pos)
-    if head in ("sum", "product"):
-        need(3)
-        return PropStmt(head, tuple(_atom(a) for a in args), pos=pos)
-    if head == "equal":
-        need(2)
-        return PropStmt("equal", tuple(_atom(a) for a in args), pos=pos)
-    if head == "lesseq":
-        need(2)
-        return PropStmt("less_equal", tuple(_atom(a) for a in args), pos=pos)
-    if head == "alldiff":
-        if len(args) < 2:
-            raise ParseError("alldiff needs at least two cells", line, col)
-        return AlldiffStmt(tuple(_atom(a) for a in args), pos=pos)
-    if head == "choose":
-        if len(args) < 2:
-            raise ParseError("choose needs a cell and at least one value",
-                             line, col)
-        return ChooseStmt(_atom(args[0]), tuple(_int_atom(a) for a in args[1:]),
-                          pos=pos)
-    if head == "if":
-        need(3)
-        if nesting >= MAX_IF_NESTING:
-            raise ParseError(f"if nested more than {MAX_IF_NESTING} deep",
-                             line, col)
-        cond = _atom(args[0])
-        for branch in (args[1], args[2]):
-            if not _is_list(branch):
-                raise ParseError("if branches must be statement lists",
-                                 branch[1], branch[2])
-        then_body = tuple(_parse_stmt(s, nesting + 1) for s in args[1][0])
-        else_body = tuple(_parse_stmt(s, nesting + 1) for s in args[2][0])
-        return IfStmt(cond, then_body, else_body, pos=pos)
-    if head == "call":
-        if not args:
-            raise ParseError("call needs a target", line, col)
-        return CallStmt(_atom(args[0]), tuple(_atom(a) for a in args[1:]),
-                        pos=pos)
-    raise ParseError(f"unknown statement {head!r}", line, col)
+
+def _names(nodes, known, dname, line, col):
+    """The names `nodes` spell, each declared before the statement at
+    (line, col) uses it."""
+    names = tuple(_atom(a) for a in nodes)
+    for name in names:
+        if name not in known:
+            raise ParseError(f"unbound name {name!r} in {dname!r}", line, col)
+    return names
 
 
 def _parse_query(node):
@@ -370,9 +352,7 @@ def _parse_query(node):
     return QuerySpec(entry, tuple(bindings), show, **opts)
 
 
-def _check_program(program):
-    for d in program.definitions.values():
-        _check_body(program, d, d.body, set(d.params))
+def _check_query(program):
     q = program.query
     if q is None:
         return
@@ -387,54 +367,6 @@ def _check_program(program):
             raise ParseError(f"show target {name!r} is not a parameter of {q.entry!r}")
     if q.minimize is not None and q.minimize not in params:
         raise ParseError(f"minimize target {q.minimize!r} is not a parameter of {q.entry!r}")
-
-
-def _check_body(program, d, body, known):
-    # declare-before-use, single pass; `if` branches see the same scope and
-    # may declare independently (their cells exist from the `if` on, and a
-    # branch writes them only once it opens)
-    for stmt in body:
-        line, col = stmt.pos or (None, None)
-        if isinstance(stmt, CellDecl):
-            if stmt.name in known:
-                raise ParseError(f"duplicate cell {stmt.name!r} in {d.name!r}",
-                                 line, col)
-            known.add(stmt.name)
-        elif isinstance(stmt, (IntDecl, ConstDecl)):
-            known.add(stmt.name)
-        elif isinstance(stmt, PropStmt):
-            for a in stmt.args:
-                _require(known, a, d, stmt)
-        elif isinstance(stmt, AlldiffStmt):
-            for a in stmt.names:
-                _require(known, a, d, stmt)
-        elif isinstance(stmt, ChooseStmt):
-            _require(known, stmt.name, d, stmt)
-        elif isinstance(stmt, IfStmt):
-            _require(known, stmt.cond, d, stmt)
-            _check_body(program, d, stmt.then_body, known)
-            _check_body(program, d, stmt.else_body, known)
-        elif isinstance(stmt, CallStmt):
-            target = program.definitions.get(stmt.target)
-            if target is None:
-                raise ParseError(
-                    f"call to undefined {stmt.target!r} in {d.name!r}",
-                    line, col,
-                )
-            if len(stmt.args) != len(target.params):
-                raise ParseError(
-                    f"call to {stmt.target!r} with {len(stmt.args)} args,"
-                    f" expected {len(target.params)}",
-                    line, col,
-                )
-            for a in stmt.args:
-                _require(known, a, d, stmt)
-
-
-def _require(known, name, d, stmt):
-    if name not in known:
-        line, col = stmt.pos or (None, None)
-        raise ParseError(f"unbound name {name!r} in {d.name!r}", line, col)
 
 
 # -- frames and instances ------------------------------------------------------
@@ -503,7 +435,7 @@ class Instance:
         # ids of frames awaiting expansion, ascending
         self.unexpanded = [] if unexpanded is None else unexpanded
         # `if` branches not attached yet, each (frame id, condition cell,
-        # polarity, body); `settle` opens or drops them once they decide
+        # polarity, plan); `settle` opens or drops them once they decide
         self.dormant = [] if dormant is None else dormant
 
     @property
@@ -539,7 +471,7 @@ def instantiate(program: Program, name: str, bindings=None) -> Instance:
     inst = Instance(program, net, [root], [])
     for p in d.params:
         cellmap[p] = net.add_cell((0, p))
-    _elaborate_body(inst, root, d.body)
+    _elaborate_body(inst, root, d.plan)
     for pname, value in (bindings or {}).items():
         if pname not in cellmap:
             raise StructuralError(
@@ -550,13 +482,9 @@ def instantiate(program: Program, name: str, bindings=None) -> Instance:
     return inst
 
 
-def _elaborate_body(inst, frame, body):
-    """Attach `body` in `frame` by running its plan, compiled once per
-    program; each non-empty `if` branch waits dormant."""
-    plans = inst.program.plans
-    plan = plans.get(id(body))
-    if plan is None:
-        plan = plans[id(body)] = _compile(inst.program, body)
+def _elaborate_body(inst, frame, plan):
+    """Attach a body in `frame` by running its plan; each non-empty `if`
+    branch waits dormant."""
     net = inst.network
     cellmap = frame.cellmap
     fid = frame.id
@@ -570,6 +498,8 @@ def _elaborate_body(inst, frame, body):
         elif op == "attach":
             net.attach(name, [cellmap[a] for a in operand])
         elif op == "if":
+            # a name declared in a branch is visible after the `if`, opened
+            # or not
             cond = cellmap[name]
             for polarity, branch, declared in operand:
                 for local in declared:
@@ -591,48 +521,6 @@ def _elaborate_body(inst, frame, body):
             inst.choices.append(ChoicePoint(cid, values, fid))
 
 
-def _compile(program, body):
-    """The plan of `body`: one (opcode, name, operand) triple per statement,
-    with its lattice values built once and, for an `if`, the names each
-    non-empty branch declares."""
-    plan = []
-    for stmt in body:
-        if isinstance(stmt, CellDecl):
-            plan.append(("declare", stmt.name, None))
-        elif isinstance(stmt, IntDecl):
-            plan.append(("declare", stmt.name, int_interval(stmt.lo, stmt.hi)))
-        elif isinstance(stmt, ConstDecl):
-            plan.append(("declare", stmt.name, exact(stmt.value)))
-        elif isinstance(stmt, PropStmt):
-            plan.append(("attach", stmt.kind, stmt.args))
-        elif isinstance(stmt, AlldiffStmt):
-            plan.append(("attach", "alldifferent", stmt.names))
-        elif isinstance(stmt, ChooseStmt):
-            plan.append(("choose", stmt.name,
-                         (finite_domain(stmt.values), stmt.values)))
-        elif isinstance(stmt, IfStmt):
-            branches = ((True, stmt.then_body), (False, stmt.else_body))
-            plan.append(("if", stmt.cond, tuple(
-                (polarity, branch, tuple(dict.fromkeys(_declared(branch))))
-                for polarity, branch in branches if branch)))
-        elif isinstance(stmt, CallStmt):
-            params = program.definitions[stmt.target].params
-            plan.append(("call", stmt.target, tuple(zip(params, stmt.args))))
-        else:
-            raise AssertionError(stmt)
-    return tuple(plan)
-
-
-def _declared(body):
-    # a name declared in a branch is visible after the `if`, opened or not
-    for stmt in body:
-        if isinstance(stmt, (CellDecl, IntDecl, ConstDecl)):
-            yield stmt.name
-        elif isinstance(stmt, IfStmt):
-            yield from _declared(stmt.then_body)
-            yield from _declared(stmt.else_body)
-
-
 def expand(inst: Instance, frame_id: int) -> Frame:
     """Attach the body of an unexpanded frame, elaborated like the root's."""
     frame = inst.frames[frame_id]
@@ -642,7 +530,7 @@ def expand(inst: Instance, frame_id: int) -> Frame:
         raise StructuralError(f"frame {frame_id} is already expanded")
     inst.unexpanded.remove(frame_id)
     d = inst.program.definitions[frame.defname]
-    _elaborate_body(inst, frame, d.body)
+    _elaborate_body(inst, frame, d.plan)
     frame.state = EXPANDED
     inst.expansions += 1
     return frame
@@ -656,12 +544,12 @@ def _open_decided(inst):
     opened = False
     # opening appends nested branches to inst.dormant; the loop visits them
     for entry in inst.dormant:
-        fid, cond, polarity, body = entry
+        fid, cond, polarity, plan = entry
         truth = truth_value(contents[cond])
         if truth is None:
             kept.append(entry)
         elif truth == polarity:
-            _elaborate_body(inst, inst.frames[fid], body)
+            _elaborate_body(inst, inst.frames[fid], plan)
             opened = True
     inst.dormant = kept
     return opened
@@ -685,28 +573,27 @@ def settle(inst: Instance, step_budget=None) -> QuiescenceReport:
     return QuiescenceReport(steps, rep.quiescent, rep.contradiction)
 
 
-def may_post(inst, kinds):
-    """Ids of the frames with a dormant branch that may still attach a
-    statement of one of `kinds` (statement classes): one in the branch, or
-    in a nested `if` branch whose condition does not refute it."""
+def may_post(inst, ops):
+    """Ids of the frames with a dormant branch that may still run a plan op
+    whose opcode is in `ops` (such as "choose" or "call"): one in the
+    branch, or in a nested `if` branch whose condition does not refute it."""
     if not inst.dormant:
         return set()
     contents = inst.network.contents
 
-    def could(cellmap, body):
-        for stmt in body:
-            if isinstance(stmt, kinds):
+    def could(cellmap, plan):
+        for op, name, operand in plan:
+            if op in ops:
                 return True
-            if isinstance(stmt, IfStmt):
-                truth = truth_value(contents[cellmap[stmt.cond]])
-                if (truth is not False and could(cellmap, stmt.then_body)
-                        or truth is not True
-                        and could(cellmap, stmt.else_body)):
-                    return True
+            if op == "if":
+                truth = truth_value(contents[cellmap[name]])
+                for polarity, branch, _ in operand:
+                    if truth in (None, polarity) and could(cellmap, branch):
+                        return True
         return False
 
-    return {fid for fid, _, _, body in inst.dormant
-            if could(inst.frames[fid].cellmap, body)}
+    return {fid for fid, _, _, plan in inst.dormant
+            if could(inst.frames[fid].cellmap, plan)}
 
 
 def unsettled_choices(inst):

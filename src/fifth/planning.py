@@ -2,25 +2,21 @@
 
 A plan over H steps becomes one recursive definition whose call chain walks
 the step index 0..H. The index is the only thing that grows, so every
-constraint couples a step to its immediate successor and nothing further;
-`check_temporal_locality` proves that from the program text alone. Schedules
-are flat single-frame programs: start-time cells, precedence sums, and one
-ordering bit per pair of operations that share a machine. Everything here
-emits plain source text, so the engine never learns what a plan is.
+constraint couples a step to its immediate successor and nothing further.
+Schedules are flat single-frame programs: start-time cells, precedence sums,
+and one ordering bit per pair of operations that share a machine. Everything
+here emits plain source text, so the engine never learns what a plan is.
 """
 
 from dataclasses import dataclass
 
-from .language import CallStmt, ConstDecl, IfStmt, PropStmt, parse
 from .rng import SplitMix64
 
 __all__ = [
     "HorizonProblem",
     "JobShopInstance",
-    "check_temporal_locality",
     "emit_horizon_program",
     "emit_jobshop_program",
-    "extract_schedule",
     "generate_random_csp",
 ]
 
@@ -197,22 +193,6 @@ def emit_jobshop_program(instance: JobShopInstance) -> str:
     return "\n".join(lines) + "\n\n" + query + "\n"
 
 
-def extract_schedule(instance: JobShopInstance, solution) -> dict:
-    """Earliest-start reading of a returned solution: {(job, op): start}.
-
-    Start cells come back exact or as [lo, hi] slack intervals; the lo end
-    is always feasible because lower bounds only ever flow forward along
-    precedence and ordering constraints.
-    """
-    cells = solution["cells"] if "cells" in solution else solution
-    out = {}
-    for j, job in enumerate(instance.jobs):
-        for k in range(len(job)):
-            v = cells[f"s{j}x{k}"]
-            out[(j, k)] = v[0] if isinstance(v, list) else v
-    return out
-
-
 def generate_random_csp(n_vars: int, domain: int, density: float, seed: int):
     """Deterministic random binary CSP as (program text, oracle metadata).
 
@@ -266,65 +246,3 @@ def generate_random_csp(n_vars: int, domain: int, density: float, seed: int):
     }
     return text, meta
 
-
-# -- static locality check -----------------------------------------------
-
-
-def _body_facts(body, consts, sums, calls):
-    for stmt in body:
-        if isinstance(stmt, ConstDecl):
-            consts[stmt.name] = stmt.value
-        elif isinstance(stmt, PropStmt) and stmt.kind == "sum":
-            sums.append(stmt.args)
-        elif isinstance(stmt, IfStmt):
-            _body_facts(stmt.then_body, consts, sums, calls)
-            _body_facts(stmt.else_body, consts, sums, calls)
-        elif isinstance(stmt, CallStmt):
-            calls.append(stmt)
-
-
-def _index_stride(index, arg, sums, consts):
-    """How far the call argument sits from the index parameter, if the text
-    pins that down: looks for (sum index k arg) with k a known constant."""
-    if arg == index:
-        return 0
-    for a, b, c in sums:
-        if c != arg:
-            continue
-        if a == index and b in consts:
-            return consts[b]
-        if b == index and a in consts:
-            return consts[a]
-    return None
-
-
-def check_temporal_locality(text: str) -> dict:
-    """Prove one-step locality from program text alone.
-
-    A frame can only mention its own cells and what it passes across a call
-    boundary, so locality reduces to: every recursive call advances the
-    definition's first parameter by exactly one. Anything else (stride 0,
-    stride 2, an underivable increment) is reported as a violation.
-    """
-    program = parse(text)
-    report = {"ok": True, "definitions": {}}
-    for d in program.definitions.values():
-        consts, sums, calls = {}, [], []
-        _body_facts(d.body, consts, sums, calls)
-        strides = []
-        for call in calls:
-            if call.target != d.name:
-                continue
-            if not d.params or not call.args:
-                strides.append(None)
-                continue
-            strides.append(_index_stride(d.params[0], call.args[0],
-                                         sums, consts))
-        entry = {
-            "recursive": bool(strides),
-            "strides": strides,
-            "ok": all(s == 1 for s in strides),
-        }
-        report["definitions"][d.name] = entry
-        report["ok"] = report["ok"] and entry["ok"]
-    return report

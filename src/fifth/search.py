@@ -13,8 +13,6 @@ from typing import Optional
 
 from .errors import StructuralError
 from .language import (
-    CallStmt,
-    ChooseStmt,
     Instance,
     Program,
     QuerySpec,
@@ -231,7 +229,7 @@ def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
             state.summarized += len(folded.summarized)
         choices = unsettled_choices(inst)
         if report.targets_met and not choices and not may_post(
-                inst, ChooseStmt):
+                inst, ("choose",)):
             leaf(inst)
             continue
         cp, values = _pick_choice(inst, choices)
@@ -394,7 +392,7 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
     # depends on it: search has yet to branch on it, once per repeat. So
     # does a dormant branch that could still post one, or a call.
     busy = {cp.frame for cp in unsettled_choices(inst)}
-    busy |= may_post(inst, (ChooseStmt, CallStmt))
+    busy |= may_post(inst, ("choose", "call"))
 
     # A frame folds bottom-up: only once every descendant has folded. A
     # child left unexpanded or expanded still reads its parent's cells, so

@@ -14,6 +14,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fifth import cli
 from fifth.cli import main
 from fifth.autoenc import Autoencoder
 from fifth.hierarchy import (
@@ -290,6 +291,43 @@ def test_help_returns_0(argv, capsys):
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert out.startswith("usage: fifth")
+
+
+# per command: its positional arguments, every flag it reads with the value
+# it parses to, and a flag it does not read
+COMMAND_FLAGS = {
+    "solve": ({"program": "q.5th"}, [
+        ("--depth", "3", 3), ("--steps", "9", 9), ("--nodes", "5", 5),
+        ("--precision", "0.5", 0.5), ("--oracle", "learned", "learned"),
+        ("--model", "m", "m"), ("--trace", None, True),
+        ("--out", "o.json", "o.json"), ("--gc", None, True)], ["--seed", "9"]),
+    "train": ({"corpus": "c"}, [
+        ("--seed", "4", 4), ("--depth", "3", 3), ("--steps", "9", 9),
+        ("--nodes", "5", 5), ("--precision", "0.5", 0.5),
+        ("--model", "m", "m"), ("--out", "o.json", "o.json")], ["--gc"]),
+    "measure": ({"train_dir": "t", "eval_dir": "e"}, [
+        ("--seed", "4", 4), ("--depth", "3", 3), ("--steps", "9", 9),
+        ("--nodes", "5", 5), ("--precision", "0.5", 0.5),
+        ("--model", "m", "m"), ("--out", "o.json", "o.json")], ["--trace"]),
+    "check": ({}, [("--seed", "4", 4)], ["--out", "r.json"]),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_each_command_takes_only_the_flags_it_reads(command, capsys,
+                                                     monkeypatch, tmp_path):
+    positional, reads, ignored = COMMAND_FLAGS[command]
+    argv = [command, *positional.values()]
+    for flag, text, _ in reads:
+        argv += [flag] if text is None else [flag, text]
+    cfg = cli._build_parser().parse_args(argv)
+    assert vars(cfg) == {"command": command, **positional,
+                         **{flag[2:]: value for flag, _, value in reads}}
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run([command, *positional.values(), *ignored], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: unrecognized arguments")
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- train ---------------------------------------------------------------------

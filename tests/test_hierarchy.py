@@ -1,6 +1,5 @@
 """Frame featurization, shared encoders, spine composition, guidance."""
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,6 @@ from fifth.hierarchy import (
     featurize,
     load_bundle,
     save_bundle,
-    spine_audit,
 )
 from fifth.language import EXPANDED
 
@@ -216,15 +214,6 @@ def test_retraining_shifts_all_codes_of_a_definition():
 
 
 # -- spine composition ---------------------------------------------------------
-
-
-def test_spine_audit_matches_log_bound_up_to_4096():
-    for d in range(1, 4097):
-        assert spine_audit(d) <= math.ceil(math.log2(d)) + 1 if d > 1 else True
-    assert spine_audit(1) == 0
-    assert spine_audit(64) <= 7
-    assert spine_audit(256) <= 9
-    assert spine_audit(1024) <= 11
 
 
 def test_compose_single_frame_is_free():

@@ -7,9 +7,7 @@ from fifth import language
 from fifth.errors import ParseError, StructuralError
 from fifth.language import (
     MAX_IF_NESTING,
-    CallStmt,
     EXPANDED,
-    IfStmt,
     SUMMARIZED,
     UNEXPANDED,
     demand_loop,
@@ -60,7 +58,7 @@ def test_parse_double():
     program = parse("(def (double x y) (sum x x y))")
     d = program.definitions["double"]
     assert d.params == ("x", "y")
-    assert len(d.body) == 1
+    assert len(d.plan) == 1
 
 
 def test_parse_unknown_call_target():
@@ -73,10 +71,12 @@ def test_parse_fact_structure():
     program = parse(FACT)
     assert list(program.definitions) == ["fact"]
     d = program.definitions["fact"]
-    gated = [s for s in d.body if isinstance(s, IfStmt)]
+    gated = [branches for op, _, branches in d.plan if op == "if"]
     assert len(gated) == 1
-    calls = [s for s in gated[0].then_body if isinstance(s, CallStmt)]
-    assert len(calls) == 1 and calls[0].target == "fact"
+    (polarity, then_plan, _), _ = gated[0]
+    assert polarity is True
+    calls = [name for op, name, _ in then_plan if op == "call"]
+    assert calls == ["fact"]
 
 
 def test_parse_errors_carry_position():
@@ -91,6 +91,20 @@ def test_parse_errors_carry_position():
 
     with pytest.raises(ParseError):
         parse("(def (f x) (frobnicate x))")
+
+
+@pytest.mark.parametrize("text,message", [
+    # a scope fault before a later syntax fault
+    ("(def (f x)\n  (sum x x y))\n(def (g x)\n  (frobnicate x))",
+     "2:3: unbound name 'y' in 'f'"),
+    # a call to an undefined definition before a later arity fault
+    ("(def (f x)\n  (call g x))\n(def (h x)\n  (sum x x))",
+     "2:3: call to undefined 'g' in 'f'"),
+], ids=["scope-before-syntax", "undefined-call-before-arity"])
+def test_parse_reports_the_first_fault_in_source_order(text, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message
 
 
 def test_parse_query_form():
@@ -159,12 +173,14 @@ def test_fact_unbound_leaves_the_gated_call_dormant():
     assert not report.targets_met
     assert inst.network.content(r) == NOTHING
     assert [f.id for f in inst.frames] == [0] and inst.unexpanded == []
-    gated = program.definitions["fact"].body[-1]
+    op, _, branches = program.definitions["fact"].plan[-1]
+    assert op == "if"
+    (_, then_plan, _), (_, else_plan, _) = branches
     n = inst.cell_of(0, "n")
-    assert inst.dormant == [(0, n, True, gated.then_body),
-                            (0, n, False, gated.else_body)]
-    with_call = [body for _, _, _, body in inst.dormant
-                 if any(isinstance(s, CallStmt) for s in body)]
+    assert inst.dormant == [(0, n, True, then_plan),
+                            (0, n, False, else_plan)]
+    with_call = [plan for _, _, _, plan in inst.dormant
+                 if any(op == "call" for op, _, _ in plan)]
     assert len(with_call) == 1
 
 
@@ -401,28 +417,32 @@ def test_unexpanded_worklist_tracks_frames():
 
 @pytest.mark.parametrize("n", [1, 32, 1024])
 def test_each_body_compiles_one_plan_whatever_the_depth(n, monkeypatch):
-    # the definition body and both branches of its `if`, once each
+    # parse compiles the definition body and both branches of its `if`, once
+    # each; solving at any depth runs those plans and compiles nothing
     compiled = []
     compile_plan = language._compile
 
-    def counted(program, body):
-        compiled.append(body)
-        return compile_plan(program, body)
+    def counted(*args):
+        plan = compile_plan(*args)
+        compiled.append(plan)
+        return plan
 
     monkeypatch.setattr(language, "_compile", counted)
     program = parse(COUNTDOWN)
+    plan = program.definitions["len"].plan
+    (_, then_plan, _), (_, else_plan, _) = plan[-1][2]
+    assert [id(p) for p in compiled] == [id(then_plan), id(else_plan),
+                                         id(plan)]
+    compiled.clear()
     inst = instantiate(program, "len", {"n": n})
     report = demand_loop(inst, [inst.cell_of(0, "k")], 2000, 1_000_000)
     assert inst.network.content(inst.cell_of(0, "k")) == exact(n)
     assert report.expansions == n
-    body = program.definitions["len"].body
-    gated = body[-1]
-    assert compiled == [body, gated.then_body, gated.else_body]
-    assert set(program.plans) == {id(b) for b in compiled}
+    assert compiled == []
 
 
 def test_instances_of_one_program_build_identical_networks():
-    # the second instance runs the plans the first one compiled
+    # both instances run the plans parse compiled
     program = parse(FACT)
     nets = []
     for _ in range(2):
@@ -441,11 +461,9 @@ def test_a_solved_program_is_freed_with_its_plans():
     program = parse(FACT + "(query (fact (n 5)) (show r))")
     result = solve(program, Query.from_spec(program.query))
     assert [s["cells"]["r"] for s in result.solutions] == [120]
-    assert program.plans
-    # a plan holds its branches' statements, so a cache that outlived the
-    # program would keep the call inside the `if` alive
-    gated = program.definitions["fact"].body[-1]
-    refs = [weakref.ref(x) for x in (program, gated, gated.then_body[0])]
-    del program, result, gated
+    # plans live on their definitions (a tuple cannot be weakly referenced),
+    # so nothing a solve leaves behind may hold a definition past its program
+    refs = [weakref.ref(x) for x in (program, program.definitions["fact"])]
+    del program, result
     gc.collect()
-    assert [ref() for ref in refs] == [None] * 3
+    assert [ref() for ref in refs] == [None] * 2

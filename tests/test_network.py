@@ -1,7 +1,7 @@
 import pytest
 
 from fifth.errors import StructuralError
-from fifth.language import ConstDecl, instantiate, may_post, parse, settle
+from fifth.language import instantiate, may_post, parse, settle
 from fifth.lattice import (
     NOTHING,
     exact,
@@ -313,11 +313,11 @@ def test_gate_refutes_on_either_input_alone():
     program = _nested(True, True)
     inst = instantiate(program, "g")
     settle(inst)
-    assert may_post(inst, ConstDecl) == {0}
+    assert may_post(inst, ("declare",)) == {0}
     for refuted in ("o", "c"):
         inst = instantiate(program, "g", {refuted: 0})
         settle(inst)
-        assert may_post(inst, ConstDecl) == set()
+        assert may_post(inst, ("declare",)) == set()
         assert inst.network.content(inst.cell_of(0, "x")) == NOTHING
 
 
