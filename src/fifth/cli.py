@@ -57,6 +57,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _NotTaken(argparse.Action):
+    """Another command's flag: it consumes its value, so the value cannot
+    land in a positional slot, and then fails naming the flag."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise UsageError(f"unrecognized arguments: {option_string}"
+                         f" ({parser.prog} does not take it)")
+
+
 def _budget(text):
     n = int(text)
     if n < 0:
@@ -94,8 +103,14 @@ def _build_parser():
 
     def command(name, summary, flags, *positional):
         sp = sub.add_parser(name, help=summary)
-        for flag in flags:
-            sp.add_argument(f"--{flag}", **_FLAGS[flag])
+        for flag, spec in _FLAGS.items():
+            if flag in flags:
+                sp.add_argument(f"--{flag}", **spec)
+            else:
+                sp.add_argument(
+                    f"--{flag}", action=_NotTaken, help=argparse.SUPPRESS,
+                    default=argparse.SUPPRESS,
+                    nargs=0 if spec.get("action") == "store_true" else None)
         for arg in positional:
             sp.add_argument(arg)
 

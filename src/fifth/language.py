@@ -166,7 +166,7 @@ def parse(text: str) -> Program:
     source order, once every definition header is read."""
     reader = _Reader(_tokenize(text))
     headers = {}  # name -> (params, body nodes)
-    query = None
+    query, named = None, ()
     while not reader.at_end():
         node = reader.read()
         if not _is_list(node) or not node[0]:
@@ -184,7 +184,7 @@ def parse(text: str) -> Program:
         elif head == "query":
             if query is not None:
                 raise ParseError("only one query form allowed", node[1], node[2])
-            query = _parse_query(node)
+            query, named = _parse_query(node)
         else:
             raise ParseError(f"unknown form {head!r}", node[0][0][1], node[0][0][2])
     arities = {name: params for name, (params, _) in headers.items()}
@@ -192,7 +192,7 @@ def parse(text: str) -> Program:
         name: Definition(name, params,
                          _compile(body, name, arities, set(params), []))
         for name, (params, body) in headers.items()}, query)
-    _check_query(program)
+    _check_query(program, named)
     return program
 
 
@@ -314,17 +314,21 @@ def _names(nodes, known, dname, line, col):
 
 
 def _parse_query(node):
+    """The query's spec, and the names it uses that must be parameters of
+    its entry, in source order as (role, atom node) pairs, entry first."""
     items, line, col = node
     if len(items) < 3 or not _is_list(items[1]) or not items[1][0]:
         raise ParseError("query needs (entry bindings...) and (show ...)",
                          line, col)
     header = items[1][0]
     entry = _atom(header[0])
+    named = [("entry", header[0])]
     bindings = []
     for b in header[1:]:
         if not _is_list(b) or len(b[0]) != 2:
             raise ParseError("binding must be (name number)", b[1], b[2])
         bindings.append((_atom(b[0][0]), _number_atom(b[0][1])))
+        named.append(("binding", b[0][0]))
     show_node = items[2]
     if (
         not _is_list(show_node)
@@ -334,6 +338,7 @@ def _parse_query(node):
         raise ParseError("query needs a (show ...) clause",
                          show_node[1], show_node[2])
     show = tuple(_atom(s) for s in show_node[0][1:])
+    named += [("show target", s) for s in show_node[0][1:]]
     opts = {}
     for opt in items[3:]:
         if not _is_list(opt) or len(opt[0]) != 2:
@@ -347,26 +352,22 @@ def _parse_query(node):
             opts[key] = float(_number_atom(opt[0][1]))
         elif key == "minimize":
             opts[key] = _atom(opt[0][1])
+            named.append(("minimize target", opt[0][1]))
         else:
             raise ParseError(f"unknown query option {key!r}", opt[1], opt[2])
-    return QuerySpec(entry, tuple(bindings), show, **opts)
+    return QuerySpec(entry, tuple(bindings), show, **opts), named
 
 
-def _check_query(program):
-    q = program.query
-    if q is None:
-        return
-    if q.entry not in program.definitions:
-        raise ParseError(f"query names undefined {q.entry!r}")
-    params = set(program.definitions[q.entry].params)
-    for name, _ in q.bindings:
-        if name not in params:
-            raise ParseError(f"binding {name!r} is not a parameter of {q.entry!r}")
-    for name in q.show:
-        if name not in params:
-            raise ParseError(f"show target {name!r} is not a parameter of {q.entry!r}")
-    if q.minimize is not None and q.minimize not in params:
-        raise ParseError(f"minimize target {q.minimize!r} is not a parameter of {q.entry!r}")
+def _check_query(program, named):
+    """Each fault names the position of the offending atom of `named`."""
+    for role, (name, line, col) in named:
+        if role == "entry":
+            if name not in program.definitions:
+                raise ParseError(f"query names undefined {name!r}", line, col)
+            entry, params = name, program.definitions[name].params
+        elif name not in params:
+            raise ParseError(
+                f"{role} {name!r} is not a parameter of {entry!r}", line, col)
 
 
 # -- frames and instances ------------------------------------------------------

@@ -21,7 +21,13 @@ Writing a cell merges new partial information into its content. Transfer
 functions emit only writes that can refine: each candidate is compared
 with the target's current content before a lattice value is built, and
 dropped when the content already lies inside its bounds, already holds its
-exact value, or already lies inside the other side of an equality. Of what
+exact value, or already lies inside the other side of an equality. Most
+runs write nothing, so that "no write" is decided from raw fields: a range
+write reads the target's kind once and compares the computed bounds with
+its exact value, interval ends or domain ends (in an integral context an
+exact float or a real interval still takes the write, which makes it
+integer), and `alldifferent` collects its exact cells in one pass and
+returns at once when there are none. Of what
 still reaches `merge` without changing the cell (declarations, branches,
 search bounds), `merge` hands back the old value itself, so it costs one
 identity test; a write that already is the join (an exact value inside
@@ -372,18 +378,23 @@ def _range_write(net, cid, lo, hi, integral):
                 net.saturated.add(cid)
             lo = slo if isinstance(slo, int) else math.ceil(slo - 1e-9)
             hi = shi if isinstance(shi, int) else math.floor(shi + 1e-9)
-        # an integer interval changes the kind of any non-integer content
-        held = (cur.lo, cur.hi) if cur.kind == "int_interval" else (
-            is_integer_valued(cur) and bounds_of(cur))
-        if held and lo <= held[0] and held[1] <= hi:
+    else:
+        lo = max(float(lo), -REAL_SAT)
+        hi = min(float(hi), REAL_SAT)
+    # an integer interval changes the kind of any non-integer content, so
+    # in an integral context an exact float or a real interval is rewritten
+    k = cur.kind
+    if k == "exact":
+        v = cur.value
+        if lo <= v <= hi and (not integral or isinstance(v, int)):
             return None
-        return int_interval(lo, hi)
-    held = bounds_of(cur)
-    lo = max(float(lo), -REAL_SAT)
-    hi = min(float(hi), REAL_SAT)
-    if held and lo <= held[0] and held[1] <= hi:
-        return None
-    return real_interval(lo, hi)
+    elif k == "int_interval" or (k == "real_interval" and not integral):
+        if lo <= cur.lo and cur.hi <= hi:
+            return None
+    elif k == "finite_domain":
+        if lo <= cur.elements[0] and cur.elements[-1] <= hi:
+            return None
+    return int_interval(lo, hi) if integral else real_interval(lo, hi)
 
 
 # -- transfer functions ---------------------------------------------------------
@@ -525,19 +536,20 @@ def _t_less_equal(net, prop):
 def _t_alldifferent(net, prop):
     if not prop.distinct:  # a repeated cell cannot differ from itself
         return [(max(prop.cells, key=prop.cells.count), Contradiction())]
-    contents = [(cid, net.contents[cid]) for cid in prop.cells]
+    contents = net.contents
     exacts = [
         (cid, info.value)
-        for cid, info in contents
-        if info.kind == "exact" and abs(info.value) < INT_SAT
+        for cid in prop.cells
+        if (info := contents[cid]).kind == "exact" and abs(info.value) < INT_SAT
     ]
     if not exacts:
         return []
     writes = []
     for ci, v in exacts:
-        for cj, info in contents:
+        for cj in prop.cells:
             if cj == ci:
                 continue
+            info = contents[cj]
             k = info.kind
             if k == "exact":
                 if info.value == v and cj > ci:

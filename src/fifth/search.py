@@ -135,6 +135,8 @@ def _pick_choice(inst, choices):
 
 
 def _order_values(inst, cp, values, oracle):
+    if type(oracle) is UniformOracle:
+        return values  # equal scores keep the ascending order
     descriptors = [(cp.cell, exact(v), cp.frame) for v in values]
     scores = oracle.scores(inst, descriptors)
     if min(scores) == max(scores):

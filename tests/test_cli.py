@@ -330,6 +330,14 @@ def test_each_command_takes_only_the_flags_it_reads(command, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_stray_flag_keeps_its_value_out_of_the_positional_slot(capsys):
+    code, out, err = run(
+        ["solve", "--seed", "9", CORPUS / "queens/q4.5th"], capsys)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert "--seed" in err and "q4.5th" not in err
+
+
 # -- train ---------------------------------------------------------------------
 
 

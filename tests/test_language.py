@@ -127,6 +127,20 @@ def test_query_must_address_parameters():
         parse(FACT + "(query (fact (n 6)) (show nm1))")
 
 
+@pytest.mark.parametrize("query,message", [
+    ("(query (g) (show x))", "2:9: query names undefined 'g'"),
+    ("(query (f (z 1)) (show x))",
+     "2:12: binding 'z' is not a parameter of 'f'"),
+    ("(query (f) (show y))", "2:18: show target 'y' is not a parameter of 'f'"),
+    ("(query (f) (show x) (minimize q))",
+     "2:31: minimize target 'q' is not a parameter of 'f'"),
+], ids=["entry", "binding", "show", "minimize"])
+def test_query_faults_name_the_offending_atom(query, message):
+    with pytest.raises(ParseError) as e:
+        parse("(def (f x) (const x 1))\n" + query)
+    assert str(e.value) == message
+
+
 def test_instantiate_double():
     program = parse("(def (double x y) (sum x x y))")
     inst = instantiate(program, "double", {"x": 3})

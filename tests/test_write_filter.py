@@ -7,6 +7,7 @@ is recovered by running the transfer again with the cell emptied: an empty
 cell holds no bounds, so nothing is dropped for it.
 """
 
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from fifth.language import parse
 from fifth.lattice import (
     INT_SAT,
     NOTHING,
+    Contradiction,
     exact,
     finite_domain,
     int_interval,
@@ -64,6 +66,20 @@ def _unchanged(cur, info):
 
 @settings(max_examples=400, deadline=None)
 @given(CONTENTS, _sorted_pair(BOUNDS), st.booleans())
+# one example per branch of the no-op test on the target's kind
+@example(exact(3), [0, 5], True)
+@example(exact(7), [0, 5], True)
+@example(exact(2.5), [0, 5], True)
+@example(exact(INT_SAT), [0, 2**70], True)
+@example(exact(-INT_SAT), [-float("inf"), 0], True)
+@example(exact(2**70), [0, 2**70], True)
+@example(exact(2**70), [0, float("inf")], False)
+@example(finite_domain([1, 3]), [0, 5], True)
+@example(finite_domain([1, 3]), [2, 5], True)
+@example(real_interval(1, 2), [0, 5], True)
+@example(real_interval(1, 2), [0, 5], False)
+@example(NOTHING, [0, 5], True)
+@example(NOTHING, [0, 5], False)
 def test_range_write_drops_only_what_merge_keeps(cur, bounds, integral):
     net, empty = Network(), Network()
     net.contents.append(cur)
@@ -99,6 +115,44 @@ def test_transfers_drop_only_what_merge_keeps(kind, contents):
             assert got == built
         else:
             assert all(_unchanged(net.contents[cid], info) for info in built)
+
+
+def _alldifferent_reference(contents, cells):
+    """The writes of an alldifferent over `cells`, from its spec: each
+    exact value strictly within ±INT_SAT is removed from the finite domains
+    and shaved off the integer interval endpoints of the other cells, and
+    an equal exact value contradicts at the later of the two cells."""
+    writes = []
+    for i, j in permutations(range(len(cells)), 2):
+        ci, cj = cells[i], cells[j]
+        mine, other = contents[ci], contents[cj]
+        if mine.kind != "exact" or abs(mine.value) >= INT_SAT:
+            continue
+        v = mine.value
+        if other.kind == "exact" and other.value == v and cj > ci:
+            writes.append((cj, Contradiction()))
+        elif other.kind == "finite_domain" and v in other.elements:
+            writes.append((cj, finite_domain(set(other.elements) - {v})))
+        elif other.kind == "int_interval" and v in (other.lo, other.hi):
+            writes.append((cj, int_interval(other.lo + (v == other.lo),
+                                            other.hi - (v == other.hi))))
+    return writes
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(CONTENTS, min_size=1, max_size=4).flatmap(
+           lambda pool: st.lists(st.sampled_from(pool), min_size=2,
+                                 max_size=4)).flatmap(
+           lambda contents: st.tuples(st.just(contents),
+                                      st.permutations(range(len(contents))))))
+def test_alldifferent_writes_what_its_spec_says(drawn):
+    """Contents drawn from a small pool, so equal values repeat."""
+    contents, cells = drawn
+    net = Network()
+    net.contents.extend(contents)
+    prop = Propagator(0, "alldifferent", cells)
+    assert _TRANSFER["alldifferent"](net, prop) == _alldifferent_reference(
+        contents, cells)
 
 
 CELLS = st.permutations(range(3)) | st.lists(st.integers(0, 2), min_size=3,
