@@ -1,10 +1,10 @@
 """Surface language: s-expression programs over cells and constraints.
 
 A program is a set of definitions. Instantiating one builds a propagator
-network. A call becomes a child frame that waits unexpanded until demand
-reaches it, and an `if` branch waits dormant until its condition decides;
-neither is attached before it opens. So recursion is unbounded but only
-paid for where information actually flows.
+network. A call becomes a child frame, unexpanded until demand reaches it;
+an `if` branch waits dormant until its condition decides, or refutes the
+condition once the branch cannot hold. Neither is attached before it opens,
+so recursion is unbounded but only paid for where information flows.
 
 `parse` compiles each body straight to the form that runs: a plan, one
 (opcode, name, operand) triple per statement with its lattice values built
@@ -24,10 +24,12 @@ from .lattice import (
     exact,
     finite_domain,
     int_interval,
+    merge,
+    real_interval,
     truth_value,
     width_of,
 )
-from .network import Network, QuiescenceReport
+from .network import REAL_SAT, Network, QuiescenceReport, _operand
 
 # deepest `if` nesting a definition may have; compiling and elaboration
 # recurse once per level, so this keeps them off the Python stack limit
@@ -223,8 +225,8 @@ def _compile(nodes, dname, arities, known, declared, nesting=0):
     lattice values built once. `known` is the scope, names declared so far,
     which `if` branches share with the enclosing body; every name this body
     and its nested branches declare is appended to `declared`. An `if`
-    holds, for each non-empty branch, its polarity, its plan and the names
-    it declares."""
+    holds, for each non-empty branch, its polarity, its plan, the names it
+    declares and its tests: its top-level `lesseq`, `equal` and `sum`."""
     plan = []
     for node in nodes:
         if not _is_list(node) or not node[0]:
@@ -277,9 +279,12 @@ def _compile(nodes, dname, arities, known, declared, nesting=0):
                                      branch[1], branch[2])
                 if branch[0]:
                     local = []
-                    branches.append((polarity, _compile(
-                        branch[0], dname, arities, known, local, nesting + 1),
-                        tuple(dict.fromkeys(local))))
+                    body = _compile(branch[0], dname, arities, known, local,
+                                    nesting + 1)
+                    tests = tuple(op[1:] for op in body if op[0] == "attach"
+                                  and op[1] in ("less_equal", "equal", "sum"))
+                    branches.append((polarity, body,
+                                     tuple(dict.fromkeys(local)), tests))
                     declared += local
             plan.append(("if", cond, tuple(branches)))
         elif head == "call":
@@ -344,6 +349,8 @@ def _parse_query(node):
         if not _is_list(opt) or len(opt[0]) != 2:
             raise ParseError("option must be (name value)", opt[1], opt[2])
         key = _atom(opt[0][0])
+        if key in opts:
+            raise ParseError(f"repeated query option {key!r}", opt[1], opt[2])
         if key in ("depth", "steps"):
             opts[key] = _int_atom(opt[0][1])
             if opts[key] < 0:
@@ -436,7 +443,7 @@ class Instance:
         # ids of frames awaiting expansion, ascending
         self.unexpanded = [] if unexpanded is None else unexpanded
         # `if` branches not attached yet, each (frame id, condition cell,
-        # polarity, plan); `settle` opens or drops them once they decide
+        # polarity, plan, tests), until `settle` opens or drops them
         self.dormant = [] if dormant is None else dormant
 
     @property
@@ -499,14 +506,13 @@ def _elaborate_body(inst, frame, plan):
         elif op == "attach":
             net.attach(name, [cellmap[a] for a in operand])
         elif op == "if":
-            # a name declared in a branch is visible after the `if`, opened
-            # or not
+            # a branch's names are visible after the `if`, opened or not
             cond = cellmap[name]
-            for polarity, branch, declared in operand:
+            for polarity, branch, declared, tests in operand:
                 for local in declared:
                     if local not in cellmap:
                         cellmap[local] = net.add_cell((fid, local))
-                inst.dormant.append((fid, cond, polarity, branch))
+                inst.dormant.append((fid, cond, polarity, branch, tests))
         elif op == "call":
             # the callee's parameters are the caller's argument cells
             # themselves, so a call adds no cell and no propagator
@@ -537,35 +543,69 @@ def expand(inst: Instance, frame_id: int) -> Frame:
     return frame
 
 
-def _open_decided(inst):
+def _open_decided(inst, test):
     """Open every dormant branch whose condition holds and drop every one
-    it refutes. Returns whether any opened."""
+    it refutes. With `test`, then refute the undecided condition of each
+    branch that fails a test, by the write `refute:{cell}`: 0 for a
+    then-branch, else no 0 in its finite domain or at its integer interval's
+    end. Returns whether a branch opened or a condition was written."""
     contents = inst.network.contents
-    kept = []
-    opened = False
+    kept, refuted, opened = [], [], False
     # opening appends nested branches to inst.dormant; the loop visits them
     for entry in inst.dormant:
-        fid, cond, polarity, plan = entry
+        fid, cond, polarity, plan, tests = entry
         truth = truth_value(contents[cond])
         if truth is None:
             kept.append(entry)
+            if test and _fails(contents, inst.frames[fid].cellmap, tests):
+                refuted.append((cond, exact(0) if polarity else contents[cond]))
         elif truth == polarity:
             _elaborate_body(inst, inst.frames[fid], plan)
             opened = True
     inst.dormant = kept
+    for cond, info in refuted:  # for an else-branch, the condition's content
+        if info.kind == "finite_domain":
+            info = finite_domain(e for e in info.elements if e)
+        elif info.kind == "int_interval" and 0 in (info.lo, info.hi):
+            info = int_interval(info.lo or 1, info.hi or -1)
+        elif info.kind != "exact":  # no other value says "not 0"
+            continue
+        inst.network.write(cond, info, f"refute:{cond}")
+        opened = True  # cond changed, here or by an earlier write or opening
     return opened
 
 
+def _fails(contents, cellmap, tests):
+    """Whether some test, a (kind, names) pair, can no longer hold, so never
+    will: a real hull no narrower than its first write contradicts there."""
+    for kind, names in tests:
+        cells = [contents[cellmap[n]] for n in names]
+        target = cells[2 if kind == "sum" else 0]
+        info = cells[1]  # a = b writes b into a
+        if kind != "equal":
+            # a <= b puts a in b + (-inf, 0]; a + b = c puts c in a + b
+            ra = (-math.inf, 0) if kind == "less_equal" else _operand(cells[0])
+            rb, rt = _operand(cells[1]), _operand(target)
+            if not (ra and rb and rt) or (
+                    ra[0] + rb[0] <= rt[1] and rt[0] <= ra[1] + rb[1]):
+                continue  # no bounds yet, or bounds that meet
+            info = real_interval(min(max(ra[0] + rb[0], -REAL_SAT), REAL_SAT),
+                                 max(min(ra[1] + rb[1], REAL_SAT), -REAL_SAT))
+        if merge(target, info).kind == "contradiction":
+            return True
+    return False
+
+
 def settle(inst: Instance, step_budget=None) -> QuiescenceReport:
-    """Quiesce, opening the dormant branches that decide. Each round opens
-    every branch whose condition holds, before quiescing, and drops every
-    one its condition refutes; rounds repeat until a scan opens nothing."""
+    """Quiesce, opening the dormant branches that decide. Each round scans
+    them (see `_open_decided`; tests wait for the first quiescence), then
+    quiesces; rounds repeat until a scan neither opens nor writes."""
     net = inst.network
     if not inst.dormant:
         return net.run_to_quiescence(step_budget)
     rep = None
     steps = 0
-    while _open_decided(inst) or rep is None:
+    while _open_decided(inst, rep is not None) or rep is None:
         rep = net.run_to_quiescence(
             None if step_budget is None else step_budget - steps)
         steps += rep.steps_used
@@ -588,12 +628,12 @@ def may_post(inst, ops):
                 return True
             if op == "if":
                 truth = truth_value(contents[cellmap[name]])
-                for polarity, branch, _ in operand:
+                for polarity, branch, _, _ in operand:
                     if truth in (None, polarity) and could(cellmap, branch):
                         return True
         return False
 
-    return {fid for fid, _, _, plan in inst.dormant
+    return {fid for fid, _, _, plan, _ in inst.dormant
             if could(inst.frames[fid].cellmap, plan)}
 
 

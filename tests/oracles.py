@@ -133,3 +133,49 @@ def lineworld_best_total(start, goal, horizon, move_cost=-1, goal_reward=10,
         if best is None or total > best:
             best = total
     return best
+
+
+def disjunctive_solutions(cells, statements, tol=1e-9):
+    """Every assignment of a flat program's choices under which all its
+    statements hold, as one {name: value} dict per assignment, in the order
+    of `itertools.product` over the choices.
+
+    cells: (name, kind, arg) triples in declaration order, where kind is
+    "choose" (arg: the values it may take), "const" (arg: a number) or
+    "sum" (arg: the names (a, b) whose values it adds).
+    statements: ("lesseq", a, b), ("equal", a, b), ("sum", a, b, c) for
+    a + b = c, and ("if", cond, then, else), whose `then` statements must
+    hold when cond is nonzero and whose `else` statements must hold
+    otherwise. Two numbers within `tol` of each other count as the same.
+    """
+    choices = [(name, arg) for name, kind, arg in cells if kind == "choose"]
+    out = []
+    for point in itertools.product(*(values for _, values in choices)):
+        picked = dict(zip((name for name, _ in choices), point))
+        env = {}
+        for name, kind, arg in cells:
+            if kind == "choose":
+                env[name] = picked[name]
+            elif kind == "const":
+                env[name] = arg
+            else:
+                env[name] = env[arg[0]] + env[arg[1]]
+        if all(_holds(s, env, tol) for s in statements):
+            out.append(env)
+    return out
+
+
+def _holds(statement, env, tol):
+    head, *args = statement
+    if head == "if":
+        cond, then, other = args
+        return all(_holds(s, env, tol)
+                   for s in (then if env[cond] != 0 else other))
+    v = [env[a] for a in args]
+    if head == "lesseq":
+        return v[0] <= v[1] + tol
+    if head == "equal":
+        return abs(v[0] - v[1]) <= tol
+    if head == "sum":
+        return abs(v[0] + v[1] - v[2]) <= tol
+    raise ValueError(head)

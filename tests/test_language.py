@@ -73,7 +73,7 @@ def test_parse_fact_structure():
     d = program.definitions["fact"]
     gated = [branches for op, _, branches in d.plan if op == "if"]
     assert len(gated) == 1
-    (polarity, then_plan, _), _ = gated[0]
+    (polarity, then_plan, _, _), _ = gated[0]
     assert polarity is True
     calls = [name for op, name, _ in then_plan if op == "call"]
     assert calls == ["fact"]
@@ -141,6 +141,16 @@ def test_query_faults_name_the_offending_atom(query, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("options,message", [
+    ("(depth 3) (depth 5)", "2:31: repeated query option 'depth'"),
+    ("(minimize x) (minimize x)", "2:34: repeated query option 'minimize'"),
+], ids=["depth", "minimize"])
+def test_a_repeated_query_option_is_a_fault(options, message):
+    with pytest.raises(ParseError) as e:
+        parse(f"(def (f x) (const x 1))\n(query (f) (show x) {options})")
+    assert str(e.value) == message
+
+
 def test_instantiate_double():
     program = parse("(def (double x y) (sum x x y))")
     inst = instantiate(program, "double", {"x": 3})
@@ -189,11 +199,11 @@ def test_fact_unbound_leaves_the_gated_call_dormant():
     assert [f.id for f in inst.frames] == [0] and inst.unexpanded == []
     op, _, branches = program.definitions["fact"].plan[-1]
     assert op == "if"
-    (_, then_plan, _), (_, else_plan, _) = branches
+    (_, then_plan, _, then_tests), (_, else_plan, _, else_tests) = branches
     n = inst.cell_of(0, "n")
-    assert inst.dormant == [(0, n, True, then_plan),
-                            (0, n, False, else_plan)]
-    with_call = [plan for _, _, _, plan in inst.dormant
+    assert inst.dormant == [(0, n, True, then_plan, then_tests),
+                            (0, n, False, else_plan, else_tests)]
+    with_call = [plan for _, _, _, plan, _ in inst.dormant
                  if any(op == "call" for op, _, _ in plan)]
     assert len(with_call) == 1
 
@@ -444,7 +454,7 @@ def test_each_body_compiles_one_plan_whatever_the_depth(n, monkeypatch):
     monkeypatch.setattr(language, "_compile", counted)
     program = parse(COUNTDOWN)
     plan = program.definitions["len"].plan
-    (_, then_plan, _), (_, else_plan, _) = plan[-1][2]
+    (_, then_plan, _, _), (_, else_plan, _, _) = plan[-1][2]
     assert [id(p) for p in compiled] == [id(then_plan), id(else_plan),
                                          id(plan)]
     compiled.clear()

@@ -203,6 +203,22 @@ def test_random_schedules_replay_feasibly():
         assert replay_schedule(inst, sched, res.objective)
 
 
+def test_js44_optimum_within_150_nodes():
+    # js44, the pinned 4x4 job-shop: an ordering bit whose branch the bounds
+    # already rule out is refuted from the dormant scan, not searched
+    rng = SplitMix64(4)
+    jobs = []
+    for _ in range(4):
+        order = list(range(4))
+        rng.shuffle(order)
+        jobs.append(tuple((m, 1 + rng.randint(9)) for m in order))
+    inst = JobShopInstance(jobs=tuple(jobs), machines=4)
+    res = run_optimize(emit_jobshop_program(inst))
+    assert res.objective == 28 and res.proven
+    assert res.stats["nodes"] <= 150
+    assert replay_schedule(inst, extract_schedule(inst, res.solution), 28)
+
+
 # -- random CSPs ------------------------------------------------------------
 
 

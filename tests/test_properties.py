@@ -3,7 +3,9 @@ and node counts with and without frame summarization, the same answers
 under permuted scheduling, and those answers match a direct evaluation of
 the recursion; a call answers like its body written inline, whichever
 argument cells it repeats; random small job-shops minimize to the
-brute-force optimum with and without summarization."""
+brute-force optimum with and without summarization; random disjunctive
+programs, whose `if` branches may refute their conditions, give the
+answers and optima of brute-force enumeration."""
 
 import itertools
 from collections import Counter
@@ -255,3 +257,116 @@ def test_jobshop_optimum_matches_brute_force(instance):
     assert plain.proven and plain.objective == want
     assert folded.proven and folded.objective == want
     assert folded.bound_trace == plain.bound_trace
+
+
+# constants a disjunctive program may declare; the reals are halves, so
+# every sum of them is exact and no drawn answer turns on REAL_TOL
+NUMBERS = st.one_of(st.integers(-1, 3), st.sampled_from([-0.5, 0.5, 1.5, 2.5]))
+TESTED = {"lesseq": 2, "equal": 2, "sum": 3}
+
+
+@st.composite
+def disjunctive_programs(draw):
+    """1-3 `choose` cells c*, 1-2 constants k* and 0-2 cells d* that sum
+    two earlier cells, then 1-4 statements, at least one an `if`: a
+    `lesseq`, `equal` or `sum`, or an `if` whose then-branch holds 1-2 of
+    those and whose else-branch 0-2, and either may nest one more `if`.
+    Optionally a cell to minimize. Every cell is pinned once the choices
+    are made."""
+    choices = [(f"c{i}", "choose",
+                tuple(sorted(draw(st.lists(st.integers(0, 2), min_size=1,
+                                           max_size=3, unique=True)))))
+               for i in range(draw(st.integers(1, 3)))]
+    cells = choices + [(f"k{i}", "const", draw(NUMBERS))
+                       for i in range(draw(st.integers(1, 2)))]
+    for i in range(draw(st.integers(0, 2))):
+        earlier = [name for name, _, _ in cells]
+        cells.append((f"d{i}", "sum", (draw(st.sampled_from(earlier)),
+                                       draw(st.sampled_from(earlier)))))
+    names = [name for name, _, _ in cells]
+    # a cell, a choice at least half the time
+    cell = st.sampled_from(names[:len(choices)]) | st.sampled_from(names)
+
+    def relation():
+        head = draw(st.sampled_from(sorted(TESTED)))
+        return (head, *(draw(cell) for _ in range(TESTED[head])))
+
+    def branch(depth, least):
+        body = [relation() for _ in range(draw(st.integers(least, 2)))]
+        if depth < 2 and draw(st.booleans()):
+            body.insert(draw(st.integers(0, len(body))), if_(depth + 1))
+        return body
+
+    def if_(depth):
+        return ("if", draw(cell), branch(depth, 1), branch(depth, 0))
+
+    body = [if_(1) if draw(st.booleans()) else relation()
+            for _ in range(draw(st.integers(0, 3)))]
+    body.insert(draw(st.integers(0, len(body))), if_(1))
+    return {"cells": cells, "body": body,
+            "minimize": draw(st.none() | st.sampled_from(names))}
+
+
+def _disjunctive_text(spec):
+    def text(statement):
+        if statement[0] == "if":
+            _, cond, then, other = statement
+            return (f"(if {cond} ({' '.join(map(text, then))})"
+                    f" ({' '.join(map(text, other))}))")
+        return f"({' '.join(statement)})"
+
+    decls = []
+    for name, kind, arg in spec["cells"]:
+        if kind == "choose":
+            decls.append(f"(choose {name} {' '.join(map(str, arg))})")
+        elif kind == "const":
+            decls.append(f"(const {name} {arg!r})")
+        else:
+            decls.append(f"(sum {arg[0]} {arg[1]} {name})")
+    params = " ".join(name for name, _, _ in spec["cells"])
+    body = " ".join(decls + [text(s) for s in spec["body"]])
+    return f"(def (main {params}) {body})\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(disjunctive_programs())
+# x <= z holds within REAL_TOL, and so does z <= x: a branch is refuted only
+# when its statement's write merges into a contradiction, so o keeps both
+# values, where a raw `lo(x) > hi(z)` test would drop o = 1
+@example({"cells": [("o", "choose", (0, 1)), ("x", "const", 0.0000000005),
+                    ("z", "const", 0)],
+          "body": [("if", "o", [("lesseq", "x", "z")],
+                    [("lesseq", "z", "x")])],
+          "minimize": None})
+# neither else-branch can hold, so d0 in [-1, 0] and d1 in [0, 2] must
+# each be nonzero: the write trims the end that is 0
+@example({"cells": [("c0", "choose", (0, 1)), ("c1", "choose", (0, 1)),
+                    ("k0", "const", -1), ("k1", "const", 3),
+                    ("d0", "sum", ("c0", "k0")), ("d1", "sum", ("c1", "c1"))],
+          "body": [("if", "d0", [], [("lesseq", "k1", "k0")]),
+                   ("if", "d1", [], [("lesseq", "k1", "k0")])],
+          "minimize": "d0"})
+def test_disjunctive_programs_answer_like_brute_force(spec):
+    program = parse(_disjunctive_text(spec))
+    shown = tuple(name for name, kind, _ in spec["cells"] if kind == "choose")
+    envs = oracles.disjunctive_solutions(spec["cells"], spec["body"])
+    expected = sorted(tuple(env[n] for n in shown) for env in envs)
+    for gc in (False, True):
+        res = solve(program, Query(entry="main", targets=shown), gc=gc)
+        assert res.stats["complete"]
+        assert sorted(tuple(a[n] for n in shown)
+                      for a in res.assignments()) == expected
+    obj = spec["minimize"]
+    if obj is None:
+        return
+    best = min((env[obj] for env in envs), default=None)
+    query = Query(entry="main", targets=shown, objective=obj)
+    for gc in (False, True):
+        res = optimize(program, query, gc=gc)
+        assert res.stats["complete"]
+        assert res.objective == best and res.proven == (best is not None)
+        if best is not None:
+            cells = res.solution["cells"]
+            assert any(env[obj] == best and all(env[n] == cells[n]
+                                                for n in shown)
+                       for env in envs)

@@ -573,6 +573,20 @@ def test_node_cut_by_the_bound_names_it_in_provenance():
     assert all("bound:incumbent" in p for p in trace.provenance)
 
 
+def test_an_if_whose_branches_both_fail_dies_on_its_refutes():
+    # x = 3 is neither <= 0 nor equal to 0: the then-branch refutes o to 0,
+    # the else-branch away from 0, so the root dies on o before either
+    # branch opens or search branches, and its provenance names the refutes
+    prog = parse("(def (f o) (const x 3) (const z 0) (choose o 0 1)"
+                 " (if o ((lesseq x z)) ((equal x z))))")
+    trace = _Deadends()
+    res = solve(prog, Query(entry="f", targets=("o",)), trace=trace)
+    assert res.solutions == [] and res.stats["nodes"] == 1
+    o = instantiate(prog, "f").cell_of(0, "o")
+    provenance, = trace.provenance
+    assert f"refute:{o}" in provenance
+
+
 # -- summarization -----------------------------------------------------------
 
 
