@@ -323,8 +323,10 @@ def merge(a: PartialInfo, b: PartialInfo) -> PartialInfo:
         a, b = b, a
         ka, kb = kb, ka
     if ka == "real_interval" and kb == "int_interval":
-        lo = max(b.lo, math.ceil(a.lo - REAL_TOL))
-        hi = min(b.hi, math.floor(a.hi + REAL_TOL))
+        lo = b.lo if a.lo == -math.inf else max(
+            b.lo, math.ceil(a.lo - REAL_TOL))
+        hi = b.hi if a.hi == math.inf else min(
+            b.hi, math.floor(a.hi + REAL_TOL))
         return int_interval(lo, hi)
 
     if ka == "finite_domain" and kb == "finite_domain":

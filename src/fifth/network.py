@@ -160,13 +160,16 @@ class Network:
         if kind not in _TRANSFER:
             raise StructuralError(f"unknown propagator kind {kind!r}")
         prop = Propagator(len(self.propagators), kind, cells)
+        contents = self.contents
         for cid in prop.cells:
-            self.content(cid)
+            if not 0 <= cid < len(contents) or contents[cid] is None:
+                raise StructuralError(f"unknown cell id {cid}")
         pid = prop.id
         self.propagators.append(prop)
         watchers = self.watchers
-        for cid in set(prop.cells):
-            watchers[cid] = watchers[cid] + (pid,)  # pid is the largest id
+        for cid in prop.cells:  # a repeated cell already ends with pid
+            if watchers[cid][-1:] != (pid,):
+                watchers[cid] = watchers[cid] + (pid,)  # the largest id
         self.pending.add(pid)
         self.queue.append(pid)
         return pid

@@ -9,6 +9,7 @@ of search but not its answers.
 """
 
 from dataclasses import dataclass, field
+from types import NoneType
 from typing import Optional
 
 from .errors import StructuralError
@@ -25,7 +26,8 @@ from .language import (
     unsettled_choices,
 )
 from .lattice import (
-    INT_SAT, bounds_of, exact, int_interval, is_integer_valued, real_interval,
+    INT_SAT, Exact, bounds_of, exact, int_interval, is_integer_valued,
+    real_interval,
 )
 
 
@@ -102,7 +104,8 @@ class _SearchState:
     steps: int = 0
     expansions: int = 0
     summarized: int = 0
-    complete: bool = True
+    cuts: int = 0  # nodes cut by a budget or left under-determined
+    memo_hits: int = 0
     solutions: list = field(default_factory=list)
     incumbent: Optional[object] = None
 
@@ -176,7 +179,7 @@ def _run_node(inst, query, state, targets):
     state.steps += report.steps_used
     state.expansions += report.expansions
     if report.depth_exhausted or report.steps_exhausted:
-        state.complete = False
+        state.cuts += 1
     return report
 
 
@@ -186,12 +189,13 @@ def _stats(state):
         "steps": state.steps,
         "expansions": state.expansions,
         "summarized": state.summarized,
-        "complete": state.complete,
+        "complete": state.cuts == 0,
+        "memo_hits": state.memo_hits,
     }
 
 
 def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
-         pre_run=None):
+         pre_run=None, objective=None):
     """The depth-first search loop behind solve() and optimize(), from the
     query's `root`. `targets` maps each target to its cell, resolved once:
     the root never folds, and its cells keep their ids in every clone.
@@ -203,18 +207,31 @@ def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
     dormant `if` branch could still post a `choose`, and otherwise split on
     one choice cell, one clone per value; with no cell to split on, it
     leaves the search incomplete.
+
+    Unless the search is watched or guided (an oracle reads cells outside
+    the key), a node about to split is looked up by `_memo_key` in a memo of
+    the subtrees searched without a cut. A repeat goes no further: solve()
+    replays that subtree's solutions, optimize() (given `objective`) prunes.
     """
     oracle = oracle or UniformOracle()
     if write_sink is not None:
         root.network.trace_sink = write_sink
+    watched = trace or write_sink or type(oracle) is not UniformOracle
+    memo, shapes = (None if watched else {}), {}
+    wide = None  # the propagators reading every cell branched on so far
     state.stack.append(root)
     while state.stack:
-        if state.nodes >= query.node_budget:
-            state.complete = False
-            break
         inst = state.stack.pop()
+        if type(inst) is tuple:  # a marker: the subtree above it is done
+            if inst[2] == state.cuts:
+                memo[inst[0]] = state.solutions[inst[1]:]
+            continue
+        if state.nodes >= query.node_budget:
+            state.cuts += 1
+            break
         if pre_run is not None:
             pre_run(inst)
+        attached = len(inst.network.propagators)
         report = _run_node(inst, query, state, targets)
         if trace is not None:
             trace.node(inst)
@@ -238,13 +255,71 @@ def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
         if cp is None:
             # not a solution, yet nothing contradicted and nothing is left
             # to branch on: the branch is under-determined, not refuted
-            state.complete = False
+            state.cuts += 1
             continue
+        # a node repeats no other node, so is not keyed, when it attached a
+        # propagator (only its subtree shares its propagators) or, in a
+        # one-frame program, when a live propagator reads every cell
+        # branched on (a repeat would hold the same values there)
+        contents = inst.network.contents
+        if memo is not None and len(inst.network.propagators) == attached \
+                and not (len(inst.frames) == 1 and any(
+                    type(contents[c]) is not Exact
+                    for p in wide or () for c in p.cells)):
+            key = _memo_key(inst, targets, gc, objective, shapes)
+            seen = memo.get(key)
+            if seen is not None:
+                state.memo_hits += 1
+                if objective is None:  # exact targets are the repeat's own
+                    own = _target_values(inst, {
+                        n: c for n, c in targets.items()
+                        if type(contents[c]) is Exact})
+                    state.solutions += [{"cells": {**s["cells"], **own}}
+                                        for s in seen]
+                continue
+            state.stack.append((key, len(state.solutions), state.cuts))
+        wide = [p for p in (inst.network.propagators if wide is None else
+                            wide) if cp.cell in p.cells]
         ordered = _order_values(inst, cp, values, oracle)
         for v in reversed(ordered):
             child = inst.clone()
             child.network.write(cp.cell, exact(v), f"branch:{cp.cell}={v}")
             state.stack.append(child)
+
+
+def _memo_key(inst, targets, gc, objective, shapes):
+    """What the subtree of a quiesced node can still read (Chu, Garcia de la
+    Banda & Stuckey, CPAIOR 2010): cells not exact, exact cells sharing a
+    propagator with one, the unsettled choices, dormant branches and
+    unexpanded frames with their frames' cells, the expansions made and the
+    `objective`. What `collect_garbage` would fold is left out, so `gc`
+    changes no key. `shapes` caches the cells read, per attached propagators
+    (named by the last) and kinds of cell. An exact real counts as settled,
+    though `merge` can still move it within REAL_TOL."""
+    net, frames = inst.network, inst.frames
+    contents, props = net.contents, net.propagators
+    folds = [] if gc or len(frames) == 1 else _foldable(inst, targets.values())
+    dropped = frozenset().union(*(cells for _, cells in folds))
+    shape = (props[-1] if props else None, tuple(map(type, contents)), dropped)
+    cached = shapes.get(shape)
+    if cached is None:
+        opened = tuple(c for c, t in enumerate(shape[1]) if c not in dropped
+                       and t is not Exact and t is not NoneType)
+        near = set().union(*[props[p].cells
+                             for c in opened for p in net.watchers[c]])
+        cached = shapes[shape] = opened, sorted(near.difference(opened))
+    opened, near = cached
+    folded = {f.id for f, _ in folds}
+    dormant = [e for e in inst.dormant if e[0] not in folded]
+    waiting = sorted({e[0] for e in dormant}.union(inst.unexpanded))
+    cells = [c for f in waiting for c in frames[f].cellmap.values()]
+    return (shape[0], opened, tuple(map(contents.__getitem__, opened)),
+            tuple(contents[c].value for c in near),
+            tuple(cp.cell for cp in inst.choices), inst.expansions,
+            tuple((e[1], e[2], id(e[3])) for e in dormant), tuple(waiting),
+            tuple(frames[f].defname for f in waiting), tuple(cells),
+            tuple(map(contents.__getitem__, cells)),
+            objective is not None and contents[objective])
 
 
 def solve(program: Program, query: Query, oracle=None, trace=None,
@@ -345,11 +420,11 @@ def optimize(program: Program, query: Query, oracle=None,
                                     "bound:unattained")
                 state.stack.append(above)
             else:
-                state.complete = False
+                state.cuts += 1
             return
         if not report.quiescent:
             # out of steps: a pending propagator could still refute the pin
-            state.complete = False
+            state.cuts += 1
             return
         state.incumbent = lb
         state.solutions.append({"cells": _target_values(pinned, targets)})
@@ -358,11 +433,11 @@ def optimize(program: Program, query: Query, oracle=None,
             trace.solution(pinned)
 
     _dfs(root, targets, query, state, improve, oracle, trace, gc, write_sink,
-         pre_run=post_bound)
+         pre_run=post_bound, objective=obj_cell)
     return OptimizeResult(
         solution=state.solutions[-1] if state.solutions else None,
         objective=state.incumbent,
-        proven=state.complete and state.incumbent is not None,
+        proven=state.cuts == 0 and state.incumbent is not None,
         bound_trace=bound_trace,
         stats=_stats(state),
     )
@@ -388,6 +463,26 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
     already derived answer survives by construction.
     """
     net = inst.network
+    summarized, dropped, detached = [], 0, 0
+    for f, interior in _foldable(inst, target_cells):
+        for cid in interior:
+            for pid in net.watchers[cid]:
+                net.detach(pid)
+                detached += 1
+            net.drop_cell(cid)
+            dropped += 1
+        boundary = f.boundary_cells(inst.program)
+        f.cellmap = {n: c for n, c in f.cellmap.items() if c in boundary}
+        f.state = SUMMARIZED
+        summarized.append(f.id)
+    inst.dormant = [e for e in inst.dormant
+                    if inst.frames[e[0]].state != SUMMARIZED]
+    return SummarizationReport(tuple(reversed(summarized)), dropped, detached)
+
+
+def _foldable(inst, target_cells):
+    """The frames `collect_garbage` would fold, last first, with interiors."""
+    net = inst.network
     targets = set(target_cells)
 
     # An open choice keeps its frame even when the boundary no longer
@@ -403,40 +498,26 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
     # frame that is finished but holds a query target in its interior stays
     # expanded without holding up its parent: folding the parent detaches
     # no more than folding it would.
-    params = {c for f in inst.frames for c in f.boundary_cells(inst.program)}
+    params = None
     unfinished = [False] * len(inst.frames)
-    summarized = []
-    dropped = 0
-    detached = 0
+    folds = []
     for f in reversed(inst.frames):
         if f.id == 0 or f.state == SUMMARIZED:
             continue
         if f.state == UNEXPANDED:
             unfinished[f.parent] = True
             continue
-        boundary = f.boundary_cells(inst.program)
         if (
             unfinished[f.id]
             or f.id in busy
-            or any(net.content(c).kind != "exact" for c in boundary)
+            or any(net.content(c).kind != "exact"
+                   for c in f.boundary_cells(inst.program))
         ):
             unfinished[f.parent] = True
             continue
+        params = params or {c for g in inst.frames
+                            for c in g.boundary_cells(inst.program)}
         interior = [c for c in f.cellmap.values() if c not in params]
-        if targets & set(interior):
-            continue
-        for cid in interior:
-            for pid in net.watchers[cid]:
-                net.detach(pid)
-                detached += 1
-            net.drop_cell(cid)
-            dropped += 1
-        f.cellmap = {
-            name: cid for name, cid in f.cellmap.items() if cid in boundary
-        }
-        f.state = SUMMARIZED
-        summarized.append(f.id)
-    inst.dormant = [e for e in inst.dormant
-                    if inst.frames[e[0]].state != SUMMARIZED]
-    summarized.reverse()
-    return SummarizationReport(tuple(summarized), dropped, detached)
+        if not targets.intersection(interior):
+            folds.append((f, interior))
+    return folds

@@ -62,6 +62,14 @@ def test_merge_mixed_interval_kinds_tightens_to_integers():
     assert merge(int_interval(0, 10), real_interval(3.4, 3.9)).kind == "contradiction"
 
 
+def test_merge_mixed_interval_kinds_with_an_infinite_real_end():
+    # an infinite end is no bound; ceil and floor of it would overflow
+    below, above = real_interval(-math.inf, 3), real_interval(2, math.inf)
+    assert merge(int_interval(0, 5), below) == IntInterval(0, 3)
+    assert merge(below, int_interval(0, 5)) == IntInterval(0, 3)
+    assert merge(int_interval(0, 5), above) == IntInterval(2, 5)
+
+
 def test_merge_domain_against_intervals():
     assert merge(finite_domain({1, 5, 9}), int_interval(2, 9)) == FiniteDomain((5, 9))
     assert merge(finite_domain({1, 5, 9}), real_interval(4.5, 5.5)) == Exact(5)

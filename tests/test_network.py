@@ -82,6 +82,14 @@ def test_attach_unknown_cell():
     net.add_cell()
     with pytest.raises(StructuralError):
         net.attach("sum", (0, 1, 2))
+    # a negative id and a dropped cell are unknown too, and a refused
+    # attach leaves no propagator and no watcher behind
+    net.add_cell()
+    net.drop_cell(1)
+    for cells in ((0, -1, 0), (0, 1, 0)):
+        with pytest.raises(StructuralError):
+            net.attach("sum", cells)
+    assert net.propagators == [] and net.watchers == [(), ()]
 
 
 def test_pending_propagator_not_duplicated():

@@ -5,10 +5,12 @@ the recursion; a call answers like its body written inline, whichever
 argument cells it repeats; random small job-shops minimize to the
 brute-force optimum with and without summarization; random disjunctive
 programs, whose `if` branches may refute their conditions, give the
-answers and optima of brute-force enumeration."""
+answers and optima of brute-force enumeration; the subproblem memo changes
+neither the answers and their order nor the optimum, over both generators."""
 
 import itertools
 from collections import Counter
+from dataclasses import replace
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -370,3 +372,50 @@ def test_disjunctive_programs_answer_like_brute_force(spec):
             assert any(env[obj] == best and all(env[n] == cells[n]
                                                 for n in shown)
                        for env in envs)
+
+
+class _Quiet:
+    """A trace that records nothing: passing it only turns the memo off."""
+
+    def node(self, inst):
+        pass
+
+    solution = deadend = node
+
+
+def _recursive_case(case):
+    spec, text = case
+    query = Query(entry="top" if spec["root_choice"] else "rec",
+                  bindings=(("n", spec["n"]),), targets=("r",),
+                  depth_budget=50)
+    return text, [query, replace(query, objective="r")]
+
+
+def _disjunctive_case(spec):
+    shown = tuple(name for name, kind, _ in spec["cells"] if kind == "choose")
+    queries = [Query(entry="main", targets=shown)]
+    if spec["minimize"] is not None:
+        queries.append(Query(entry="main", targets=shown,
+                             objective=spec["minimize"]))
+    return _disjunctive_text(spec), queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(recursive_programs().map(_recursive_case),
+                 disjunctive_programs().map(_disjunctive_case)))
+def test_the_memo_keeps_answers_their_order_and_optima(case):
+    text, queries = case
+    program = parse(text)
+    for query in queries:
+        run = solve if query.objective is None else optimize
+        for gc in (False, True):
+            on = run(program, query, gc=gc)
+            off = run(program, query, gc=gc, trace=_Quiet())
+            assert off.stats["memo_hits"] == 0
+            assert on.stats["complete"] == off.stats["complete"]
+            assert on.stats["nodes"] <= off.stats["nodes"]
+            if query.objective is None:
+                assert on.solutions == off.solutions
+            else:
+                assert (on.objective, on.solution, on.proven) == (
+                    off.objective, off.solution, off.proven)

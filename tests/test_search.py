@@ -818,7 +818,34 @@ def test_gc_keeps_a_frame_with_an_open_choice():
     plain = solve(prog, q)
     folded = solve(prog, q, gc=True)
     assert plain.assignments() == [{"r": 0}] * 8
-    assert plain.stats["nodes"] == 15
+    # the second value of each of the two upper choices repeats the first:
+    # 7 nodes, where the full tree of three binary choices has 15
+    assert plain.stats["nodes"] == 7 and plain.stats["memo_hits"] == 2
     assert folded.solutions == plain.solutions
     assert folded.stats["nodes"] == plain.stats["nodes"]
     assert folded.stats["summarized"] > 0
+
+
+def test_memo_keys_the_exact_cells_an_open_cell_shares_a_propagator_with():
+    # a = 2 and a = -2 leave b and c the same domains; only a tells the
+    # subtrees apart, through the product that still reads b and c
+    prog = parse("(def (main a b c) (choose a -2 2) (choose b -1 1)"
+                 " (choose c -2 2) (product a b c))")
+    res = solve(prog, Query(entry="main", targets=("a", "b", "c")))
+    assert res.stats["memo_hits"] == 0
+    assert res.assignments() == [{"a": -2, "b": -1, "c": 2},
+                                 {"a": -2, "b": 1, "c": -2},
+                                 {"a": 2, "b": -1, "c": -2},
+                                 {"a": 2, "b": 1, "c": 2}]
+
+
+def test_memo_keys_the_objective_even_when_exact():
+    # o = 1 is searched first, but m = 3 - o is smaller under o = 2; the
+    # two nodes differ only in the exact m, so a key without it would
+    # prune the better one
+    prog = parse("(def (main o m x) (choose o 1 2) (choose x 0 1)"
+                 " (const k 3) (sum o m k))")
+    res = optimize(prog, Query(entry="main", targets=("o", "m", "x"),
+                               objective="m"))
+    assert res.objective == 1 and res.proven
+    assert res.solution == {"cells": {"o": 2, "m": 1, "x": 0}}
