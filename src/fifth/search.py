@@ -328,7 +328,7 @@ def solve(program: Program, query: Query, oracle=None, trace=None,
 
     `trace`, when given, must offer node/solution/deadend callbacks; the
     solver reports every quiesced node to it so guidance can be trained
-    from what the search actually saw.
+    from what the search actually saw; it turns the memo (see `_dfs`) off.
 
     `gc` summarizes decided frames after each node quiesces, so clones stay
     small on deep recursions. Summarization only folds a frame whose
@@ -507,11 +507,11 @@ def _foldable(inst, target_cells):
         if f.state == UNEXPANDED:
             unfinished[f.parent] = True
             continue
+        boundary = f.boundary_cells(inst.program)
         if (
             unfinished[f.id]
             or f.id in busy
-            or any(net.content(c).kind != "exact"
-                   for c in f.boundary_cells(inst.program))
+            or any(net.content(c).kind != "exact" for c in boundary)
         ):
             unfinished[f.parent] = True
             continue
