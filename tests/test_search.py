@@ -828,15 +828,15 @@ def test_gc_keeps_a_frame_with_an_open_choice():
 
 def test_memo_keys_the_exact_cells_an_open_cell_shares_a_propagator_with():
     # a = 2 and a = -2 leave b and c the same domains; only a tells the
-    # subtrees apart, through the product that still reads b and c
-    prog = parse("(def (main a b c) (choose a -2 2) (choose b -1 1)"
-                 " (choose c -2 2) (product a b c))")
-    res = solve(prog, Query(entry="main", targets=("a", "b", "c")))
-    assert res.stats["memo_hits"] == 0
-    assert res.assignments() == [{"a": -2, "b": -1, "c": 2},
-                                 {"a": -2, "b": 1, "c": -2},
-                                 {"a": 2, "b": -1, "c": -2},
-                                 {"a": 2, "b": 1, "c": 2}]
+    # subtrees apart, through the product that still reads b and c. s is
+    # branched on first and read by nothing, so s = 1 repeats s = 0
+    prog = parse("(def (main s a b c) (choose s 0 1) (choose a -2 2)"
+                 " (choose b -1 1) (choose c -2 2) (product a b c))")
+    res = solve(prog, Query(entry="main", targets=("s", "a", "b", "c")))
+    assert res.stats["memo_hits"] == 1
+    assert [(x["a"], x["b"], x["c"]) for x in res.assignments()] == [
+        (-2, -1, 2), (-2, 1, -2), (2, -1, -2), (2, 1, 2)] * 2
+    assert [x["s"] for x in res.assignments()] == [0] * 4 + [1] * 4
 
 
 def test_memo_keys_the_objective_even_when_exact():
