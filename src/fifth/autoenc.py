@@ -87,11 +87,14 @@ class Autoencoder:
         return h1 @ self.w_enc_out.T + self.b_enc_out
 
     def encode(self, x):
+        """Code of one (F,) vector, or one code per row of an (n, F) batch.
+        Rows pass through as a stack of (1, F) products, so each row's code
+        is bit-identical to encoding it alone; one (n, F) product is not."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_features,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n_features:
             raise ValueError(
-                f"expected a vector of {self.n_features} features")
-        return self._codes(x[None, :])[0]
+                f"expected a vector or rows of {self.n_features} features")
+        return self._codes(x[..., None, :])[..., 0, :]
 
     def init_weights(self, seed=0):
         rng = np.random.default_rng(seed)

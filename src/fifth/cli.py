@@ -290,8 +290,11 @@ def cmd_measure(cfg):
     if not (model_dir / "manifest.json").is_file():
         _fit_bundle(cfg, cfg.train_dir, model_dir)
         trained = True
-    from fifth.hierarchy import LearnedOracle
+    from fifth.hierarchy import AugmentationTree, LearnedOracle
     tree = load_bundle(str(model_dir))
+    # an empty tree scores every candidate 0.0, so the uniform arm keeps
+    # the ascending order and, like the learned arm, runs without the memo
+    blank = LearnedOracle(AugmentationTree())
     files = _corpus_files(cfg.eval_dir)
     if not files:
         raise UsageError(f"no instances in {cfg.eval_dir}")
@@ -301,7 +304,7 @@ def cmd_measure(cfg):
         if program.query is None:
             raise UsageError(f"{f} has no query")
         query = _query(program, cfg)
-        uniform = _run(program, query, UniformOracle())
+        uniform = _run(program, query, blank)
         learned = _run(program, query, LearnedOracle(tree))
         rows.append({
             "name": f.name,

@@ -4,10 +4,12 @@ Every expanded frame gets a fixed-width feature vector summarizing its
 boundary state. Frames of one definition share one autoencoder, so frames
 of the same shape inform each other through the shared weights. A memory
 of distinct success and deadend codes per definition turns the codes into
-value-ordering advice for search. The codes along a root-to-leaf recursion
-path fold pairwise into one (a spine), so information crosses d frames in
-O(log d) combines; the combiner is untrained and never saved, since only
-the hop bound reads the fold.
+value-ordering advice for search, one batched encode per (frame, cell)
+scoring all its candidate values, bit-identical to scoring them one by
+one. The codes along a root-to-leaf recursion path fold pairwise into one
+(a spine), so information crosses d frames in O(log d) combines; the
+combiner is untrained and never saved, since only the hop bound reads the
+fold.
 
 Codes are advisory: nothing here writes into cells, so search results never
 depend on what the encoders learned.
@@ -17,13 +19,14 @@ import json
 import os
 import re
 import struct
+from itertools import groupby
 
 import numpy as np
 
 from .autoenc import Autoencoder
 from .errors import BundleError
 from .language import EXPANDED
-from .lattice import bounds_of, info_bits
+from .lattice import INT_SAT, bounds_of, info_bits
 
 N_FEATURES = 16
 REF_WIDTH = 1024  # reference width for "how pinned down is this cell" scoring
@@ -31,6 +34,11 @@ _SLOTS = 3  # boundary cells summarized individually before aggregation
 
 
 def _squash(x):
+    """x / (1 + |x|) of x clamped to +-INT_SAT, so that an int past
+    binary64's range converts; from INT_SAT on the result is 1.0 anyway."""
+    if not -INT_SAT < x < INT_SAT:
+        x = INT_SAT if x > 0 else -INT_SAT
+    x = float(x)
     return x / (1.0 + abs(x))
 
 
@@ -42,35 +50,38 @@ def _cell_features(content):
     if r is None:
         lo = hi = 0.0
     else:
-        lo, hi = _squash(float(r[0])), _squash(float(r[1]))
+        lo, hi = _squash(r[0]), _squash(r[1])
     return [decided, bits, lo, hi, contra]
 
 
+def _feature_rows(depth, per):
+    """One 16-wide row per variant of a frame from `per`, its boundary
+    cells' features shaped (variants, cells, 5): three 5-feature slots
+    (decided, pinned-down bits, squashed bounds, contradiction flag) for
+    the first cells, the cells past the slots averaged into the last one,
+    zeros for missing cells, plus a clamped depth term."""
+    n, m, _ = per.shape
+    rows = np.zeros((n, N_FEATURES))
+    head = m if m <= _SLOTS else _SLOTS - 1
+    rows[:, :5 * head] = per[:, :head].reshape(n, -1)
+    if m > _SLOTS:
+        tail = per[:, head:]
+        rows[:, 5 * head:5 * _SLOTS] = tail.sum(axis=1) / tail.shape[1]
+    rows[:, -1] = min(depth / 1024.0, 1.0)
+    return rows
+
+
 def featurize(frame, network, program, override=None):
-    """Fixed 16-wide summary of a frame's boundary state.
-
-    Three 5-feature slots (decided, pinned-down bits, squashed bounds,
-    contradiction flag) for the first boundary cells, cells past the slots
-    averaged into the last one, plus a clamped depth term. `override` maps
-    cell id -> content and lets a caller ask "what would this frame look
-    like if that cell held this" without touching the network.
+    """Fixed 16-wide summary of a frame's boundary state (see
+    `_feature_rows`). `override` maps cell id -> content and lets a caller
+    ask "what would this frame look like if that cell held this" without
+    touching the network.
     """
-    cells = frame.boundary_cells(program)
-
-    def content(cid):
-        if override and cid in override:
-            return override[cid]
-        return network.content(cid)
-
-    per = [_cell_features(content(c)) for c in cells]
-    if len(per) <= _SLOTS:
-        slots = per + [[0.0] * 5] * (_SLOTS - len(per))
-    else:
-        head = per[:_SLOTS - 1]
-        tail = np.mean(per[_SLOTS - 1:], axis=0).tolist()
-        slots = head + [tail]
-    depth = min(frame.depth / 1024.0, 1.0)
-    return np.array([f for slot in slots for f in slot] + [depth])
+    override = override or {}
+    per = [_cell_features(override[c] if c in override
+                          else network.content(c))
+           for c in frame.boundary_cells(program)]
+    return _feature_rows(frame.depth, np.array(per).reshape(1, -1, 5))[0]
 
 
 def _fold_pairwise(items, combine):
@@ -155,24 +166,32 @@ class AugmentationTree:
 
     def oracle_scores(self, inst, descriptors):
         """Deadend-distance minus success-distance per candidate write,
-        each the Euclidean distance to the nearest remembered code."""
+        each the Euclidean distance to the nearest remembered code. A run
+        of candidates for one cell of one frame, as search asks, is scored
+        in one batch: one feature matrix, one encode. Each score is
+        bit-identical to featurizing and encoding that candidate alone."""
         scores = []
-        for cell, info, fid in descriptors:
+        for (fid, cell), group in groupby(descriptors,
+                                          key=lambda d: (d[2], d[0])):
+            infos = [info for _, info, _ in group]
             frame = inst.frames[fid]
             succ = self.memory.get((frame.defname, "success"))
             dead = self.memory.get((frame.defname, "deadend"))
-            if succ is None and dead is None:
-                scores.append(0.0)
-                continue
-            feats = featurize(frame, inst.network, inst.program,
-                              override={cell: info})
-            code = self.encoder_for(frame.defname).encode(feats)
-            score = 0.0
-            if dead is not None:
-                score += np.sqrt(((dead - code) ** 2).sum(axis=1)).min()
-            if succ is not None:
-                score -= np.sqrt(((succ - code) ** 2).sum(axis=1)).min()
-            scores.append(float(score))
+            score = np.zeros(len(infos))
+            if succ is not None or dead is not None:
+                cells = frame.boundary_cells(inst.program)
+                per = np.empty((len(infos), len(cells), 5))
+                per[:] = np.reshape([_cell_features(inst.network.content(c))
+                                     for c in cells], (-1, 5))
+                per[:, [i for i, c in enumerate(cells) if c == cell]] = \
+                    np.array([_cell_features(i) for i in infos])[:, None]
+                codes = self.encoder_for(frame.defname).encode(
+                    _feature_rows(frame.depth, per))[:, None]
+                if dead is not None:
+                    score += np.sqrt(((dead - codes) ** 2).sum(axis=2)).min(1)
+                if succ is not None:
+                    score -= np.sqrt(((succ - codes) ** 2).sum(axis=2)).min(1)
+            scores.extend(score.tolist())
         return scores
 
     # -- training --------------------------------------------------------------

@@ -48,10 +48,20 @@ def test_encode_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_encode_rows_equal_encoding_each_alone():
+    ae = Autoencoder(n_features=16).init_weights(5)
+    ae.feat_mean = np.linspace(-0.3, 0.3, 16)
+    x = np.random.default_rng(2).uniform(-1, 1, (40, 16))
+    codes = ae.encode(x)
+    assert codes.shape == (40, ae.n_code)
+    assert all(np.array_equal(c, ae.encode(row)) for c, row in zip(codes, x))
+
+
 def test_dimension_mismatch_rejected():
     ae = Autoencoder(n_features=4, n_code=2)
-    with pytest.raises(ValueError):
-        ae.encode(np.ones(5))
+    for shape in ((5,), (3, 5), (2, 3, 4)):
+        with pytest.raises(ValueError):
+            ae.encode(np.ones(shape))
 
 
 # -- loss ----------------------------------------------------------------------

@@ -757,6 +757,44 @@ def test_hostile_argv_exits_cleanly(argv):
     assert _main_quietly(argv) in (0, 1, 2, 3)
 
 
+HUGE_INT = (
+    "(def (csp x0 x1 b) (choose x0 0 1 2 3) (choose x1 0 1 2 3)"
+    f" (const b {10 ** 400}) (alldiff x0 x1)) (query (csp) (show x0 x1))\n")
+
+
+@pytest.mark.parametrize("command", ["train", "solve-trace", "solve-learned"])
+def test_guidance_reads_an_integer_past_float_range(command, tmp_path,
+                                                    capsys):
+    """A boundary cell holding an exact int past binary64's range is
+    featurized as saturated, not converted to a float."""
+    corpus = tmp_path / "huge"
+    corpus.mkdir()
+    program = corpus / "huge.5th"
+    program.write_text(HUGE_INT)
+    code, out, _ = run(["solve", program], capsys)
+    assert code == 0
+    unguided = json.loads(out)["solutions"]
+    assert len(unguided) == 12
+    model = tmp_path / "model"
+    argv = {
+        "train": ["train", corpus, "--model", model],
+        "solve-trace": ["solve", "--trace", program],
+        "solve-learned": ["solve", "--oracle", "learned", "--model", model,
+                          program],
+    }[command]
+    if command == "solve-learned":
+        assert run(["train", corpus, "--model", model], capsys)[0] == 0
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert len(out.splitlines()) == 1
+    payload = json.loads(out)
+    if command == "train":
+        assert payload["report"]["memory"]["success"] == len(unguided)
+    else:
+        assert sorted(map(json.dumps, payload["solutions"])) \
+            == sorted(map(json.dumps, unguided))
+
+
 # -- fresh interpreters ------------------------------------------------------
 # `fifth.cli` imports the guidance stack (`fifth.hierarchy`, `fifth.autoenc`,
 # numpy) only on the paths that use it. In this process another test may

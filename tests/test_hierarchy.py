@@ -26,6 +26,7 @@ from fifth.hierarchy import (
 from fifth.language import EXPANDED
 
 CSP_TRAIN = Path(__file__).resolve().parent.parent / "corpus" / "csp" / "train"
+CSP_EVAL = CSP_TRAIN.parent / "eval"
 
 FACT = """
 (def (fact n r)
@@ -423,6 +424,84 @@ def test_deduplicated_memory_scores_like_every_outcome():
         solve(prog, Query.from_spec(prog.query), oracle=Checking())
     assert len(checked) > 20
     assert len(set(checked)) > 1
+
+
+def _one_by_one(tree, inst, descriptors):
+    """Score each candidate alone: featurize with the override, encode the
+    one row, take the distances to the memory rows."""
+    scores = []
+    for cell, info, fid in descriptors:
+        frame = inst.frames[fid]
+        succ = tree.memory.get((frame.defname, "success"))
+        dead = tree.memory.get((frame.defname, "deadend"))
+        if succ is None and dead is None:
+            scores.append(0.0)
+            continue
+        feats = featurize(frame, inst.network, inst.program,
+                          override={cell: info})
+        code = tree.encoder_for(frame.defname).encode(feats)
+        score = 0.0
+        if dead is not None:
+            score += np.sqrt(((dead - code) ** 2).sum(axis=1)).min()
+        if succ is not None:
+            score -= np.sqrt(((succ - code) ** 2).sum(axis=1)).min()
+        scores.append(float(score))
+    return scores
+
+
+@pytest.fixture(scope="module")
+def csp_tree():
+    log = TraceLog()
+    for i in (0, 5, 7):
+        prog = parse((CSP_TRAIN / f"train-0{i}.5th").read_text())
+        solve(prog, Query.from_spec(prog.query), trace=log)
+    tree = AugmentationTree()
+    tree.train_from_traces(log, seed=0)
+    return tree
+
+
+def test_batched_scores_equal_one_by_one_in_search(csp_tree):
+    """Every call search makes on eval CSPs (six boundary cells, so the
+    tail slot averages four) scores exactly as candidates one by one."""
+    calls = []
+
+    class Checking:
+        def scores(self, inst, descriptors):
+            got = csp_tree.oracle_scores(inst, descriptors)
+            assert got == _one_by_one(csp_tree, inst, descriptors)
+            calls.append(got)
+            return got
+
+    for f in sorted(CSP_EVAL.glob("*.5th"))[:6]:
+        prog = parse(f.read_text())
+        solve(prog, Query.from_spec(prog.query), oracle=Checking())
+    assert len(calls) > 20
+    assert len({s for got in calls for s in got}) > 10
+
+
+def test_batched_scores_across_groups_and_cells(csp_tree):
+    prog = parse((CSP_EVAL / "eval-03.5th").read_text())
+    inst = instantiate(prog, "csp")
+    inst.network.run_to_quiescence(1000)
+    x0, x1, k3 = (inst.cell_of(0, n) for n in ("x0", "x1", "k3"))
+    assert len(inst.root.boundary_cells(prog)) > 3
+    assert k3 not in inst.root.boundary_cells(prog)
+    # runs for x0, x1, a cell outside the boundary, then x0 again
+    descriptors = ([(x0, exact(v), 0) for v in (0, 1, 2)]
+                   + [(x1, exact(v), 0) for v in (3, 1)]
+                   + [(k3, exact(v), 0) for v in (5, 9)]
+                   + [(x0, exact(3), 0)])
+    got = csp_tree.oracle_scores(inst, descriptors)
+    assert got == _one_by_one(csp_tree, inst, descriptors)
+    runs = [descriptors[:3], descriptors[3:5], descriptors[5:7],
+            descriptors[7:]]
+    assert got == [s for run in runs
+                   for s in csp_tree.oracle_scores(inst, run)]
+    # a write outside the boundary changes no feature
+    assert got[5] == got[6]
+    assert len(set(got[:3])) == 3
+    empty = AugmentationTree().oracle_scores(inst, descriptors)
+    assert empty == [0.0] * len(descriptors)
 
 
 def test_learned_guidance_is_sound_on_queens():
