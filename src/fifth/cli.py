@@ -11,23 +11,22 @@ Exit codes: 0 found, 1 usage or parse error, 2 exhausted with proof of
 unsatisfiability, 3 exhausted by budget. A report is one line of JSON and
 carries no timing fields, so equal seeds give byte-equal output. Only
 `train`, `measure`, `check`, `solve --oracle learned` and `solve --trace`
-import the guidance stack (`fifth.hierarchy`, `fifth.autoenc`, numpy).
+import the guidance stack (`fifth.hierarchy`, `fifth.autoenc`, numpy);
+only `measure` imports `statistics`, and only `check` the self-tests
+(`fifth.selftest`, `fifth.rng`).
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
 import os
-import statistics
 import sys
 from pathlib import Path
 
-from fifth import selftest
 from fifth.errors import FifthError
 from fifth.language import parse
-from fifth.search import Query, UniformOracle, optimize, solve
+from fifth.search import UniformOracle, optimize, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -147,17 +146,11 @@ def _load_program(path_str):
 
 
 def _query(program, cfg):
-    query = Query.from_spec(program.query)
-    changes = {}
-    if cfg.depth is not None:
-        changes["depth_budget"] = cfg.depth
-    if cfg.steps is not None:
-        changes["step_budget"] = cfg.steps
-    if cfg.nodes is not None:
-        changes["node_budget"] = cfg.nodes
-    if cfg.precision is not None:
-        changes["precision"] = cfg.precision
-    return dataclasses.replace(query, **changes) if changes else query
+    """The program's query, with each budget flag given in place of its
+    query option."""
+    return program.query._replace(**{
+        flag: getattr(cfg, flag) for flag in _BUDGETS
+        if getattr(cfg, flag) is not None})
 
 
 def _emit(payload, out):
@@ -169,7 +162,7 @@ def _emit(payload, out):
 
 
 def _run(program, query, oracle, trace=None, gc=False, write_sink=None):
-    if query.objective is not None:
+    if query.minimize is not None:
         return optimize(program, query, oracle=oracle, trace=trace,
                         gc=gc, write_sink=write_sink)
     return solve(program, query, oracle=oracle, trace=trace,
@@ -277,12 +270,13 @@ def _canon_solutions(solutions):
 
 
 def _answers_equal(query, a, b):
-    if query.objective is not None:
+    if query.minimize is not None:
         return a.objective == b.objective
     return _canon_solutions(a.solutions) == _canon_solutions(b.solutions)
 
 
 def cmd_measure(cfg):
+    import statistics
     if cfg.model is None:
         raise UsageError("measure needs --model")
     model_dir = Path(cfg.model)
@@ -332,6 +326,7 @@ def cmd_measure(cfg):
 
 
 def cmd_check(cfg):
+    from fifth import selftest
     # reduced sample sizes; the full-size runs live in the test suite
     suites = [
         selftest.lattice_law_sample(n_triples=2_000, seed=cfg.seed + 2024),

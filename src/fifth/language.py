@@ -15,8 +15,6 @@ its program text once.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Optional
 
 from .errors import ParseError, StructuralError
 from .lattice import (
@@ -36,28 +34,43 @@ from .network import REAL_SAT, Network, QuiescenceReport, _operand
 MAX_IF_NESTING = 200
 
 
-@dataclass(frozen=True)
 class Definition:
-    name: str
-    params: tuple
-    plan: tuple  # compiled body, see `_compile`
+    __slots__ = ("name", "params", "plan", "__weakref__")
+
+    def __init__(self, name, params, plan):
+        self.name = name
+        self.params = params
+        self.plan = plan  # compiled body, see `_compile`
 
 
-@dataclass(frozen=True)
-class QuerySpec:
-    entry: str
-    bindings: tuple  # ((name, number), ...)
-    show: tuple
-    depth: int = 10_000
-    steps: int = 1_000_000
-    precision: float = 0.0
-    minimize: Optional[str] = None
+class Query(namedtuple("Query", "entry bindings show depth steps nodes"
+                       " precision minimize",
+                       defaults=((), (), 10_000, 1_000_000, 100_000, 0.0,
+                                 None))):
+    """What to run, under the names the query syntax and the CLI flags use:
+    the entry definition, its bindings ((name, number), ...), the names to
+    show, the expansion, step and node budgets, the width a shown range may
+    keep, and the name to minimize, if any."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        query = super().__new__(cls, *args, **kwargs)
+        if min(query.depth, query.steps, query.nodes) < 0:
+            raise ValueError("budgets must be >= 0")
+        return query
+
+    @classmethod
+    def _make(cls, iterable):  # so `_replace` checks the budgets too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
 class Program:
-    definitions: dict
-    query: Optional[QuerySpec] = None
+    __slots__ = ("definitions", "query", "__weakref__")
+
+    def __init__(self, definitions, query=None):
+        self.definitions = definitions
+        self.query = query
 
 
 # -- tokenizer / reader ------------------------------------------------------
@@ -265,8 +278,8 @@ def _compile(nodes, dname, arities, known, declared, nesting=0):
                 raise ParseError("choose needs a cell and at least one value",
                                  line, col)
             name, = _names(args[:1], known, dname, line, col)
-            values = tuple(_int_atom(a) for a in args[1:])
-            plan.append(("choose", name, (finite_domain(values), values)))
+            plan.append(("choose", name,
+                         finite_domain(_int_atom(a) for a in args[1:])))
         elif head == "if":
             if nesting >= MAX_IF_NESTING:
                 raise ParseError(f"if nested more than {MAX_IF_NESTING} deep",
@@ -319,7 +332,7 @@ def _names(nodes, known, dname, line, col):
 
 
 def _parse_query(node):
-    """The query's spec, and the names it uses that must be parameters of
+    """The query, and the names it uses that must be parameters of
     its entry, in source order as (role, atom node) pairs, entry first."""
     items, line, col = node
     if len(items) < 3 or not _is_list(items[1]) or not items[1][0]:
@@ -362,7 +375,7 @@ def _parse_query(node):
             named.append(("minimize target", opt[0][1]))
         else:
             raise ParseError(f"unknown query option {key!r}", opt[1], opt[2])
-    return QuerySpec(entry, tuple(bindings), show, **opts), named
+    return Query(entry, tuple(bindings), show, **opts), named
 
 
 def _check_query(program, named):
@@ -417,17 +430,12 @@ class Frame:
 
 
 # the cell of an attached `choose`, which search may branch on
-ChoicePoint = namedtuple("ChoicePoint", "cell values frame")
+ChoicePoint = namedtuple("ChoicePoint", "cell frame")
 
 
-@dataclass
-class DemandReport:
-    steps_used: int
-    expansions: int
-    contradiction: Optional[int]
-    targets_met: bool
-    depth_exhausted: bool = False
-    steps_exhausted: bool = False
+DemandReport = namedtuple(
+    "DemandReport", "steps_used expansions contradiction targets_met"
+    " depth_exhausted steps_exhausted")
 
 
 class Instance:
@@ -523,9 +531,8 @@ def _elaborate_body(inst, frame, plan):
             inst.unexpanded.append(child_id)
         else:  # "choose"
             cid = cellmap[name]
-            domain, values = operand
-            net.write(cid, domain, f"decl:{fid}:{name}")
-            inst.choices.append(ChoicePoint(cid, values, fid))
+            net.write(cid, operand, f"decl:{fid}:{name}")
+            inst.choices.append(ChoicePoint(cid, fid))
 
 
 def expand(inst: Instance, frame_id: int) -> Frame:

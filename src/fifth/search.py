@@ -8,17 +8,16 @@ values tried, never the variables, so learned guidance can change the cost
 of search but not its answers.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from types import NoneType
-from typing import Optional
 
 from .errors import StructuralError
 from .language import (
+    EXPANDED,
     Instance,
     Program,
-    QuerySpec,
+    Query,
     SUMMARIZED,
-    UNEXPANDED,
     demand_loop,
     instantiate,
     may_post,
@@ -31,35 +30,6 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class Query:
-    entry: str
-    bindings: tuple = ()
-    targets: tuple = ()          # boundary names to report
-    precision: float = 0.0
-    depth_budget: int = 10_000
-    step_budget: int = 1_000_000
-    node_budget: int = 100_000
-    objective: Optional[str] = None  # boundary name to minimize
-
-    def __post_init__(self):
-        if min(self.depth_budget, self.step_budget, self.node_budget) < 0:
-            raise ValueError("budgets must be >= 0")
-
-    @classmethod
-    def from_spec(cls, spec: QuerySpec, node_budget: int = 100_000):
-        return cls(
-            entry=spec.entry,
-            bindings=tuple(spec.bindings),
-            targets=tuple(spec.show),
-            precision=spec.precision,
-            depth_budget=spec.depth,
-            step_budget=spec.steps,
-            node_budget=node_budget,
-            objective=spec.minimize,
-        )
-
-
 class UniformOracle:
     """Scores every candidate the same; value order falls back to ascending."""
 
@@ -67,10 +37,8 @@ class UniformOracle:
         return [0.0] * len(descriptors)
 
 
-@dataclass
-class SolutionSet:
-    solutions: list
-    stats: dict
+class SolutionSet(namedtuple("SolutionSet", "solutions stats")):
+    __slots__ = ()
 
     def as_json(self):
         return {"solutions": self.solutions, "stats": self.stats}
@@ -79,13 +47,9 @@ class SolutionSet:
         return [s["cells"] for s in self.solutions]
 
 
-@dataclass
-class OptimizeResult:
-    solution: Optional[dict]
-    objective: Optional[object]
-    proven: bool
-    bound_trace: list
-    stats: dict
+class OptimizeResult(namedtuple(
+        "OptimizeResult", "solution objective proven bound_trace stats")):
+    __slots__ = ()
 
     def as_json(self):
         return {
@@ -97,17 +61,17 @@ class OptimizeResult:
         }
 
 
-@dataclass
 class _SearchState:
-    stack: list = field(default_factory=list)
-    nodes: int = 0
-    steps: int = 0
-    expansions: int = 0
-    summarized: int = 0
-    cuts: int = 0  # nodes cut by a budget or left under-determined
-    memo_hits: int = 0
-    solutions: list = field(default_factory=list)
-    incumbent: Optional[object] = None
+    __slots__ = ("stack", "nodes", "steps", "expansions", "summarized",
+                 "cuts", "memo_hits", "solutions", "incumbent")
+
+    def __init__(self):
+        self.stack = []
+        self.nodes = self.steps = self.expansions = self.summarized = 0
+        self.cuts = 0  # nodes cut by a budget or left under-determined
+        self.memo_hits = 0
+        self.solutions = []
+        self.incumbent = None
 
 
 def _branch_candidates(inst, cp):
@@ -171,8 +135,8 @@ def _run_node(inst, query, state, targets):
     report = demand_loop(
         inst,
         targets.values(),
-        max(query.depth_budget - inst.expansions, 0),
-        query.step_budget,
+        max(query.depth - inst.expansions, 0),
+        query.steps,
         query.precision,
     )
     state.nodes += 1
@@ -226,7 +190,7 @@ def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
             if inst[2] == state.cuts:
                 memo[inst[0]] = state.solutions[inst[1]:]
             continue
-        if state.nodes >= query.node_budget:
+        if state.nodes >= query.nodes:
             state.cuts += 1
             break
         if pre_run is not None:
@@ -342,7 +306,7 @@ def solve(program: Program, query: Query, oracle=None, trace=None,
     """
     state = _SearchState()
     root = instantiate(program, query.entry, dict(query.bindings))
-    targets = {n: root.cell_of(0, n) for n in query.targets}
+    targets = {n: root.cell_of(0, n) for n in query.show}
 
     def record(inst):
         if trace is not None:
@@ -377,13 +341,13 @@ def optimize(program: Program, query: Query, oracle=None,
     `trace`, `gc`, and `write_sink` behave exactly as in solve(). Each
     improving solution is kept in order; the last one is the optimum.
     """
-    if query.objective is None:
+    if query.minimize is None:
         raise StructuralError("optimize needs an objective")
     state = _SearchState()
     bound_trace = []
     root = instantiate(program, query.entry, dict(query.bindings))
-    targets = {n: root.cell_of(0, n) for n in query.targets}
-    obj_cell = root.cell_of(0, query.objective)
+    targets = {n: root.cell_of(0, n) for n in query.show}
+    obj_cell = root.cell_of(0, query.minimize)
 
     def post_bound(inst):
         incumbent = state.incumbent
@@ -409,7 +373,7 @@ def optimize(program: Program, query: Query, oracle=None,
             return
         pinned = inst.clone()
         pinned.network.write(obj_cell, exact(lb), "probe:objective")
-        report = settle(pinned, query.step_budget)
+        report = settle(pinned, query.steps)
         state.steps += report.steps_used
         if report.contradiction is not None:
             # the lower bound is not attainable in this branch, but a larger
@@ -443,11 +407,8 @@ def optimize(program: Program, query: Query, oracle=None,
     )
 
 
-@dataclass
-class SummarizationReport:
-    summarized: tuple
-    dropped_cells: int
-    detached_propagators: int
+SummarizationReport = namedtuple("SummarizationReport",
+                                 "summarized dropped_cells")
 
 
 def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
@@ -463,12 +424,11 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
     already derived answer survives by construction.
     """
     net = inst.network
-    summarized, dropped, detached = [], 0, 0
+    summarized, dropped = [], 0
     for f, interior in _foldable(inst, target_cells):
         for cid in interior:
             for pid in net.watchers[cid]:
                 net.detach(pid)
-                detached += 1
             net.drop_cell(cid)
             dropped += 1
         boundary = f.boundary_cells(inst.program)
@@ -477,19 +437,13 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
         summarized.append(f.id)
     inst.dormant = [e for e in inst.dormant
                     if inst.frames[e[0]].state != SUMMARIZED]
-    return SummarizationReport(tuple(reversed(summarized)), dropped, detached)
+    return SummarizationReport(tuple(reversed(summarized)), dropped)
 
 
 def _foldable(inst, target_cells):
     """The frames `collect_garbage` would fold, last first, with interiors."""
     net = inst.network
     targets = set(target_cells)
-
-    # An open choice keeps its frame even when the boundary no longer
-    # depends on it: search has yet to branch on it, once per repeat. So
-    # does a dormant branch that could still post one, or a call.
-    busy = {cp.frame for cp in unsettled_choices(inst)}
-    busy |= may_post(inst, ("choose", "call"))
 
     # A frame folds bottom-up: only once every descendant has folded. A
     # child left unexpanded or expanded still reads its parent's cells, so
@@ -498,26 +452,29 @@ def _foldable(inst, target_cells):
     # frame that is finished but holds a query target in its interior stays
     # expanded without holding up its parent: folding the parent detaches
     # no more than folding it would.
-    params = None
+    #
+    # An open choice keeps its frame even when the boundary no longer
+    # depends on it: search has yet to branch on it, once per repeat. So
+    # does a dormant branch that could still post one, or a call. Those
+    # frames (`busy`) are found only once a frame passes the cheaper tests.
+    busy = params = None
     unfinished = [False] * len(inst.frames)
     folds = []
     for f in reversed(inst.frames):
         if f.id == 0 or f.state == SUMMARIZED:
             continue
-        if f.state == UNEXPANDED:
-            unfinished[f.parent] = True
-            continue
-        boundary = f.boundary_cells(inst.program)
-        if (
-            unfinished[f.id]
-            or f.id in busy
-            or any(net.content(c).kind != "exact" for c in boundary)
-        ):
-            unfinished[f.parent] = True
-            continue
-        params = params or {c for g in inst.frames
-                            for c in g.boundary_cells(inst.program)}
-        interior = [c for c in f.cellmap.values() if c not in params]
-        if not targets.intersection(interior):
-            folds.append((f, interior))
+        if f.state == EXPANDED and not unfinished[f.id] and all(
+                net.content(c).kind == "exact"
+                for c in f.boundary_cells(inst.program)):
+            if busy is None:
+                busy = {cp.frame for cp in unsettled_choices(inst)}
+                busy |= may_post(inst, ("choose", "call"))
+            if f.id not in busy:
+                params = params or {c for g in inst.frames
+                                    for c in g.boundary_cells(inst.program)}
+                interior = [c for c in f.cellmap.values() if c not in params]
+                if not targets.intersection(interior):
+                    folds.append((f, interior))
+                continue
+        unfinished[f.parent] = True
     return folds

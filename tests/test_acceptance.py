@@ -76,11 +76,8 @@ def corpus_expected(rel):
 
 def run_corpus_query(rel, **overrides):
     program = corpus_program(rel)
-    query = Query.from_spec(program.query)
-    if overrides:
-        import dataclasses
-        query = dataclasses.replace(query, **overrides)
-    if query.objective is not None:
+    query = program.query._replace(**overrides)
+    if query.minimize is not None:
         return optimize(program, query)
     return solve(program, query)
 
@@ -128,7 +125,7 @@ def test_criterion_03_oracle_equivalence():
     for i in range(50):
         text, meta = generate_random_csp(6, 4, 0.4, seed=3000 + i)
         program = parse(text)
-        res = solve(program, Query.from_spec(program.query))
+        res = solve(program, program.query)
         got = canon(res.solutions)
         want = {tuple(sorted(a.items())) for a in oracles.csp_solutions(meta)}
         assert got == want, f"csp seed {3000 + i}"
@@ -145,13 +142,13 @@ def test_criterion_04_unbounded_recursion():
     results = {}
     for n, want in ((0, 1), (6, 720), (10, 3628800)):
         res = solve(program, Query(entry="fact", bindings=(("n", n),),
-                                   targets=("r",), depth_budget=40))
+                                   show=("r",), depth=40))
         assert res.solutions == [{"cells": {"r": want}}]
         assert res.stats["expansions"] == n
         results[n] = want
 
     starved = solve(program, Query(entry="fact", bindings=(("n", 10),),
-                                   targets=("r",), depth_budget=3))
+                                   show=("r",), depth=3))
     assert starved.stats["complete"] is False
     assert starved.solutions == []
     verdict(4, "unbounded recursion", True,
@@ -219,8 +216,8 @@ def test_criterion_08_gc_preservation():
     checked = 0
     for f in sorted(CORPUS.rglob("*.5th")):
         program = parse(f.read_text())
-        query = Query.from_spec(program.query)
-        if query.objective is not None:
+        query = program.query
+        if query.minimize is not None:
             plain = optimize(program, query)
             folded = optimize(program, query, gc=True)
             assert plain.objective == folded.objective, f.name

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, report shapes, determinism."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -25,7 +26,7 @@ from fifth.hierarchy import (
 )
 from fifth.lattice import merge
 from fifth.planning import generate_random_csp
-from fifth import Query, parse, selftest, solve
+from fifth import parse, selftest, solve
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"
@@ -124,14 +125,36 @@ def test_alldiff_over_a_repeated_cell_exits_2(tmp_path, capsys, text):
     assert json.loads(out)["solutions"] == []
 
 
-def test_solve_steps_zero_exits_3(capsys):
-    code, out, _ = run(
-        ["solve", "--steps", 0, CORPUS / "queens" / "q4.5th"], capsys)
-    assert code == 3
+BUDGET_FLAGS = {
+    # flag, value, program, exit code, what the report must hold
+    "steps": ("--steps", 0, CORPUS / "queens" / "q4.5th", 3,
+              {"steps": 0, "complete": False}),
+    "nodes": ("--nodes", 1, CORPUS / "queens" / "q8.5th", 3,
+              {"nodes": 1, "complete": False}),
+    "depth": ("--depth", 0, CORPUS / "fact" / "fact10.5th", 3,
+              {"expansions": 0, "complete": False}),
+    # x stays [0, 5], an answer only once a width of 5 is allowed
+    "precision": ("--precision", 5,
+                  "(def (m x) (int x 0 5)) (query (m) (show x))\n", 0,
+                  {"complete": True}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_FLAGS))
+def test_each_budget_flag_overrides_its_query_option(name, tmp_path, capsys):
+    flag, value, program, exit_code, stats = BUDGET_FLAGS[name]
+    if isinstance(program, str):
+        (tmp_path / "p.5th").write_text(program)
+        program = tmp_path / "p.5th"
+    code, out, _ = run(["solve", flag, value, program], capsys)
+    assert code == exit_code
     payload = json.loads(out)
-    assert payload["solutions"] == []
-    assert payload["stats"]["steps"] == 0
-    assert payload["stats"]["complete"] is False
+    assert {k: payload["stats"][k] for k in stats} == stats
+    if name == "precision":
+        assert payload["solutions"] == [{"cells": {"x": [0, 5]}}]
+        assert run(["solve", program], capsys)[0] == 3
+    else:
+        assert payload["solutions"] == []
 
 
 UNDER_DETERMINED = {
@@ -521,7 +544,7 @@ def test_bundle_with_bridges_loads_and_scores_alike(tiny_corpus, tmp_path,
 
     for f in sorted(tiny_corpus.glob("*.5th")):
         program = parse(f.read_text())
-        solve(program, Query.from_spec(program.query), oracle=Both())
+        solve(program, program.query, oracle=Both())
     assert len(set(scored)) > 1
 
 
@@ -797,14 +820,17 @@ def test_guidance_reads_an_integer_past_float_range(command, tmp_path,
 
 # -- fresh interpreters ------------------------------------------------------
 # `fifth.cli` imports the guidance stack (`fifth.hierarchy`, `fifth.autoenc`,
-# numpy) only on the paths that use it. In this process another test may
-# have loaded it already, so these cases each start a new interpreter.
+# numpy), the self-tests and the planning emitters only on the paths that use
+# them. In this process another test may have loaded them already, so these
+# cases each start a new interpreter.
 
-SOLVE_WITHOUT_GUIDANCE = """\
+SOLVE_UNGUIDED = """\
 import sys
 from fifth.cli import main
 code = main(["solve", "corpus/queens/q4.5th", "--out", sys.argv[1]])
-print(code, [m for m in ("numpy", "fifth.hierarchy", "fifth.autoenc")
+print(code, [m for m in ("numpy", "fifth.hierarchy", "fifth.autoenc",
+                         "dataclasses", "fifth.planning", "fifth.selftest",
+                         "statistics")
              if m in sys.modules])
 """
 
@@ -817,11 +843,22 @@ def _fresh(args):
                           capture_output=True, text=True, timeout=300)
 
 
-def test_solve_without_guidance_never_imports_numpy(tmp_path):
+def test_solve_without_guidance_loads_only_the_solve_path(tmp_path):
     out = tmp_path / "q4.json"
-    done = _fresh(["-c", SOLVE_WITHOUT_GUIDANCE, out])
+    done = _fresh(["-c", SOLVE_UNGUIDED, out])
     assert done.stdout == "0 []\n", done.stderr
     assert len(json.loads(out.read_text())["solutions"]) == 2
+
+
+def test_each_public_name_is_exported_once_from_its_module():
+    import fifth
+    assert len(set(fifth.__all__)) == len(fifth.__all__)
+    for name in fifth.__all__:
+        home = importlib.import_module(f"fifth.{fifth._HOME[name]}")
+        assert getattr(fifth, name) is getattr(home, name), name
+    done = _fresh(["-c", "import sys, fifth; print(sorted("
+                   "m for m in sys.modules if m.startswith('fifth.')))"])
+    assert done.stdout == "[]\n", done.stderr
 
 
 @pytest.fixture(scope="module")

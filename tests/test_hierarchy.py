@@ -77,7 +77,7 @@ def fact_traces(ns=(6, 10)):
     for n in ns:
         log = TraceLog()
         solve(prog, Query(entry="fact", bindings=(("n", n),),
-                          targets=("r",), depth_budget=20), trace=log)
+                          show=("r",), depth=20), trace=log)
         logs.append(log)
     return logs
 
@@ -396,7 +396,7 @@ def test_deduplicated_memory_scores_like_every_outcome():
     programs = [parse((CSP_TRAIN / f"train-0{i}.5th").read_text())
                 for i in (0, 5, 7)]
     for prog in programs:
-        solve(prog, Query.from_spec(prog.query), trace=log)
+        solve(prog, prog.query, trace=log)
     tree = AugmentationTree()
     report = tree.train_from_traces(log, seed=0)
     seen = report["memory"]["success"] + report["memory"]["deadend"]
@@ -421,7 +421,7 @@ def test_deduplicated_memory_scores_like_every_outcome():
             return got
 
     for prog in programs:
-        solve(prog, Query.from_spec(prog.query), oracle=Checking())
+        solve(prog, prog.query, oracle=Checking())
     assert len(checked) > 20
     assert len(set(checked)) > 1
 
@@ -454,7 +454,7 @@ def csp_tree():
     log = TraceLog()
     for i in (0, 5, 7):
         prog = parse((CSP_TRAIN / f"train-0{i}.5th").read_text())
-        solve(prog, Query.from_spec(prog.query), trace=log)
+        solve(prog, prog.query, trace=log)
     tree = AugmentationTree()
     tree.train_from_traces(log, seed=0)
     return tree
@@ -474,7 +474,7 @@ def test_batched_scores_equal_one_by_one_in_search(csp_tree):
 
     for f in sorted(CSP_EVAL.glob("*.5th"))[:6]:
         prog = parse(f.read_text())
-        solve(prog, Query.from_spec(prog.query), oracle=Checking())
+        solve(prog, prog.query, oracle=Checking())
     assert len(calls) > 20
     assert len({s for got in calls for s in got}) > 10
 
@@ -506,7 +506,7 @@ def test_batched_scores_across_groups_and_cells(csp_tree):
 
 def test_learned_guidance_is_sound_on_queens():
     prog = queens5()
-    query = Query(entry="queens", targets=tuple(f"q{i}" for i in range(1, 6)))
+    query = Query(entry="queens", show=tuple(f"q{i}" for i in range(1, 6)))
     log = TraceLog()
     uniform = solve(prog, query, oracle=UniformOracle(), trace=log)
     tree = AugmentationTree()
@@ -519,7 +519,7 @@ def test_learned_guidance_is_sound_on_queens():
 
 def test_untrained_guidance_is_sound_too():
     prog = queens5()
-    query = Query(entry="queens", targets=tuple(f"q{i}" for i in range(1, 6)))
+    query = Query(entry="queens", show=tuple(f"q{i}" for i in range(1, 6)))
     uniform = solve(prog, query)
     guided = solve(prog, query, oracle=LearnedOracle(AugmentationTree()))
     assert _solution_set(guided) == _solution_set(uniform)
@@ -566,7 +566,7 @@ def test_deadends_are_remembered():
     """
     prog = parse(text)
     log = TraceLog()
-    solve(prog, Query(entry="clash", targets=("a", "b")), trace=log)
+    solve(prog, Query(entry="clash", show=("a", "b")), trace=log)
     tree = AugmentationTree()
     report = tree.train_from_traces(log, seed=2)
     assert report["memory"]["deadend"] > 0

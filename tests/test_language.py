@@ -17,8 +17,8 @@ from fifth.language import (
     settle,
     targets_met,
 )
-from fifth.lattice import NOTHING, exact, int_interval
-from fifth.search import Query, solve
+from fifth.lattice import NOTHING, exact, finite_domain, int_interval
+from fifth.search import solve
 
 FACT = """
 ; factorial by countdown: nm1 + 1 = n ties the frames together
@@ -306,7 +306,7 @@ def test_choose_records_choice_point():
     inst = instantiate(program, "pick")
     assert len(inst.choices) == 1
     cp = inst.choices[0]
-    assert cp.values == (1, 2, 3)
+    assert inst.network.content(cp.cell) == finite_domain((1, 2, 3))
     assert cp.frame == 0
     inst.network.run_to_quiescence()
     assert inst.network.content(cp.cell).kind == "finite_domain"
@@ -483,7 +483,7 @@ def test_instances_of_one_program_build_identical_networks():
 
 def test_a_solved_program_is_freed_with_its_plans():
     program = parse(FACT + "(query (fact (n 5)) (show r))")
-    result = solve(program, Query.from_spec(program.query))
+    result = solve(program, program.query)
     assert [s["cells"]["r"] for s in result.solutions] == [120]
     # plans live on their definitions (a tuple cannot be weakly referenced),
     # so nothing a solve leaves behind may hold a definition past its program

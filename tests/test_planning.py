@@ -11,19 +11,19 @@ from fifth.planning import (
     generate_random_csp,
 )
 from fifth.rng import SplitMix64
-from fifth.search import Query, optimize, solve
+from fifth.search import optimize, solve
 
 import oracles
 
 
 def run_optimize(text):
     program = parse(text)
-    return optimize(program, Query.from_spec(program.query))
+    return optimize(program, program.query)
 
 
 def run_solve(text):
     program = parse(text)
-    return solve(program, Query.from_spec(program.query))
+    return solve(program, program.query)
 
 
 def extract_schedule(inst, solution):

@@ -10,7 +10,6 @@ neither the answers and their order nor the optimum, over both generators."""
 
 import itertools
 from collections import Counter
-from dataclasses import replace
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -109,8 +108,8 @@ def _expected(spec):
 
 def _solve(program, spec, gc=False, order_seed=None):
     entry = "top" if spec["root_choice"] else "rec"
-    q = Query(entry=entry, bindings=(("n", spec["n"]),), targets=("r",),
-              depth_budget=50)
+    q = Query(entry=entry, bindings=(("n", spec["n"]),), show=("r",),
+              depth=50)
     if order_seed is None:
         res = solve(program, q, gc=gc)
     else:
@@ -222,7 +221,7 @@ def _call_expected(spec):
 def test_a_call_answers_like_its_inlined_body(spec):
     # the call and its inline body must each give exactly the enumerated
     # answers, so they agree, and a fault they share still shows
-    query = Query(entry="main", targets=POOL, depth_budget=5)
+    query = Query(entry="main", show=POOL, depth=5)
     expected = _call_expected(spec)
     for text in _call_programs(spec):
         program = parse(text)
@@ -251,7 +250,7 @@ def jobshops(draw):
 @given(jobshops())
 def test_jobshop_optimum_matches_brute_force(instance):
     program = parse(emit_jobshop_program(instance))
-    query = Query.from_spec(program.query)
+    query = program.query
     want = oracles.jobshop_optimum([list(j) for j in instance.jobs],
                                    instance.machines)
     plain = optimize(program, query)
@@ -354,7 +353,7 @@ def test_disjunctive_programs_answer_like_brute_force(spec):
     envs = oracles.disjunctive_solutions(spec["cells"], spec["body"])
     expected = sorted(tuple(env[n] for n in shown) for env in envs)
     for gc in (False, True):
-        res = solve(program, Query(entry="main", targets=shown), gc=gc)
+        res = solve(program, Query(entry="main", show=shown), gc=gc)
         assert res.stats["complete"]
         assert sorted(tuple(a[n] for n in shown)
                       for a in res.assignments()) == expected
@@ -362,7 +361,7 @@ def test_disjunctive_programs_answer_like_brute_force(spec):
     if obj is None:
         return
     best = min((env[obj] for env in envs), default=None)
-    query = Query(entry="main", targets=shown, objective=obj)
+    query = Query(entry="main", show=shown, minimize=obj)
     for gc in (False, True):
         res = optimize(program, query, gc=gc)
         assert res.stats["complete"]
@@ -386,17 +385,17 @@ class _Quiet:
 def _recursive_case(case):
     spec, text = case
     query = Query(entry="top" if spec["root_choice"] else "rec",
-                  bindings=(("n", spec["n"]),), targets=("r",),
-                  depth_budget=50)
-    return text, [query, replace(query, objective="r")]
+                  bindings=(("n", spec["n"]),), show=("r",),
+                  depth=50)
+    return text, [query, query._replace(minimize="r")]
 
 
 def _disjunctive_case(spec):
     shown = tuple(name for name, kind, _ in spec["cells"] if kind == "choose")
-    queries = [Query(entry="main", targets=shown)]
+    queries = [Query(entry="main", show=shown)]
     if spec["minimize"] is not None:
-        queries.append(Query(entry="main", targets=shown,
-                             objective=spec["minimize"]))
+        queries.append(Query(entry="main", show=shown,
+                             minimize=spec["minimize"]))
     return _disjunctive_text(spec), queries
 
 
@@ -407,14 +406,14 @@ def test_the_memo_keeps_answers_their_order_and_optima(case):
     text, queries = case
     program = parse(text)
     for query in queries:
-        run = solve if query.objective is None else optimize
+        run = solve if query.minimize is None else optimize
         for gc in (False, True):
             on = run(program, query, gc=gc)
             off = run(program, query, gc=gc, trace=_Quiet())
             assert off.stats["memo_hits"] == 0
             assert on.stats["complete"] == off.stats["complete"]
             assert on.stats["nodes"] <= off.stats["nodes"]
-            if query.objective is None:
+            if query.minimize is None:
                 assert on.solutions == off.solutions
             else:
                 assert (on.objective, on.solution, on.proven) == (

@@ -156,7 +156,7 @@ FACT = """
 
 def queens_query(n, **kw):
     return Query(entry="queens",
-                 targets=tuple(f"q{i}" for i in range(1, n + 1)), **kw)
+                 show=tuple(f"q{i}" for i in range(1, n + 1)), **kw)
 
 
 def boards(result):
@@ -220,7 +220,7 @@ def test_replay_non_solution_contradicts():
 
 def test_crypt_unique_solution():
     prog = parse(CRYPT)
-    query = Query.from_spec(prog.query)
+    query = prog.query
     res = solve(prog, query)
     assert res.assignments() == [
         {"send": 9567, "more": 1085, "money": 10652}
@@ -235,7 +235,7 @@ def test_solve_reports_partial_targets_as_bounds():
       (lesseq y x))
     """
     prog = parse(text)
-    q = Query(entry="capped", bindings=(("x", 7),), targets=("y",),
+    q = Query(entry="capped", bindings=(("x", 7),), show=("y",),
               precision=10.0)
     res = solve(prog, q)
     assert len(res.solutions) == 1
@@ -245,15 +245,15 @@ def test_solve_reports_partial_targets_as_bounds():
 
 def test_node_budget_marks_incomplete():
     prog = parse(queens_text(6))
-    res = solve(prog, queens_query(6, node_budget=3))
+    res = solve(prog, queens_query(6, nodes=3))
     assert not res.stats["complete"]
     assert res.stats["nodes"] == 3
 
 
 def test_depth_budget_marks_incomplete():
     prog = parse(FACT)
-    q = Query(entry="fact", bindings=(("n", 10),), targets=("r",),
-              depth_budget=3)
+    q = Query(entry="fact", bindings=(("n", 10),), show=("r",),
+              depth=3)
     res = solve(prog, q)
     assert res.solutions == []
     assert not res.stats["complete"]
@@ -264,7 +264,7 @@ def test_undecided_gate_marks_incomplete_without_expanding():
     # opens: nothing is expanded, nothing is refuted, and the search cannot
     # claim a proof
     prog = parse(FACT)
-    res = solve(prog, Query(entry="fact", targets=("r",), depth_budget=40))
+    res = solve(prog, Query(entry="fact", show=("r",), depth=40))
     assert res.solutions == []
     assert not res.stats["complete"]
     assert res.stats["expansions"] == 0
@@ -279,14 +279,16 @@ def test_unsat_is_complete_and_empty():
       (equal a b))
     """
     prog = parse(text)
-    res = solve(prog, Query(entry="clash", targets=("a", "b")))
+    res = solve(prog, Query(entry="clash", show=("a", "b")))
     assert res.solutions == []
     assert res.stats["complete"]
 
 
 def test_negative_budget_rejected():
     with pytest.raises(ValueError):
-        Query(entry="x", node_budget=-1)
+        Query(entry="x", nodes=-1)
+    with pytest.raises(ValueError):
+        Query(entry="x")._replace(steps=-1)
 
 
 def test_recursion_inside_search():
@@ -298,7 +300,7 @@ def test_recursion_inside_search():
       (call fact k r))
     """
     prog = parse(text)
-    res = solve(prog, Query(entry="pick", targets=("k", "r"), depth_budget=10))
+    res = solve(prog, Query(entry="pick", show=("k", "r"), depth=10))
     got = {(s["cells"]["k"], s["cells"]["r"]) for s in res.solutions}
     assert got == {(3, 6), (4, 24), (5, 120)}
 
@@ -324,8 +326,8 @@ SPLIT_CALL = """
 
 def test_search_decides_gates_before_expanding_behind_them():
     prog = parse(SPLIT_CALL)
-    q = Query(entry="rec", bindings=(("n", 3),), targets=("r",),
-              depth_budget=50)
+    q = Query(entry="rec", bindings=(("n", 3),), show=("r",),
+              depth=50)
     res = solve(prog, q)
     assert len(res.solutions) == 16
     assert res.stats["complete"]
@@ -358,7 +360,7 @@ def test_oracle_steers_first_solution():
       (choose a 1 2 3))
     """
     prog = parse(text)
-    q = Query(entry="free", targets=("a",), node_budget=2)
+    q = Query(entry="free", show=("a",), nodes=2)
     low = solve(prog, q, oracle=UniformOracle())
     high = solve(prog, q, oracle=_HighFirst())
     assert low.solutions[0]["cells"]["a"] == 1
@@ -398,7 +400,7 @@ def test_a_choice_branches_only_on_values_its_declaration_admits(gc):
         if rec["propagator"].startswith("branch:"):
             branches.append(rec["propagator"])
 
-    res = solve(prog, Query(entry="p", targets=("x",)), gc=gc,
+    res = solve(prog, Query(entry="p", show=("x",)), gc=gc,
                 write_sink=sink)
     assert res.assignments() == [{"x": 3}, {"x": 4}]
     # children are cloned, and their branch written, last value first
@@ -421,7 +423,7 @@ OPT_TOY = """
 
 def test_optimize_toy_minimum():
     prog = parse(OPT_TOY)
-    res = optimize(prog, Query.from_spec(prog.query))
+    res = optimize(prog, prog.query)
     assert res.objective == 3
     assert res.solution["cells"] == {"a": 2, "b": 1, "c": 3}
     assert res.proven
@@ -429,7 +431,7 @@ def test_optimize_toy_minimum():
 
 def test_optimize_bound_trace_decreases():
     prog = parse(OPT_TOY)
-    res = optimize(prog, Query.from_spec(prog.query))
+    res = optimize(prog, prog.query)
     bounds = [t["bound"] for t in res.bound_trace]
     assert bounds == sorted(bounds, reverse=True)
     assert bounds[-1] == 3
@@ -437,7 +439,7 @@ def test_optimize_bound_trace_decreases():
 
 def test_optimize_without_objective_rejected():
     prog = parse(OPT_TOY)
-    q = Query(entry="toy", targets=("c",))
+    q = Query(entry="toy", show=("c",))
     with pytest.raises(StructuralError):
         optimize(prog, q)
 
@@ -448,7 +450,7 @@ def test_optimize_fixed_program_single_node():
       (const c 7))
     """
     prog = parse(text)
-    res = optimize(prog, Query(entry="fixed", targets=("c",), objective="c"))
+    res = optimize(prog, Query(entry="fixed", show=("c",), minimize="c"))
     assert res.objective == 7
     assert res.proven
     assert res.stats["nodes"] == 1
@@ -456,8 +458,8 @@ def test_optimize_fixed_program_single_node():
 
 def test_optimize_node_budget_unproven():
     prog = parse(OPT_TOY)
-    q = Query(entry="toy", targets=("a", "b", "c"), objective="c",
-              node_budget=2)
+    q = Query(entry="toy", show=("a", "b", "c"), minimize="c",
+              nodes=2)
     res = optimize(prog, q)
     assert not res.proven
 
@@ -476,7 +478,7 @@ UNATTAINABLE = """
 
 def test_optimize_skips_a_leaf_whose_lower_bound_is_unattainable():
     prog = parse(UNATTAINABLE)
-    res = optimize(prog, Query.from_spec(prog.query))
+    res = optimize(prog, prog.query)
     assert res.objective == 5
     assert res.solution["cells"] == {"c": 25}
     assert [t["bound"] for t in res.bound_trace] == [5]
@@ -498,7 +500,7 @@ SQUARE_ROOT = """
 
 def test_optimize_searches_above_an_unattainable_integer_bound():
     prog = parse(SQUARE_ROOT)
-    res = optimize(prog, Query.from_spec(prog.query))
+    res = optimize(prog, prog.query)
     assert res.objective == 5
     assert res.solution["cells"] == {"x": 5}
     assert res.proven
@@ -513,7 +515,7 @@ def test_optimize_unattainable_real_bound_is_incomplete():
   (lesseq lo x)
   (lesseq x hi)""")
     prog = parse(text)
-    res = optimize(prog, Query.from_spec(prog.query))
+    res = optimize(prog, prog.query)
     assert res.objective is None
     assert not res.proven
     assert not res.stats["complete"]
@@ -554,7 +556,7 @@ class _Deadends:
 def test_optimize_real_objective_is_not_cut_by_an_integer_bound():
     prog = parse(REAL_OBJECTIVE)
     trace = _Deadends()
-    res = optimize(prog, Query.from_spec(prog.query), trace=trace)
+    res = optimize(prog, prog.query, trace=trace)
     assert [t["bound"] for t in res.bound_trace] == [-1, -1.5, -2]
     assert res.solution["cells"] == {"a": 3, "c": -2}
     assert res.proven
@@ -564,7 +566,7 @@ def test_optimize_real_objective_is_not_cut_by_an_integer_bound():
 def test_node_cut_by_the_bound_names_it_in_provenance():
     prog = parse(OPT_TOY)
     trace = _Deadends()
-    res = optimize(prog, Query.from_spec(prog.query), trace=trace)
+    res = optimize(prog, prog.query, trace=trace)
     assert res.objective == 3
     # root, a = 2, then the leaf b = 1; its sibling b = 4 and a = 5 are
     # both cut by c <= 2
@@ -580,7 +582,7 @@ def test_an_if_whose_branches_both_fail_dies_on_its_refutes():
     prog = parse("(def (f o) (const x 3) (const z 0) (choose o 0 1)"
                  " (if o ((lesseq x z)) ((equal x z))))")
     trace = _Deadends()
-    res = solve(prog, Query(entry="f", targets=("o",)), trace=trace)
+    res = solve(prog, Query(entry="f", show=("o",)), trace=trace)
     assert res.solutions == [] and res.stats["nodes"] == 1
     o = instantiate(prog, "f").cell_of(0, "o")
     provenance, = trace.provenance
@@ -702,7 +704,7 @@ def test_gc_keeps_the_truth_of_guard_cells_it_folds(text, entry):
     # frames still hold, the one under n = 0 is still refuted, and that
     # refuted branch left neither a frame nor a dormant entry
     trace = _Leaves()
-    q = Query(entry=entry, bindings=(("n", 12),), targets=("r",))
+    q = Query(entry=entry, bindings=(("n", 12),), show=("r",))
     res = solve(parse(text), q, trace=trace, gc=True)
     inst, = trace.leaves
     folded = [f for f in inst.frames if f.state == SUMMARIZED]
@@ -724,7 +726,7 @@ GUARDED_COUNT = COUNT.replace("(const one 1)",
 
 
 def test_gc_folds_a_frame_whose_dormant_branch_posts_no_search():
-    q = Query(entry="count", bindings=(("n", 6),), targets=("r",))
+    q = Query(entry="count", bindings=(("n", 6),), show=("r",))
     res = solve(parse(GUARDED_COUNT), q, gc=True)
     assert res.assignments() == [{"r": 6}]
     assert res.stats["summarized"] == res.stats["expansions"] == 6
@@ -758,7 +760,7 @@ class _OrderingPair:
 def test_jobshop_branch_attaches_one_ordering_lesseq():
     prog = parse((CORPUS / "jobshop" / "js-3x3-a.5th").read_text())
     pairs = _OrderingPair()
-    optimize(prog, Query.from_spec(prog.query), trace=pairs)
+    optimize(prog, prog.query, trace=pairs)
     assert set(pairs.seen) == {(False, 0), (True, 1)}
 
 
@@ -767,7 +769,7 @@ def test_solve_gc_on_a_long_chain():
     # along the chain, and the whole chain folds
     prog = parse(COUNT)
     for n in (1200, 5000):
-        q = Query(entry="count", bindings=(("n", n),), targets=("r",))
+        q = Query(entry="count", bindings=(("n", n),), show=("r",))
         res = solve(prog, q, gc=True)
         assert res.assignments() == [{"r": n}]
         assert res.stats["expansions"] == res.stats["summarized"] == n
@@ -791,7 +793,7 @@ OPEN_BOTTOM = """
 @pytest.mark.parametrize("n", [2, 3])
 def test_gc_keeps_a_parent_while_its_child_reads_its_gate(n):
     prog = parse(OPEN_BOTTOM)
-    q = Query(entry="f", bindings=(("n", n),), targets=("r",))
+    q = Query(entry="f", bindings=(("n", n),), show=("r",))
     plain = solve(prog, q)
     folded = solve(prog, q, gc=True)
     assert len(plain.assignments()) == 3 * 2 ** n
@@ -814,7 +816,7 @@ OPEN_CHOICE = """
 
 def test_gc_keeps_a_frame_with_an_open_choice():
     prog = parse(OPEN_CHOICE)
-    q = Query(entry="rec", bindings=(("n", 2),), targets=("r",))
+    q = Query(entry="rec", bindings=(("n", 2),), show=("r",))
     plain = solve(prog, q)
     folded = solve(prog, q, gc=True)
     assert plain.assignments() == [{"r": 0}] * 8
@@ -832,7 +834,7 @@ def test_memo_keys_the_exact_cells_an_open_cell_shares_a_propagator_with():
     # branched on first and read by nothing, so s = 1 repeats s = 0
     prog = parse("(def (main s a b c) (choose s 0 1) (choose a -2 2)"
                  " (choose b -1 1) (choose c -2 2) (product a b c))")
-    res = solve(prog, Query(entry="main", targets=("s", "a", "b", "c")))
+    res = solve(prog, Query(entry="main", show=("s", "a", "b", "c")))
     assert res.stats["memo_hits"] == 1
     assert [(x["a"], x["b"], x["c"]) for x in res.assignments()] == [
         (-2, -1, 2), (-2, 1, -2), (2, -1, -2), (2, 1, 2)] * 2
@@ -845,7 +847,7 @@ def test_memo_keys_the_objective_even_when_exact():
     # prune the better one
     prog = parse("(def (main o m x) (choose o 1 2) (choose x 0 1)"
                  " (const k 3) (sum o m k))")
-    res = optimize(prog, Query(entry="main", targets=("o", "m", "x"),
-                               objective="m"))
+    res = optimize(prog, Query(entry="main", show=("o", "m", "x"),
+                               minimize="m"))
     assert res.objective == 1 and res.proven
     assert res.solution == {"cells": {"o": 2, "m": 1, "x": 0}}

@@ -39,7 +39,7 @@ def test_kernel_writes_pass_through_the_traced_names(monkeypatch):
     # branch-and-bound pins objectives that are already exact at a leaf.
     import fifth.network
     from fifth.language import parse
-    from fifth.search import Query, optimize
+    from fifth.search import optimize
 
     seen = Counter()
     write, merge = fifth.network.Network.write, fifth.network.merge
@@ -58,7 +58,7 @@ def test_kernel_writes_pass_through_the_traced_names(monkeypatch):
     monkeypatch.setattr(fifth.network.Network, "write", counted_write)
     monkeypatch.setattr(fifth.network, "merge", counted_merge)
     program = parse((CORPUS / "jobshop" / "js-3x3-a.5th").read_text())
-    result = optimize(program, Query.from_spec(program.query))
+    result = optimize(program, program.query)
     expected = json.loads(
         (CORPUS / "jobshop" / "js-3x3-a.expected.json").read_text())
     assert (result.objective, result.proven) == (expected["makespan"], True)

@@ -31,7 +31,7 @@ from fifth.network import (
     WriteResult,
     _range_write,
 )
-from fifth.search import Query, optimize, solve
+from fifth.search import optimize, solve
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -227,7 +227,7 @@ class _QuiescedNodes:
 ])
 def test_quiesced_nodes_have_no_writes_left(name):
     program = parse((CORPUS / name).read_text())
-    query = Query.from_spec(program.query)
+    query = program.query
     nodes = _QuiescedNodes()
-    (optimize if query.objective else solve)(program, query, trace=nodes)
+    (optimize if query.minimize else solve)(program, query, trace=nodes)
     assert nodes.checked > 0
