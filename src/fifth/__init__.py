@@ -15,9 +15,8 @@ import importlib
 
 _EXPORTS = {
     "lattice": ("NOTHING", "Contradiction", "Exact", "FiniteDomain",
-                "IntInterval", "PartialInfo", "RealInterval", "exact",
-                "finite_domain", "info_bits", "int_interval", "merge",
-                "real_interval", "refines"),
+                "IntInterval", "PartialInfo", "exact", "finite_domain",
+                "info_bits", "int_interval", "merge", "refines"),
     "network": ("Network", "QuiescenceReport", "WriteResult"),
     "language": ("Instance", "Program", "Query", "demand_loop", "expand",
                  "instantiate", "parse"),

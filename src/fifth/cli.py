@@ -19,7 +19,6 @@ only `measure` imports `statistics`, and only `check` the self-tests
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -72,18 +71,12 @@ def _budget(text):
     return n
 
 
-def _precision(text):
-    if not math.isfinite(x := float(text)):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return x
-
-
 _FLAGS = {
     "seed": dict(type=int, default=0),
     "depth": dict(type=_budget, default=None),
     "steps": dict(type=_budget, default=None),
     "nodes": dict(type=_budget, default=None),
-    "precision": dict(type=_precision, default=None),
+    "precision": dict(type=_budget, default=None),
     "oracle": dict(choices=("uniform", "learned"), default="uniform"),
     "model": dict(default=None),
     "trace": dict(action="store_true"),

@@ -26,7 +26,7 @@ import numpy as np
 from .autoenc import Autoencoder
 from .errors import BundleError
 from .language import EXPANDED
-from .lattice import INT_SAT, bounds_of, info_bits
+from .lattice import bounds_of, info_bits
 
 N_FEATURES = 16
 REF_WIDTH = 1024  # reference width for "how pinned down is this cell" scoring
@@ -34,10 +34,7 @@ _SLOTS = 3  # boundary cells summarized individually before aggregation
 
 
 def _squash(x):
-    """x / (1 + |x|) of x clamped to +-INT_SAT, so that an int past
-    binary64's range converts; from INT_SAT on the result is 1.0 anyway."""
-    if not -INT_SAT < x < INT_SAT:
-        x = INT_SAT if x > 0 else -INT_SAT
+    """x / (1 + |x|); every bound lies within ±2^62, so it converts."""
     x = float(x)
     return x / (1.0 + abs(x))
 

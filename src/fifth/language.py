@@ -18,16 +18,16 @@ from collections import namedtuple
 
 from .errors import ParseError, StructuralError
 from .lattice import (
+    INT_SAT,
     PartialInfo,
     exact,
     finite_domain,
     int_interval,
     merge,
-    real_interval,
     truth_value,
     width_of,
 )
-from .network import REAL_SAT, Network, QuiescenceReport, _operand
+from .network import Network, QuiescenceReport, _operand
 
 # deepest `if` nesting a definition may have; compiling and elaboration
 # recurse once per level, so this keeps them off the Python stack limit
@@ -45,10 +45,10 @@ class Definition:
 
 class Query(namedtuple("Query", "entry bindings show depth steps nodes"
                        " precision minimize",
-                       defaults=((), (), 10_000, 1_000_000, 100_000, 0.0,
+                       defaults=((), (), 10_000, 1_000_000, 100_000, 0,
                                  None))):
     """What to run, under the names the query syntax and the CLI flags use:
-    the entry definition, its bindings ((name, number), ...), the names to
+    the entry definition, its bindings ((name, integer), ...), the names to
     show, the expansion, step and node budgets, the width a shown range may
     keep, and the name to minimize, if any."""
 
@@ -56,7 +56,7 @@ class Query(namedtuple("Query", "entry bindings show depth steps nodes"
 
     def __new__(cls, *args, **kwargs):
         query = super().__new__(cls, *args, **kwargs)
-        if min(query.depth, query.steps, query.nodes) < 0:
+        if min(query.depth, query.steps, query.nodes, query.precision) < 0:
             raise ValueError("budgets must be >= 0")
         return query
 
@@ -150,25 +150,15 @@ def _atom(node, what="name"):
 
 
 def _int_atom(node):
+    """The integer a literal spells. Computed values saturate at ±2^62, so
+    a literal there or beyond could not be told from a saturated bound."""
     tok = _atom(node, "integer")
     try:
-        return int(tok)
+        value = int(tok)
     except ValueError:
         raise ParseError(f"expected integer, got {tok!r}", node[1], node[2])
-
-
-def _number_atom(node):
-    tok = _atom(node, "number")
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        value = float(tok)
-    except ValueError:
-        raise ParseError(f"expected number, got {tok!r}", node[1], node[2])
-    if not math.isfinite(value):
-        raise ParseError(f"number {tok!r} is not finite", node[1], node[2])
+    if not -INT_SAT < value < INT_SAT:
+        raise ParseError("integer literal out of range", node[1], node[2])
     return value
 
 
@@ -261,7 +251,7 @@ def _compile(nodes, dname, arities, known, declared, nesting=0):
             elif head == "int":
                 value = int_interval(_int_atom(args[1]), _int_atom(args[2]))
             else:
-                value = exact(_number_atom(args[1]))
+                value = exact(_int_atom(args[1]))
             known.add(name)
             declared.append(name)
             plan.append(("declare", name, value))
@@ -344,8 +334,8 @@ def _parse_query(node):
     bindings = []
     for b in header[1:]:
         if not _is_list(b) or len(b[0]) != 2:
-            raise ParseError("binding must be (name number)", b[1], b[2])
-        bindings.append((_atom(b[0][0]), _number_atom(b[0][1])))
+            raise ParseError("binding must be (name integer)", b[1], b[2])
+        bindings.append((_atom(b[0][0]), _int_atom(b[0][1])))
         named.append(("binding", b[0][0]))
     show_node = items[2]
     if (
@@ -364,12 +354,10 @@ def _parse_query(node):
         key = _atom(opt[0][0])
         if key in opts:
             raise ParseError(f"repeated query option {key!r}", opt[1], opt[2])
-        if key in ("depth", "steps"):
+        if key in ("depth", "steps", "precision"):
             opts[key] = _int_atom(opt[0][1])
             if opts[key] < 0:
                 raise ParseError(f"{key} must be >= 0", opt[1], opt[2])
-        elif key == "precision":
-            opts[key] = float(_number_atom(opt[0][1]))
         elif key == "minimize":
             opts[key] = _atom(opt[0][1])
             named.append(("minimize target", opt[0][1]))
@@ -584,22 +572,19 @@ def _open_decided(inst, test):
 
 def _fails(contents, cellmap, tests):
     """Whether some test, a (kind, names) pair, can no longer hold, so never
-    will: a real hull no narrower than its first write contradicts there."""
+    will: its first write would contradict there."""
     for kind, names in tests:
         cells = [contents[cellmap[n]] for n in names]
-        target = cells[2 if kind == "sum" else 0]
-        info = cells[1]  # a = b writes b into a
-        if kind != "equal":
-            # a <= b puts a in b + (-inf, 0]; a + b = c puts c in a + b
-            ra = (-math.inf, 0) if kind == "less_equal" else _operand(cells[0])
-            rb, rt = _operand(cells[1]), _operand(target)
-            if not (ra and rb and rt) or (
-                    ra[0] + rb[0] <= rt[1] and rt[0] <= ra[1] + rb[1]):
-                continue  # no bounds yet, or bounds that meet
-            info = real_interval(min(max(ra[0] + rb[0], -REAL_SAT), REAL_SAT),
-                                 max(min(ra[1] + rb[1], REAL_SAT), -REAL_SAT))
-        if merge(target, info).kind == "contradiction":
-            return True
+        if kind == "equal":  # a = b writes b into a
+            if merge(cells[0], cells[1]).kind == "contradiction":
+                return True
+            continue
+        # a <= b puts a in b + (-inf, 0]; a + b = c puts c in a + b
+        ra = (-math.inf, 0) if kind == "less_equal" else _operand(cells[0])
+        rb, rt = _operand(cells[1]), _operand(cells[2 if kind == "sum" else 0])
+        if ra and rb and rt and (
+                ra[0] + rb[0] > rt[1] or rt[0] > ra[1] + rb[1]):
+            return True  # bounds that do not meet
     return False
 
 
@@ -656,7 +641,7 @@ def unsettled_choices(inst):
     return inst.choices
 
 
-def targets_met(inst, targets, precision=0.0) -> bool:
+def targets_met(inst, targets, precision=0) -> bool:
     contents = inst.network.contents  # target cells are never dropped
     for cid in targets:
         content = contents[cid]
@@ -669,7 +654,7 @@ def targets_met(inst, targets, precision=0.0) -> bool:
 
 
 def demand_loop(inst: Instance, targets, depth_budget: int, step_budget: int,
-                precision: float = 0.0) -> DemandReport:
+                precision: int = 0) -> DemandReport:
     """Alternate `settle` with expanding the lowest-id unexpanded frame
     until the targets are pinned down, the budgets run out, or the instance
     contradicts."""

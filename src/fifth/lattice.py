@@ -6,10 +6,11 @@ and finite domains, which refine into Exact, and Contradiction sits on top
 of everything. merge() computes the least upper bound of two values and is
 the only way cell contents ever change. The same values serve as "types":
 declaring a variable an integer in [0, 9] is just a write of IntInterval(0, 9).
+Every value is an integer; there is no real-valued variant.
 
 All variants are immutable; construct them through the factory functions
-(int_interval, real_interval, finite_domain, exact, contradiction), which
-normalize degenerate cases so no non-canonical value is ever reachable.
+(int_interval, finite_domain, exact, contradiction), which normalize
+degenerate cases so no non-canonical value is ever reachable.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ import math
 
 # Interval arithmetic saturates integer bounds here instead of overflowing.
 INT_SAT = 2**62
-REAL_SAT = float(2**62)
-# Two Exact reals closer than this merge instead of contradicting.
-REAL_TOL = 1e-9
 
 
 class PartialInfo:
@@ -69,30 +67,6 @@ class IntInterval(PartialInfo):
 
     def __hash__(self):
         return hash(("ii", self.lo, self.hi))
-
-
-class RealInterval(PartialInfo):
-    """Real-valued quantity in [lo, hi]; lo < hi always."""
-
-    __slots__ = ("lo", "hi")
-    kind = "real_interval"
-
-    def __init__(self, lo, hi):
-        self.lo = lo
-        self.hi = hi
-
-    def __repr__(self):
-        return f"RealInterval({self.lo}, {self.hi})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RealInterval)
-            and self.lo == other.lo
-            and self.hi == other.hi
-        )
-
-    def __hash__(self):
-        return hash(("ri", self.lo, self.hi))
 
 
 class FiniteDomain(PartialInfo):
@@ -162,22 +136,9 @@ def int_interval(lo, hi):
     return IntInterval(lo, hi)
 
 
-def real_interval(lo, hi):
-    lo, hi = float(lo), float(hi)
-    if lo > hi:
-        # intervals that touch within tolerance pin the contact point
-        if lo - hi <= REAL_TOL:
-            return Exact(_canon_num(hi))
-        return Contradiction()
-    if lo == hi:
-        return Exact(_canon_num(lo))
-    return RealInterval(lo, hi)
-
-
 def finite_domain(elements):
     elems = []
     for e in elements:
-        e = _canon_num(e)
         if not isinstance(e, int):
             raise ValueError(f"finite domains hold integers, got {e!r}")
         elems.append(e)
@@ -189,59 +150,14 @@ def finite_domain(elements):
     return FiniteDomain(elems)
 
 
-def _canon_num(v):
-    # integral floats normalize to int so that equality, hashing and
-    # integrality reads never depend on which arithmetic path produced them
-    if isinstance(v, float) and v.is_integer():
-        return int(v)
-    return v
-
-
 def exact(value):
-    return Exact(_canon_num(value))
+    if not isinstance(value, int):
+        raise ValueError(f"exact values are integers, got {value!r}")
+    return Exact(value)
 
 
 def contradiction(provenance=()):
     return Contradiction(provenance)
-
-
-def _is_integral(v):
-    return isinstance(v, int) or (isinstance(v, float) and abs(v - round(v)) <= REAL_TOL)
-
-
-def _merge_exact_values(a, b):
-    """Exact/Exact join: equal within float tolerance is treated as the same
-    point. The representative must not depend on argument order; an integer
-    representative wins over a float one."""
-    if isinstance(a, int) and isinstance(b, int):
-        return Exact(a) if a == b else None
-    if abs(a - b) <= REAL_TOL:
-        if isinstance(a, int):
-            return Exact(a)
-        if isinstance(b, int):
-            return Exact(b)
-        return exact(min(a, b))
-    return None
-
-
-def _exact_into(v, other):
-    """Join Exact(v) with a non-exact, non-contradiction value."""
-    if other.kind == "nothing":
-        return exact(v)
-    if other.kind == "int_interval":
-        # an integer context pins a tolerably-integral float to the integer
-        if _is_integral(v) and other.lo <= round(v) <= other.hi:
-            return exact(round(v))
-        return None
-    if other.kind == "real_interval":
-        if other.lo - REAL_TOL <= v <= other.hi + REAL_TOL:
-            return exact(v)
-        return None
-    if other.kind == "finite_domain":
-        if _is_integral(v) and round(v) in other.elements:
-            return exact(round(v))
-        return None
-    raise AssertionError(other.kind)
 
 
 def merge(a: PartialInfo, b: PartialInfo) -> PartialInfo:
@@ -252,12 +168,10 @@ def merge(a: PartialInfo, b: PartialInfo) -> PartialInfo:
     know the responsible write identifiers attach them afterwards.
 
     When b cannot refine a, a itself is returned and nothing is allocated:
-    an exact a equal to an exact b; an integer exact, integer interval or
-    finite domain inside an integer interval b; an exact or integer
-    interval inside a real interval b, within REAL_TOL. When b already is
-    the join, b itself is returned: over Nothing; an integer exact b inside
-    a's finite domain or its integer or real hull; an integer interval b
-    inside an integer interval a.
+    an exact a equal to an exact b or inside an interval or finite domain
+    b; an interval or finite domain inside an interval b. When b already
+    is the join, b itself is returned: over Nothing; an exact b inside a's
+    finite domain or interval; an interval b inside an interval a.
     """
     ka, kb = a.kind, b.kind
     if ka == "nothing":
@@ -268,15 +182,14 @@ def merge(a: PartialInfo, b: PartialInfo) -> PartialInfo:
         if ka == "exact":
             if a.value == v:
                 return a
-        elif type(v) is int:
-            if ka == "finite_domain":
-                if v in a.elements:
-                    return b
-            elif ka != "contradiction" and a.lo <= v <= a.hi:
+        elif ka == "finite_domain":
+            if v in a.elements:
                 return b
+        elif ka == "int_interval" and a.lo <= v <= a.hi:
+            return b
     elif kb == "int_interval":
         if ka == "exact":
-            if isinstance(a.value, int) and b.lo <= a.value <= b.hi:
+            if b.lo <= a.value <= b.hi:
                 return a
         elif ka == "int_interval":
             if b.lo <= a.lo and a.hi <= b.hi:
@@ -287,13 +200,9 @@ def merge(a: PartialInfo, b: PartialInfo) -> PartialInfo:
         elif ka == "finite_domain":
             if b.lo <= a.elements[0] and a.elements[-1] <= b.hi:
                 return a
-    elif kb == "real_interval":
-        if ka == "exact":
-            if b.lo - REAL_TOL <= a.value <= b.hi + REAL_TOL:
-                return a
-        elif ka == "int_interval":
-            if b.lo - REAL_TOL <= a.lo and a.hi <= b.hi + REAL_TOL:
-                return a
+    elif kb == "finite_domain":
+        if ka == "exact" and a.value in b.elements:
+            return a
 
     if ka == "contradiction" and kb == "contradiction":
         return Contradiction(a.provenance + b.provenance)
@@ -303,31 +212,9 @@ def merge(a: PartialInfo, b: PartialInfo) -> PartialInfo:
         return b
     if kb == "nothing":
         return a
-
-    if ka == "exact" and kb == "exact":
-        out = _merge_exact_values(a.value, b.value)
-        return out if out is not None else Contradiction()
-    if ka == "exact":
-        out = _exact_into(a.value, b)
-        return out if out is not None else Contradiction()
-    if kb == "exact":
-        out = _exact_into(b.value, a)
-        return out if out is not None else Contradiction()
-
-    if ka == "real_interval" and kb == "real_interval":
-        return real_interval(max(a.lo, b.lo), min(a.hi, b.hi))
-
-    # Mixed interval kinds: the value must be an integer, so tighten the
-    # real bounds to the integers they admit.
-    if ka == "int_interval" and kb == "real_interval":
-        a, b = b, a
-        ka, kb = kb, ka
-    if ka == "real_interval" and kb == "int_interval":
-        lo = b.lo if a.lo == -math.inf else max(
-            b.lo, math.ceil(a.lo - REAL_TOL))
-        hi = b.hi if a.hi == math.inf else min(
-            b.hi, math.floor(a.hi + REAL_TOL))
-        return int_interval(lo, hi)
+    # an exact value that fits the other side came back above
+    if ka == "exact" or kb == "exact":
+        return Contradiction()
 
     if ka == "finite_domain" and kb == "finite_domain":
         return finite_domain(set(a.elements) & set(b.elements))
@@ -336,14 +223,7 @@ def merge(a: PartialInfo, b: PartialInfo) -> PartialInfo:
     # the exact intersection, so no widening is ever needed.
     if ka != "finite_domain":
         a, b = b, a
-        ka, kb = kb, ka
-    if kb == "int_interval":
-        return finite_domain(e for e in a.elements if b.lo <= e <= b.hi)
-    if kb == "real_interval":
-        return finite_domain(
-            e for e in a.elements if b.lo - REAL_TOL <= e <= b.hi + REAL_TOL
-        )
-    raise AssertionError((ka, kb))
+    return finite_domain(e for e in a.elements if b.lo <= e <= b.hi)
 
 
 def refines(a: PartialInfo, b: PartialInfo) -> bool:
@@ -369,8 +249,6 @@ def info_bits(a: PartialInfo, reference_width: float) -> float:
         return 64.0
     if k == "int_interval":
         width = a.hi - a.lo + 1
-    elif k == "real_interval":
-        width = a.hi - a.lo
     else:
         width = len(a.elements)
     bits = math.log2(reference_width / width)
@@ -382,7 +260,7 @@ def render(a: PartialInfo) -> str:
     k = a.kind
     if k == "nothing":
         return "⊥"
-    if k == "int_interval" or k == "real_interval":
+    if k == "int_interval":
         return f"[{a.lo},{a.hi}]"
     if k == "finite_domain":
         return "{" + ",".join(str(e) for e in a.elements) + "}"
@@ -396,21 +274,11 @@ def bounds_of(a: PartialInfo):
     k = a.kind
     if k == "exact":
         return (a.value, a.value)
-    if k in ("int_interval", "real_interval"):
+    if k == "int_interval":
         return (a.lo, a.hi)
     if k == "finite_domain":
         return (a.elements[0], a.elements[-1])
     return None
-
-
-def is_integer_valued(a: PartialInfo) -> bool:
-    """True when the value is already pinned to integers."""
-    k = a.kind
-    if k in ("int_interval", "finite_domain"):
-        return True
-    if k == "exact":
-        return isinstance(a.value, int)
-    return False
 
 
 def truth_value(a: PartialInfo):
@@ -419,7 +287,7 @@ def truth_value(a: PartialInfo):
     k = a.kind
     if k == "exact":
         return a.value != 0
-    if k in ("int_interval", "real_interval"):
+    if k == "int_interval":
         if a.lo > 0 or a.hi < 0:
             return True
         return None
@@ -434,9 +302,9 @@ def width_of(a: PartialInfo):
     """Interval width used for precision checks; None when unbounded."""
     k = a.kind
     if k == "exact":
-        return 0.0
-    if k in ("int_interval", "real_interval"):
-        return float(a.hi - a.lo)
+        return 0
+    if k == "int_interval":
+        return a.hi - a.lo
     if k == "finite_domain":
-        return float(a.elements[-1] - a.elements[0])
+        return a.elements[-1] - a.elements[0]
     return None

@@ -24,10 +24,10 @@ dropped when the content already lies inside its bounds, already holds its
 exact value, or already lies inside the other side of an equality. Most
 runs write nothing, so that "no write" is decided from raw fields: a range
 write reads the target's kind once and compares the computed bounds with
-its exact value, interval ends or domain ends (in an integral context an
-exact float or a real interval still takes the write, which makes it
-integer), and `alldifferent` collects its exact cells in one pass and
-returns at once when there are none. Of what
+its exact value, interval ends or domain ends, and `alldifferent` collects
+its exact cells in one pass and returns at once when there are none. Every
+bound is an integer (an unbounded end is read as infinite and written back
+clamped at ±2^62), so no arithmetic passes through binary64. Of what
 still reaches `merge` without changing the cell (declarations, branches,
 search bounds), `merge` hands back the old value itself, so it costs one
 identity test; a write that already is the join (an exact value inside
@@ -42,11 +42,10 @@ reproducible.
 A propagator's own refining write does not alert it again when a rerun
 could write nothing (Schulte & Stuckey, TOPLAS 2008): with distinct cells,
 `equal` (both sides then hold one join), `less_equal` into interval bounds
-(neither direction reads the bound it moves), and `sum` over integer cells
-writing an integer into an integer interval, or into an empty cell while
-all its cells lie within ±2^60 (integer projections of a + b = c are a
-fixpoint of each other, and no new direction reaches the ±2^62 clamp).
-Real sums can land an ulp past a bound.
+(neither direction reads the bound it moves), and `sum` writing into an
+integer interval, or into an empty cell while all its cells lie within
+±2^60 (integer projections of a + b = c are a fixpoint of each other, and
+no new direction reaches the ±2^62 clamp).
 
 A propagator's writes carry its integer id as their write id. The name
 `p{id}:{kind}` is rendered only where a person reads it: in a
@@ -59,7 +58,6 @@ statements of a frame or of an `if` branch only once it opens.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from enum import Enum
 
@@ -68,18 +66,12 @@ from fifth.lattice import (
     INT_SAT,
     NOTHING,
     Contradiction,
-    Exact,
     bounds_of,
-    exact,
     finite_domain,
     int_interval,
-    is_integer_valued,
     merge,
-    real_interval,
     render,
 )
-
-REAL_SAT = float(INT_SAT)
 
 
 class WriteResult(Enum):
@@ -312,10 +304,10 @@ def _idle_after(net, prop, old, info):
     """Whether `prop` rerun right after writing `info` over `old` is idle."""
     kind = prop.kind if prop.distinct else None  # repeated cells rerun
     if kind == "less_equal":
-        return old.kind == "int_interval" or old.kind == "real_interval"
-    if kind == "sum" and is_integer_valued(info):
+        return old.kind == "int_interval"
+    if kind == "sum":
         if old.kind == "int_interval" and info.kind == "int_interval":
-            return True  # only integer operands build an IntInterval
+            return True
         if old.kind != "int_interval" and old.kind != "nothing":
             return False
         bound = _INF if old.kind == "int_interval" else 2**60
@@ -327,7 +319,7 @@ def _idle_after(net, prop, old, info):
                 lo, hi = x.lo, x.hi
             elif k == "finite_domain":
                 lo, hi = x.elements[0], x.elements[-1]
-            elif k == "exact" and isinstance(x.value, int):
+            elif k == "exact":
                 lo = hi = x.value
             else:
                 return False
@@ -344,8 +336,8 @@ _INF = float("inf")
 
 
 def _operand(info):
-    """(lo, hi, integral) of a cell as transfer arithmetic reads it, or None
-    when the cell has no bounds yet.
+    """(lo, hi) of a cell as transfer arithmetic reads it, or None when the
+    cell has no bounds yet.
 
     An endpoint at or beyond ±2^62 may be the saturated image of something
     far larger, so it is read back as infinite: it must never be allowed to
@@ -354,50 +346,41 @@ def _operand(info):
     k = info.kind
     if k == "exact":
         lo = hi = info.value
-        integral = isinstance(lo, int)
-    elif k == "int_interval" or k == "real_interval":
-        lo, hi, integral = info.lo, info.hi, k == "int_interval"
+    elif k == "int_interval":
+        lo, hi = info.lo, info.hi
     elif k == "finite_domain":
-        lo, hi, integral = info.elements[0], info.elements[-1], True
+        lo, hi = info.elements[0], info.elements[-1]
     else:
         return None
     if lo <= -INT_SAT:
         lo = -_INF
     if hi >= INT_SAT:
         hi = _INF
-    return lo, hi, integral
+    return lo, hi
 
 
-def _range_write(net, cid, lo, hi, integral):
+def _range_write(net, cid, lo, hi):
     """The interval to write at cid from computed bounds, or None when the
     cell already lies inside them, so merging could not change it."""
+    if not (type(lo) is int and type(hi) is int
+            and -INT_SAT <= lo <= hi <= INT_SAT):
+        slo = min(max(lo, -INT_SAT), INT_SAT)
+        shi = max(min(hi, INT_SAT), -INT_SAT)
+        if slo != lo or shi != hi:
+            net.saturated.add(cid)
+        lo, hi = slo, shi
     cur = net.contents[cid]
-    if integral:
-        if not (type(lo) is int and type(hi) is int
-                and -INT_SAT <= lo <= hi <= INT_SAT):
-            slo = min(max(lo, -INT_SAT), INT_SAT)
-            shi = max(min(hi, INT_SAT), -INT_SAT)
-            if slo != lo or shi != hi:
-                net.saturated.add(cid)
-            lo = slo if isinstance(slo, int) else math.ceil(slo - 1e-9)
-            hi = shi if isinstance(shi, int) else math.floor(shi + 1e-9)
-    else:
-        lo = max(float(lo), -REAL_SAT)
-        hi = min(float(hi), REAL_SAT)
-    # an integer interval changes the kind of any non-integer content, so
-    # in an integral context an exact float or a real interval is rewritten
     k = cur.kind
     if k == "exact":
-        v = cur.value
-        if lo <= v <= hi and (not integral or isinstance(v, int)):
+        if lo <= cur.value <= hi:
             return None
-    elif k == "int_interval" or (k == "real_interval" and not integral):
+    elif k == "int_interval":
         if lo <= cur.lo and cur.hi <= hi:
             return None
     elif k == "finite_domain":
         if lo <= cur.elements[0] and cur.elements[-1] <= hi:
             return None
-    return int_interval(lo, hi) if integral else real_interval(lo, hi)
+    return int_interval(lo, hi)
 
 
 # -- transfer functions ---------------------------------------------------------
@@ -414,9 +397,8 @@ def _inside(info, outer):
     if ko == "finite_domain":
         return info.kind == "exact" and info.value in outer.elements
     held = bounds_of(info)
-    fits = ko == "real_interval" or (
-        ko == "int_interval" and is_integer_valued(info))
-    return fits and bool(held) and outer.lo <= held[0] and held[1] <= outer.hi
+    return (ko == "int_interval" and held is not None
+            and outer.lo <= held[0] and held[1] <= outer.hi)
 
 
 def _t_equal(net, prop):
@@ -439,13 +421,13 @@ def _t_sum(net, prop):
         _operand(contents[a]), _operand(contents[b]), _operand(contents[c]))
     writes = []
     if ra and rb and (w := _range_write(
-            net, c, ra[0] + rb[0], ra[1] + rb[1], ra[2] and rb[2])):
+            net, c, ra[0] + rb[0], ra[1] + rb[1])):
         writes.append((c, w))
     if rc and rb and (w := _range_write(
-            net, a, rc[0] - rb[1], rc[1] - rb[0], rc[2] and rb[2])):
+            net, a, rc[0] - rb[1], rc[1] - rb[0])):
         writes.append((a, w))
     if rc and ra and (w := _range_write(
-            net, b, rc[0] - ra[1], rc[1] - ra[0], rc[2] and ra[2])):
+            net, b, rc[0] - ra[1], rc[1] - ra[0])):
         writes.append((b, w))
     return writes
 
@@ -457,12 +439,15 @@ def _ext_mul(x, y):
     return x * y
 
 
-def _ext_div(n, d):
-    # a corner at infinite denominator contributes nothing beyond the
-    # finite-denominator corners, so it collapses to 0
+def _ext_div(n, d, up):
+    """n / d rounded up or down to an integer, exactly. A corner at an
+    infinite denominator contributes nothing beyond the finite-denominator
+    corners, so it collapses to 0."""
     if d == _INF or d == -_INF:
-        return 0.0
-    return n / d
+        return 0
+    if n == _INF or n == -_INF:
+        return n if d > 0 else -n
+    return -(-n // d) if up else n // d
 
 
 def _mul_hull(r1, r2):
@@ -476,48 +461,25 @@ def _mul_hull(r1, r2):
 
 
 def _div_hull(rnum, rden):
-    """Quotient hull; only valid when the denominator range excludes 0."""
-    quotients = (
-        _ext_div(rnum[0], rden[0]),
-        _ext_div(rnum[0], rden[1]),
-        _ext_div(rnum[1], rden[0]),
-        _ext_div(rnum[1], rden[1]),
-    )
-    return min(quotients), max(quotients)
+    """The integers of the quotient hull, empty when no integer divides;
+    only valid when the denominator range excludes 0."""
+    corners = [(n, d) for n in rnum for d in rden]
+    return (min(_ext_div(n, d, True) for n, d in corners),
+            max(_ext_div(n, d, False) for n, d in corners))
 
 
 def _t_product(net, prop):
     a, b, c = prop.cells
-    ca, cb, cc = (net.contents[x] for x in prop.cells)
-    ra, rb, rc = _operand(ca), _operand(cb), _operand(cc)
+    contents = net.contents
+    ra, rb, rc = (
+        _operand(contents[a]), _operand(contents[b]), _operand(contents[c]))
     writes = []
-    if ra and rb:
-        lo, hi = _mul_hull(ra, rb)
-        if w := _range_write(net, c, lo, hi, ra[2] and rb[2]):
-            writes.append((c, w))
+    if ra and rb and (w := _range_write(net, c, *_mul_hull(ra, rb))):
+        writes.append((c, w))
     # inverse directions divide; avoided entirely when the divisor may be 0
-    for out, den_info, rden in ((a, cb, rb), (b, ca, ra)):
-        if rc is None or rden is None or (rden[0] <= 0 <= rden[1]):
-            continue
-        if (
-            cc.kind == "exact"
-            and den_info.kind == "exact"
-            and abs(cc.value) < INT_SAT
-            and abs(den_info.value) < INT_SAT
-        ):
-            cv, dv = cc.value, den_info.value
-            if isinstance(cv, int) and isinstance(dv, int) and cv % dv == 0:
-                q = cv // dv
-            else:
-                q = cv / dv
-            held = net.contents[out]
-            if held.kind != "exact" or held.value != q:
-                writes.append((out, exact(q)))
-            continue
-        lo, hi = _div_hull(rc, rden)
-        # quotient of integers need not be integral; only claim integrality
-        # when the division is forced to land on integers
-        if w := _range_write(net, out, lo, hi, False):
+    for out, rden in ((a, rb), (b, ra)):
+        if rc and rden and not rden[0] <= 0 <= rden[1] and (
+                w := _range_write(net, out, *_div_hull(rc, rden))):
             writes.append((out, w))
     return writes
 
@@ -527,11 +489,9 @@ def _t_less_equal(net, prop):
     ra = _operand(net.contents[a])
     rb = _operand(net.contents[b])
     writes = []
-    # bounds are written as real intervals so no integrality is asserted on
-    # cells whose own content has not established it
-    if rb is not None and (w := _range_write(net, a, -_INF, rb[1], False)):
+    if rb is not None and (w := _range_write(net, a, -INT_SAT, rb[1])):
         writes.append((a, w))
-    if ra is not None and (w := _range_write(net, b, ra[0], _INF, False)):
+    if ra is not None and (w := _range_write(net, b, ra[0], INT_SAT)):
         writes.append((b, w))
     return writes
 

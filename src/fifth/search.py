@@ -24,10 +24,7 @@ from .language import (
     settle,
     unsettled_choices,
 )
-from .lattice import (
-    INT_SAT, Exact, bounds_of, exact, int_interval, is_integer_valued,
-    real_interval,
-)
+from .lattice import INT_SAT, Exact, bounds_of, exact, int_interval
 
 
 class UniformOracle:
@@ -258,8 +255,7 @@ def _memo_key(inst, targets, gc, objective, shapes):
     unexpanded frames with their frames' cells, the expansions made and the
     `objective`. What `collect_garbage` would fold is left out, so `gc`
     changes no key. `shapes` caches the cells read, per attached propagators
-    (named by the last) and kinds of cell. An exact real counts as settled,
-    though `merge` can still move it within REAL_TOL."""
+    (named by the last) and kinds of cell."""
     net, frames = inst.network, inst.frames
     contents, props = net.contents, net.propagators
     folds = [] if gc or len(frames) == 1 else _foldable(inst, targets.values())
@@ -328,15 +324,13 @@ def optimize(program: Program, query: Query, oracle=None,
 
     Once there is an incumbent, each popped node whose objective does not
     already lie within the bound gets the write `bound:incumbent` into its
-    objective before it runs: `<= incumbent - 1` when both are known to be
-    integers, else `<= incumbent`, and a leaf that only ties is then not
-    recorded. A leaf counts at its objective's lower bound once pinning the
+    objective before it runs: `<= incumbent - 1`, so a leaf that only ties
+    is cut. A leaf counts at its objective's lower bound once pinning the
     objective there quiesces without contradiction; the pin's steps count
     in `stats.steps`.
-    If the pin contradicts, an integer objective is searched on above that
-    bound (a clone with the write `bound:unattained`), and any other makes
-    the search incomplete; so does a pin that runs out of steps, which
-    records nothing.
+    If the pin contradicts, the objective is searched on above that bound
+    (a clone with the write `bound:unattained`); a pin that runs out of
+    steps records nothing and makes the search incomplete.
 
     `trace`, `gc`, and `write_sink` behave exactly as in solve(). Each
     improving solution is kept in order; the last one is the optimum.
@@ -353,17 +347,11 @@ def optimize(program: Program, query: Query, oracle=None,
         incumbent = state.incumbent
         if incumbent is None:
             return
-        content = inst.network.contents[obj_cell]
-        # an int bound would cut real values in (incumbent - 1, incumbent)
-        if isinstance(incumbent, int) and is_integer_valued(content):
-            limit, interval = incumbent - 1, int_interval
-        else:
-            limit, interval = incumbent, real_interval
         # a child cloned from a node that took the bound already holds it
-        r = bounds_of(content)
-        if r is not None and -INT_SAT <= r[0] and r[1] <= limit:
+        r = bounds_of(inst.network.contents[obj_cell])
+        if r is not None and -INT_SAT <= r[0] and r[1] < incumbent:
             return
-        inst.network.write(obj_cell, interval(-INT_SAT, limit),
+        inst.network.write(obj_cell, int_interval(-INT_SAT, incumbent - 1),
                            "bound:incumbent")
 
     def improve(inst):
@@ -378,13 +366,10 @@ def optimize(program: Program, query: Query, oracle=None,
         if report.contradiction is not None:
             # the lower bound is not attainable in this branch, but a larger
             # value may be
-            if is_integer_valued(inst.network.contents[obj_cell]):
-                above = inst.clone()
-                above.network.write(obj_cell, int_interval(lb + 1, INT_SAT),
-                                    "bound:unattained")
-                state.stack.append(above)
-            else:
-                state.cuts += 1
+            above = inst.clone()
+            above.network.write(obj_cell, int_interval(lb + 1, INT_SAT),
+                                "bound:unattained")
+            state.stack.append(above)
             return
         if not report.quiescent:
             # out of steps: a pending propagator could still refute the pin

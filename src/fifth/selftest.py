@@ -10,21 +10,24 @@ from __future__ import annotations
 from collections import deque
 
 from fifth.lattice import (
+    INT_SAT,
     NOTHING,
     contradiction,
     exact,
     finite_domain,
     int_interval,
     merge,
-    real_interval,
     refines,
 )
 from fifth.network import Network
 from fifth.rng import SplitMix64
 
+# where binary64 stops holding every integer, and the literal limit
+EDGES = (2**53 - 1, 2**53 + 1, -2**53 - 1, INT_SAT - 1, 1 - INT_SAT)
 
-def random_partial_info(rng, reals=True):
-    which = rng.randint(6 if reals else 5)
+
+def random_partial_info(rng):
+    which = rng.randint(6)
     if which == 0:
         return NOTHING
     if which == 1:
@@ -38,8 +41,9 @@ def random_partial_info(rng, reals=True):
         return exact(rng.randrange(-20, 20))
     if which == 4:
         return contradiction([f"w{rng.randint(4)}" for _ in range(rng.randint(3))])
-    a, b = rng.randrange(-40, 40) / 2.0, rng.randrange(-40, 40) / 2.0
-    return real_interval(min(a, b), max(a, b))
+    # an edge, or an interval from one to a small value or another edge
+    a, b = rng.choice(EDGES), rng.choice(EDGES + (rng.randrange(-20, 20),))
+    return int_interval(min(a, b), max(a, b))
 
 
 def _law_same(x, y):

@@ -135,18 +135,18 @@ def lineworld_best_total(start, goal, horizon, move_cost=-1, goal_reward=10,
     return best
 
 
-def disjunctive_solutions(cells, statements, tol=1e-9):
+def disjunctive_solutions(cells, statements):
     """Every assignment of a flat program's choices under which all its
     statements hold, as one {name: value} dict per assignment, in the order
     of `itertools.product` over the choices.
 
     cells: (name, kind, arg) triples in declaration order, where kind is
-    "choose" (arg: the values it may take), "const" (arg: a number) or
+    "choose" (arg: the values it may take), "const" (arg: an int) or
     "sum" (arg: the names (a, b) whose values it adds).
     statements: ("lesseq", a, b), ("equal", a, b), ("sum", a, b, c) for
     a + b = c, and ("if", cond, then, else), whose `then` statements must
     hold when cond is nonzero and whose `else` statements must hold
-    otherwise. Two numbers within `tol` of each other count as the same.
+    otherwise. Every number is an int, compared exactly.
     """
     choices = [(name, arg) for name, kind, arg in cells if kind == "choose"]
     out = []
@@ -160,22 +160,22 @@ def disjunctive_solutions(cells, statements, tol=1e-9):
                 env[name] = arg
             else:
                 env[name] = env[arg[0]] + env[arg[1]]
-        if all(_holds(s, env, tol) for s in statements):
+        if all(_holds(s, env) for s in statements):
             out.append(env)
     return out
 
 
-def _holds(statement, env, tol):
+def _holds(statement, env):
     head, *args = statement
     if head == "if":
         cond, then, other = args
-        return all(_holds(s, env, tol)
+        return all(_holds(s, env)
                    for s in (then if env[cond] != 0 else other))
     v = [env[a] for a in args]
     if head == "lesseq":
-        return v[0] <= v[1] + tol
+        return v[0] <= v[1]
     if head == "equal":
-        return abs(v[0] - v[1]) <= tol
+        return v[0] == v[1]
     if head == "sum":
-        return abs(v[0] + v[1] - v[2]) <= tol
+        return v[0] + v[1] == v[2]
     raise ValueError(head)

@@ -321,16 +321,16 @@ def test_help_returns_0(argv, capsys):
 COMMAND_FLAGS = {
     "solve": ({"program": "q.5th"}, [
         ("--depth", "3", 3), ("--steps", "9", 9), ("--nodes", "5", 5),
-        ("--precision", "0.5", 0.5), ("--oracle", "learned", "learned"),
+        ("--precision", "2", 2), ("--oracle", "learned", "learned"),
         ("--model", "m", "m"), ("--trace", None, True),
         ("--out", "o.json", "o.json"), ("--gc", None, True)], ["--seed", "9"]),
     "train": ({"corpus": "c"}, [
         ("--seed", "4", 4), ("--depth", "3", 3), ("--steps", "9", 9),
-        ("--nodes", "5", 5), ("--precision", "0.5", 0.5),
+        ("--nodes", "5", 5), ("--precision", "2", 2),
         ("--model", "m", "m"), ("--out", "o.json", "o.json")], ["--gc"]),
     "measure": ({"train_dir": "t", "eval_dir": "e"}, [
         ("--seed", "4", 4), ("--depth", "3", 3), ("--steps", "9", 9),
-        ("--nodes", "5", 5), ("--precision", "0.5", 0.5),
+        ("--nodes", "5", 5), ("--precision", "2", 2),
         ("--model", "m", "m"), ("--out", "o.json", "o.json")], ["--trace"]),
     "check": ({}, [("--seed", "4", 4)], ["--out", "r.json"]),
 }
@@ -592,7 +592,7 @@ def test_solve_non_finite_precision_is_a_usage_error(value, capsys):
         capsys)
     assert code == 1
     assert out == ""
-    assert "error:" in err and "--precision" in err and "finite" in err
+    assert "error:" in err and "--precision" in err and value in err
 
 
 def test_solve_negative_query_option_is_a_parse_error(tmp_path, capsys):
@@ -620,7 +620,7 @@ def test_solve_non_finite_literal_is_a_parse_error(program, where, tmp_path,
     code, out, err = run(["solve", f], capsys)
     assert code == 1
     assert out == ""
-    assert "not finite" in err and where in err
+    assert "expected integer" in err and where in err
 
 
 FACT = """\
@@ -661,6 +661,84 @@ def test_solve_saturated_target_deep_under_gc(tmp_path, capsys):
     assert payload["solutions"] == [{"cells": {"r": SATURATED}}]
     assert payload["stats"]["expansions"] == 5000
     assert payload["stats"]["summarized"] == 5000
+
+
+LESSEQ = "(def (f a c) (lesseq a c)) (query (f {}) (show c){})\n"
+PRODUCT = ("(def (f a b c) (int c 9007199254740995 9007199254740997)"
+           " (const b 1) (product a b c)) (query (f) (show a c){})\n")
+NUMERIC = {
+    # a <= c at 2^53 + 1 and 2^60 + 1, where binary64 rounds the bound
+    "lesseq-2^53+1": (LESSEQ.format(
+        "(a 9007199254740993) (c 9007199254740993)", ""), 0,
+        [{"c": 9007199254740993}]),
+    "lesseq-2^60+1": (LESSEQ.format(
+        "(a 1152921504606846977) (c 1152921504606846977)", ""), 0,
+        [{"c": 1152921504606846977}]),
+    # c >= 2^62 - 1 keeps 2^62 - 1 itself
+    "lesseq-2^62-1": (LESSEQ.format("(a 4611686018427387903)",
+                                    " (precision 1)"), 0,
+                      [{"c": [4611686018427387903, None]}]),
+    # a = c / 1 over three integers past 2^53 stays three integers wide
+    "product-under-determined": (PRODUCT.format(""), 3, []),
+    "product-range": (PRODUCT.format(" (precision 2)"), 0, [{
+        "a": [9007199254740995, 9007199254740997],
+        "c": [9007199254740995, 9007199254740997]}]),
+    # a computed value still saturates
+    "product-saturates": ("(def (f a b c) (const a 2305843009213693952)"
+                          " (const b 4) (product a b c))"
+                          " (query (f) (show c))\n", 0,
+                          [{"c": SATURATED}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC))
+def test_solve_integers_stay_exact_at_any_magnitude(name, tmp_path, capsys):
+    program, exit_code, solutions = NUMERIC[name]
+    f = tmp_path / "numeric.5th"
+    f.write_text(program)
+    code, out, _ = run(["solve", f], capsys)
+    assert code == exit_code
+    assert [s["cells"] for s in json.loads(out)["solutions"]] == solutions
+
+
+@pytest.mark.parametrize("program,literal,message", [
+    # decimal literals: there are none
+    ("(def (f a b c) (const a 0.1) (const b 0.2) (const c 0.3) (sum a b c))"
+     " (query (f) (show a))", "0.1", "expected integer, got '0.1'"),
+    ("(def (f x) (cell y) (const y 2) (product y y x))"
+     " (query (f (x 4.0000000001)) (show x))", "4.0000000001",
+     "expected integer, got '4.0000000001'"),
+    ("(def (f a b c) (const c 1e-320) (const b 1e300) (product a b c))"
+     " (query (f) (show a))", "1e-320", "expected integer, got '1e-320'"),
+    ("(def (f x a b c) (const a 0.0000000009) (const b 0) (equal x a)"
+     " (equal x b)) (query (f) (show x))", "0.0000000009",
+     "expected integer, got '0.0000000009'"),
+    ("(def (f x) (int x 0 10)) (query (f) (show x) (precision 0.5))", "0.5",
+     "expected integer, got '0.5'"),
+    # integer literals at or past ±2^62, which computed values saturate at
+    ("(def (f a b c) (const a 10000000000000000000) (const b 1) (sum a b c))"
+     " (query (f) (show c))", "10000000000000000000",
+     "integer literal out of range"),
+    ("(def (f a c) (lesseq a c)) (query (f (a 5000000000000000000)) (show c))",
+     "5000000000000000000", "integer literal out of range"),
+    ("(def (f x) (const x 99999999999999999999999)) (query (f) (show x))",
+     "99999999999999999999999", "integer literal out of range"),
+    ("(def (f x) (choose x 1 4611686018427387904)) (query (f) (show x))",
+     "4611686018427387904", "integer literal out of range"),
+    ("(def (f x) (int x -4611686018427387904 0)) (query (f) (show x))",
+     "-4611686018427387904", "integer literal out of range"),
+], ids=["decimal-sum", "decimal-binding", "decimal-tiny", "decimal-tol",
+        "decimal-precision", "sum-10^19", "binding-5e18", "const-10^23",
+        "choose-2^62", "int-minus-2^62"])
+def test_solve_non_integer_literal_is_a_parse_error(program, literal, message,
+                                                    tmp_path, capsys):
+    f = tmp_path / "literal.5th"
+    f.write_text(program + "\n")
+    code, out, err = run(["solve", f], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: 1:{program.index(' ' + literal) + 2}: {message}"]
 
 
 def test_solve_undecided_gate_exits_3_without_expanding(tmp_path, capsys):
@@ -781,15 +859,18 @@ def test_hostile_argv_exits_cleanly(argv):
 
 
 HUGE_INT = (
-    "(def (csp x0 x1 b) (choose x0 0 1 2 3) (choose x1 0 1 2 3)"
-    f" (const b {10 ** 400}) (alldiff x0 x1)) (query (csp) (show x0 x1))\n")
+    "(def (csp x0 x1 b h) (choose x0 0 1 2 3) (choose x1 0 1 2 3)"
+    " (const h 9007199254740993) (product h h b) (alldiff x0 x1))"
+    " (query (csp) (show x0 x1))\n")
 
 
 @pytest.mark.parametrize("command", ["train", "solve-trace", "solve-learned"])
 def test_guidance_reads_an_integer_past_float_range(command, tmp_path,
                                                     capsys):
-    """A boundary cell holding an exact int past binary64's range is
-    featurized as saturated, not converted to a float."""
+    """Boundary cells holding an int past binary64's exact range (2^53 + 1)
+    and a product of two of them, saturated at 2^62, are featurized like
+    any other. A literal past 2^62 is a parse error, so no cell holds an
+    int past binary64's range itself."""
     corpus = tmp_path / "huge"
     corpus.mkdir()
     program = corpus / "huge.5th"

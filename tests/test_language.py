@@ -109,14 +109,14 @@ def test_parse_reports_the_first_fault_in_source_order(text, message):
 
 def test_parse_query_form():
     program = parse(
-        FACT + "(query (fact (n 6)) (show r) (depth 50) (precision 0.5))"
+        FACT + "(query (fact (n 6)) (show r) (depth 50) (precision 2))"
     )
     q = program.query
     assert q.entry == "fact"
     assert q.bindings == (("n", 6),)
     assert q.show == ("r",)
     assert q.depth == 50
-    assert q.precision == 0.5
+    assert q.precision == 2
     assert q.steps == 1_000_000  # default preserved
 
 
@@ -346,8 +346,8 @@ def test_targets_met_with_precision():
     program = parse("(def (t x) (int x 3 5))")
     inst = instantiate(program, "t")
     x = inst.cell_of(0, "x")
-    assert not targets_met(inst, [x], 0.0)
-    assert targets_met(inst, [x], 3.0)
+    assert not targets_met(inst, [x], 1)
+    assert targets_met(inst, [x], 2)
 
 
 def test_mutual_recursion_parses_and_runs():

@@ -9,7 +9,6 @@ from fifth.lattice import (
     Exact,
     FiniteDomain,
     IntInterval,
-    RealInterval,
     bounds_of,
     contradiction,
     exact,
@@ -17,7 +16,6 @@ from fifth.lattice import (
     info_bits,
     int_interval,
     merge,
-    real_interval,
     refines,
     render,
     truth_value,
@@ -53,44 +51,45 @@ def test_merge_exact_against_interval_and_domain():
     assert merge(exact(12), int_interval(0, 9)).kind == "contradiction"
     assert merge(exact(2), finite_domain({1, 2, 3})) == Exact(2)
     assert merge(exact(5), finite_domain({1, 2, 3})).kind == "contradiction"
-    assert merge(exact(0.5), real_interval(0.0, 1.0)) == Exact(0.5)
-    assert merge(exact(0.5), int_interval(0, 1)).kind == "contradiction"
-
-
-def test_merge_mixed_interval_kinds_tightens_to_integers():
-    assert merge(real_interval(1.2, 4.7), int_interval(0, 10)) == IntInterval(2, 4)
-    assert merge(int_interval(0, 10), real_interval(3.4, 3.9)).kind == "contradiction"
-
-
-def test_merge_mixed_interval_kinds_with_an_infinite_real_end():
-    # an infinite end is no bound; ceil and floor of it would overflow
-    below, above = real_interval(-math.inf, 3), real_interval(2, math.inf)
-    assert merge(int_interval(0, 5), below) == IntInterval(0, 3)
-    assert merge(below, int_interval(0, 5)) == IntInterval(0, 3)
-    assert merge(int_interval(0, 5), above) == IntInterval(2, 5)
 
 
 def test_merge_domain_against_intervals():
     assert merge(finite_domain({1, 5, 9}), int_interval(2, 9)) == FiniteDomain((5, 9))
-    assert merge(finite_domain({1, 5, 9}), real_interval(4.5, 5.5)) == Exact(5)
+    assert merge(int_interval(4, 6), finite_domain({1, 5, 9})) == Exact(5)
 
 
-def test_merge_near_equal_reals_tolerated():
-    got = merge(exact(1.0), exact(1.0 + 1e-12))
-    assert got.kind == "exact"
-    # deterministic representative regardless of argument order
-    assert got == merge(exact(1.0 + 1e-12), exact(1.0))
+# the first integer binary64 cannot hold, and the literal limit
+BIG = 2**53 + 1
+TOP = 2**62 - 1
+
+
+def test_exact_holds_integers_only():
+    assert exact(BIG).value == BIG
+    for value in (2.5, 3.0, float("nan")):
+        with pytest.raises(ValueError):
+            exact(value)
+    with pytest.raises(ValueError):
+        finite_domain({1, 2.0})
+
+
+def test_merge_keeps_integers_past_binary64_exact():
+    assert merge(exact(BIG), exact(BIG - 1)).kind == "contradiction"
+    assert merge(exact(BIG), int_interval(-TOP, BIG - 1)).kind == "contradiction"
+    assert merge(int_interval(BIG - 1, TOP), int_interval(-TOP, BIG)) \
+        == IntInterval(BIG - 1, BIG)
+    assert merge(int_interval(BIG, TOP), finite_domain({BIG - 1, BIG})) \
+        == Exact(BIG)
 
 
 @pytest.mark.parametrize("a, b", [
     (exact(3), exact(3)),
-    (exact(2.5), exact(2.5)),
+    (exact(BIG), exact(BIG)),
     (exact(3), int_interval(0, 9)),
     (int_interval(2, 5), int_interval(0, 9)),
     (int_interval(2, 5), int_interval(2, 5)),
     (finite_domain({1, 4}), int_interval(1, 4)),
-    (exact(2.5), real_interval(0, 9)),
-    (int_interval(2, 5), real_interval(2.0000000001, 4.9999999999)),
+    (exact(BIG), int_interval(-TOP, TOP)),
+    (exact(4), finite_domain({1, 4, 7})),
 ])
 def test_merge_that_cannot_refine_returns_its_first_argument(a, b):
     assert merge(a, b) is a
@@ -102,7 +101,7 @@ def test_merge_that_cannot_refine_returns_its_first_argument(a, b):
     (NOTHING, contradiction(("w1",))),
     (finite_domain({1, 4, 7}), exact(4)),
     (int_interval(0, 9), exact(9)),
-    (real_interval(-0.5, 9.5), exact(3)),
+    (int_interval(-TOP, TOP), exact(BIG)),
     (int_interval(0, 9), int_interval(2, 5)),
     (int_interval(0, 9), int_interval(0, 5)),
 ])
@@ -118,7 +117,7 @@ def test_contradiction_provenance_union():
 
 def test_normalization_canonical():
     assert int_interval(4, 4) == Exact(4)
-    assert real_interval(2.5, 2.5) == Exact(2.5)
+    assert int_interval(BIG, BIG) == Exact(BIG)
     assert finite_domain({8}) == Exact(8)
     assert finite_domain(set()).kind == "contradiction"
     assert int_interval(5, 2).kind == "contradiction"
@@ -142,7 +141,7 @@ def test_info_bits_examples():
     assert info_bits(contradiction(), 1024) == 64.0
     # clamped at both ends
     assert info_bits(int_interval(0, 9999), 1024) == 0.0
-    assert info_bits(real_interval(0.0, 1e-30), 1024) == 64.0
+    assert info_bits(int_interval(0, 1), 2**70) == 64.0
     with pytest.raises(ValueError):
         info_bits(NOTHING, 0)
 
@@ -166,14 +165,17 @@ def test_helpers():
     assert truth_value(finite_domain({1, 2})) is True
     assert truth_value(finite_domain({0, 1})) is None
     assert truth_value(NOTHING) is None
-    assert width_of(exact(2)) == 0.0
-    assert width_of(int_interval(2, 6)) == 4.0
+    assert width_of(exact(2)) == 0
+    assert width_of(int_interval(2, 6)) == 4
+    assert width_of(int_interval(BIG, BIG + 2)) == 2
     assert width_of(NOTHING) is None
 
 
 # -- law properties -----------------------------------------------------------
 
 ints = st.integers(min_value=-50, max_value=50)
+# integers binary64 cannot all hold, up to the literal limit
+edges = st.sampled_from([2**53 - 1, 2**53 + 1, -2**53 - 1, TOP, -TOP])
 
 
 @st.composite
@@ -185,8 +187,8 @@ def partial_infos(draw):
         a, b = draw(ints), draw(ints)
         return int_interval(min(a, b), max(a, b))
     if which == 2:
-        a, b = draw(ints), draw(ints)
-        return real_interval(float(min(a, b)) / 2, float(max(a, b)) / 2)
+        a, b = draw(edges), draw(edges | ints)
+        return int_interval(min(a, b), max(a, b))
     if which == 3:
         return finite_domain(draw(st.sets(ints, min_size=1, max_size=8)))
     if which == 4:
@@ -216,10 +218,10 @@ def _already_the_join(a, b):
     """Whether b is one of the joins merge(a, b) hands back as itself."""
     if a.kind == "nothing":
         return True
-    if b.kind == "exact" and type(b.value) is int:
+    if b.kind == "exact":
         if a.kind == "finite_domain":
             return b.value in a.elements
-        if a.kind in ("int_interval", "real_interval"):
+        if a.kind == "int_interval":
             return a.lo <= b.value <= a.hi
     # an equal interval is handed back as a, the first argument
     return (a.kind == b.kind == "int_interval" and a != b
@@ -235,7 +237,7 @@ def test_merge_hands_back_a_second_argument_that_already_is_the_join(
     candidates = [b, exact(x)]
     r = bounds_of(a)
     if r is not None:
-        lo, hi = math.ceil(r[0]), math.floor(r[1])
+        lo, hi = r
         candidates.append(int_interval(max(lo, min(x, y)), min(hi, max(x, y))))
         if a.kind == "finite_domain":
             candidates.append(exact(a.elements[x % len(a.elements)]))
@@ -250,7 +252,7 @@ def test_merge_hands_back_a_second_argument_that_already_is_the_join(
 @given(partial_infos(), partial_infos())
 def test_merge_results_are_canonical(a, b):
     out = merge(a, b)
-    if out.kind == "int_interval" or out.kind == "real_interval":
+    if out.kind == "int_interval":
         assert out.lo < out.hi
     elif out.kind == "finite_domain":
         assert len(out.elements) >= 2
@@ -274,4 +276,4 @@ def test_info_bits_monotone_under_refinement():
     for weaker, stronger in pairs:
         assert refines(weaker, stronger)
         assert info_bits(weaker, 1024) <= info_bits(stronger, 1024)
-    assert math.isfinite(info_bits(real_interval(0.0, 0.5), 1024))
+    assert math.isfinite(info_bits(int_interval(-TOP, TOP), 1024))

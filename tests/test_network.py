@@ -7,7 +7,6 @@ from fifth.lattice import (
     exact,
     finite_domain,
     int_interval,
-    real_interval,
     refines,
 )
 from fifth.network import Network, WriteResult
@@ -181,14 +180,31 @@ def test_product_division_avoided_when_divisor_spans_zero():
     assert net.content(a) == NOTHING
 
 
-def test_product_inexact_division_yields_real():
+def test_product_inexact_division_contradicts():
+    # no integer a has a * 2 = 7
     net = Network()
     a, b, c = (net.add_cell() for _ in range(3))
     net.attach("product", (a, b, c))
     net.write(c, exact(7))
     net.write(b, exact(2))
-    net.run_to_quiescence()
-    assert net.content(a) == exact(3.5)
+    assert net.run_to_quiescence().contradiction == a
+
+
+def test_product_divides_exactly_past_binary64():
+    # c in [2^53 + 3, 2^53 + 5] over b = 1 leaves a three integers wide;
+    # dividing through binary64 pinned it to the one 2^53 + 4
+    big = 2**53
+    for divisor, quotient in ((exact(1), int_interval(big + 3, big + 5)),
+                              # (2^53 + 3) / 3 rounds up, (2^53 + 5) / 2 down
+                              (int_interval(2, 3), int_interval(
+                                  -(-(big + 3) // 3), (big + 5) // 2))):
+        net = Network()
+        a, b, c = (net.add_cell() for _ in range(3))
+        net.attach("product", (a, b, c))
+        net.write(c, int_interval(big + 3, big + 5))
+        net.write(b, divisor)
+        net.run_to_quiescence()
+        assert net.content(a) == quotient
 
 
 def test_equal_links_both_ways():
@@ -214,14 +230,15 @@ def test_less_equal_tightens_bounds():
     assert net.content(b) == int_interval(3, 10)
 
 
-def test_less_equal_keeps_real_cells_real():
+def test_less_equal_keeps_integers_past_binary64_exact():
     net = Network()
     a, b = net.add_cell(), net.add_cell()
     net.attach("less_equal", (a, b))
-    net.write(a, real_interval(0.5, 9.5))
-    net.write(b, real_interval(0.0, 2.5))
+    net.write(a, exact(2**53 + 1))
     net.run_to_quiescence()
-    assert net.content(a) == real_interval(0.5, 2.5)
+    assert net.content(b) == int_interval(2**53 + 1, 2**62)
+    net.write(b, exact(2**53 + 1))
+    assert net.run_to_quiescence().contradiction is None
 
 
 def test_alldifferent_prunes_on_exact():
@@ -517,7 +534,7 @@ def test_catalog_monotone_under_refinement():
         if base.contradiction is not None:
             continue
         before = list(base.contents)
-        extra = random_partial_info(rng, reals=False)
+        extra = random_partial_info(rng)
         target = rng.randint(len(base.contents))
         base.write(target, extra)
         base.run_to_quiescence(10_000)
@@ -547,7 +564,7 @@ def _random_single_prop_net(rng):
     writes = []
     for cid in cells:
         if rng.randint(2) == 0:
-            writes.append((cid, random_partial_info(rng, reals=False)))
+            writes.append((cid, random_partial_info(rng)))
     return net, writes
 
 

@@ -260,9 +260,10 @@ def test_jobshop_optimum_matches_brute_force(instance):
     assert folded.bound_trace == plain.bound_trace
 
 
-# constants a disjunctive program may declare; the reals are halves, so
-# every sum of them is exact and no drawn answer turns on REAL_TOL
-NUMBERS = st.one_of(st.integers(-1, 3), st.sampled_from([-0.5, 0.5, 1.5, 2.5]))
+# constants a disjunctive program may declare: small ones, and ±(2^53 + 1),
+# where binary64 stops holding every integer
+NUMBERS = st.one_of(st.integers(-1, 3),
+                    st.sampled_from([2**53 + 1, -2**53 - 1]))
 TESTED = {"lesseq": 2, "equal": 2, "sum": 3}
 
 
@@ -331,11 +332,9 @@ def _disjunctive_text(spec):
 
 @settings(max_examples=400, deadline=None)
 @given(disjunctive_programs())
-# x <= z holds within REAL_TOL, and so does z <= x: a branch is refuted only
-# when its statement's write merges into a contradiction, so o keeps both
-# values, where a raw `lo(x) > hi(z)` test would drop o = 1
-@example({"cells": [("o", "choose", (0, 1)), ("x", "const", 0.0000000005),
-                    ("z", "const", 0)],
+# x <= z fails by one past 2^53, and z <= x holds: only o = 0 is an answer
+@example({"cells": [("o", "choose", (0, 1)), ("x", "const", 2**53 + 1),
+                    ("z", "const", 2**53)],
           "body": [("if", "o", [("lesseq", "x", "z")],
                     [("lesseq", "z", "x")])],
           "minimize": None})

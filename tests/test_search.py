@@ -236,7 +236,7 @@ def test_solve_reports_partial_targets_as_bounds():
     """
     prog = parse(text)
     q = Query(entry="capped", bindings=(("x", 7),), show=("y",),
-              precision=10.0)
+              precision=10)
     res = solve(prog, q)
     assert len(res.solutions) == 1
     lo, hi = res.solutions[0]["cells"]["y"]
@@ -507,37 +507,6 @@ def test_optimize_searches_above_an_unattainable_integer_bound():
     assert res.stats["nodes"] == 2
 
 
-def test_optimize_unattainable_real_bound_is_incomplete():
-    # the same leaf over reals, x in [2.38, 10.5]: there is no next value
-    # to search from, so the run must not claim there is no solution
-    text = SQUARE_ROOT.replace("(int x 0 10)", """(const lo 0.5)
-  (const hi 10.5)
-  (lesseq lo x)
-  (lesseq x hi)""")
-    prog = parse(text)
-    res = optimize(prog, prog.query)
-    assert res.objective is None
-    assert not res.proven
-    assert not res.stats["complete"]
-
-
-# c = (a + b) * -0.5: the first leaf gives the integer incumbent -1, the
-# next the real -1.5, which a bound of -2 (integer strictness) would cut;
-# a = 3, b = 0 then ties -1.5 and must not count as an improvement
-REAL_OBJECTIVE = """
-(def (half a c)
-  (cell b)
-  (cell s)
-  (choose a 2 3)
-  (choose b 0 1)
-  (const k -0.5)
-  (sum a b s)
-  (product s k c))
-
-(query (half) (show a c) (minimize c))
-"""
-
-
 class _Deadends:
     def __init__(self):
         self.provenance = []
@@ -551,16 +520,6 @@ class _Deadends:
     def deadend(self, inst):
         net = inst.network
         self.provenance.append(net.content(net.contradiction).provenance)
-
-
-def test_optimize_real_objective_is_not_cut_by_an_integer_bound():
-    prog = parse(REAL_OBJECTIVE)
-    trace = _Deadends()
-    res = optimize(prog, prog.query, trace=trace)
-    assert [t["bound"] for t in res.bound_trace] == [-1, -1.5, -2]
-    assert res.solution["cells"] == {"a": 3, "c": -2}
-    assert res.proven
-    assert trace.provenance == []
 
 
 def test_node_cut_by_the_bound_names_it_in_provenance():

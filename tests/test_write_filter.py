@@ -22,7 +22,6 @@ from fifth.lattice import (
     finite_domain,
     int_interval,
     merge,
-    real_interval,
 )
 from fifth.network import (
     _TRANSFER,
@@ -39,10 +38,9 @@ SAT_INTS = st.sampled_from([
     -2**70, -INT_SAT - 1, -INT_SAT, -INT_SAT + 1,
     INT_SAT - 1, INT_SAT, INT_SAT + 1, 2**70,
 ])
-INTS = st.integers(-12, 12) | SAT_INTS
-FLOATS = (st.floats(-12, 12, allow_nan=False)
-          | st.sampled_from([-1e20, -float(INT_SAT), float(INT_SAT), 1e20]))
-NUMBERS = INTS | FLOATS
+# integers binary64 cannot all hold
+EDGE_INTS = st.sampled_from([2**53 - 1, 2**53 + 1, -2**53 - 1])
+INTS = st.integers(-12, 12) | SAT_INTS | EDGE_INTS
 
 
 def _sorted_pair(values):
@@ -51,12 +49,11 @@ def _sorted_pair(values):
 
 CONTENTS = st.one_of(
     st.just(NOTHING),
-    NUMBERS.map(exact),
+    INTS.map(exact),
     _sorted_pair(INTS).map(lambda r: int_interval(*r)),
-    _sorted_pair(NUMBERS).map(lambda r: real_interval(*r)),
     st.lists(INTS, min_size=1, max_size=4).map(finite_domain),
 )
-BOUNDS = NUMBERS | st.sampled_from([-float("inf"), float("inf")])
+BOUNDS = INTS | st.sampled_from([-float("inf"), float("inf")])
 
 
 def _unchanged(cur, info):
@@ -65,27 +62,26 @@ def _unchanged(cur, info):
 
 
 @settings(max_examples=400, deadline=None)
-@given(CONTENTS, _sorted_pair(BOUNDS), st.booleans())
+@given(CONTENTS, _sorted_pair(BOUNDS))
 # one example per branch of the no-op test on the target's kind
-@example(exact(3), [0, 5], True)
-@example(exact(7), [0, 5], True)
-@example(exact(2.5), [0, 5], True)
-@example(exact(INT_SAT), [0, 2**70], True)
-@example(exact(-INT_SAT), [-float("inf"), 0], True)
-@example(exact(2**70), [0, 2**70], True)
-@example(exact(2**70), [0, float("inf")], False)
-@example(finite_domain([1, 3]), [0, 5], True)
-@example(finite_domain([1, 3]), [2, 5], True)
-@example(real_interval(1, 2), [0, 5], True)
-@example(real_interval(1, 2), [0, 5], False)
-@example(NOTHING, [0, 5], True)
-@example(NOTHING, [0, 5], False)
-def test_range_write_drops_only_what_merge_keeps(cur, bounds, integral):
+@example(exact(3), [0, 5])
+@example(exact(7), [0, 5])
+@example(exact(2**53 + 1), [2**53, 2**53 + 1])
+@example(exact(INT_SAT), [0, 2**70])
+@example(exact(-INT_SAT), [-float("inf"), 0])
+@example(exact(2**70), [0, 2**70])
+@example(exact(2**70), [0, float("inf")])
+@example(finite_domain([1, 3]), [0, 5])
+@example(finite_domain([1, 3]), [2, 5])
+@example(int_interval(1, 2), [0, 5])
+@example(int_interval(1, 2), [2, 5])
+@example(NOTHING, [0, 5])
+def test_range_write_drops_only_what_merge_keeps(cur, bounds):
     net, empty = Network(), Network()
     net.contents.append(cur)
     empty.contents.append(NOTHING)
-    built = _range_write(empty, 0, *bounds, integral)
-    got = _range_write(net, 0, *bounds, integral)
+    built = _range_write(empty, 0, *bounds)
+    got = _range_write(net, 0, *bounds)
     if got is None:
         assert _unchanged(cur, built)
     else:
@@ -162,21 +158,17 @@ CELLS = st.permutations(range(3)) | st.lists(st.integers(0, 2), min_size=3,
 @settings(max_examples=1500, deadline=None)
 @given(st.sampled_from(sorted(ARITY) + ["alldifferent"]),
        st.lists(CONTENTS, min_size=3, max_size=3), CELLS)
-# real sums: (x - y) + y lands an ulp away from x
-@example("sum", [exact(2 / 3), real_interval(1 / 3, 2.2),
-                 real_interval(0.1, 2.2)], (0, 1, 2))
-@example("sum", [exact(3.3), real_interval(0.1, 0.5), NOTHING], (0, 1, 2))
-# within REAL_TOL an exact float still moves (here to an integer), so a
-# propagator must stay a watcher of the cells that are exact when it attaches
-@example("sum", [NOTHING, exact(9.356141043527195e-110),
-                 exact(-4611686018427387904)], (1, 2, 2))
+# sums and quotients past 2^53 that binary64 would round
+@example("sum", [exact(2**53 + 1), int_interval(1, 2**53 + 1), NOTHING],
+         (0, 1, 2))
+@example("product", [NOTHING, exact(3), int_interval(2**53 + 1, 2**53 + 5)],
+         (0, 1, 2))
 # a sum into an empty cell sleeps only while every cell lies strictly
 # within ±2^60, and only over integer cells
 @example("sum", [exact(2**60 - 1), exact(0), NOTHING], (0, 1, 2))
 @example("sum", [exact(2**60), exact(0), NOTHING], (0, 1, 2))
 @example("sum", [exact(1 - 2**60), exact(0), NOTHING], (0, 1, 2))
 @example("sum", [exact(-2**60), exact(0), NOTHING], (0, 1, 2))
-@example("sum", [NOTHING, exact(0.5), exact(3.5)], (0, 1, 2))
 def test_a_propagator_left_asleep_by_its_own_writes_has_nothing_left(
         kind, contents, cells):
     """Run a transfer once and apply its writes as the kernel does; if that
@@ -194,9 +186,7 @@ def test_a_propagator_left_asleep_by_its_own_writes_has_nothing_left(
             return
     if pid not in net.pending:
         saturated = set(net.saturated)
-        again = _TRANSFER[kind](net, prop)
-        # within REAL_TOL a transfer may still emit a write merge keeps
-        assert all(_unchanged(net.contents[cid], info) for cid, info in again)
+        assert _TRANSFER[kind](net, prop) == []
         assert net.saturated == saturated
 
 
