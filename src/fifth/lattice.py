@@ -299,12 +299,14 @@ def truth_value(a: PartialInfo):
 
 
 def width_of(a: PartialInfo):
-    """Interval width used for precision checks; None when unbounded."""
+    """Interval width used for precision checks; None when unbounded, as an
+    interval is with an end at ±2^62, the saturated image of values past
+    it (a finite domain holds literals, which lie strictly within)."""
     k = a.kind
     if k == "exact":
         return 0
     if k == "int_interval":
-        return a.hi - a.lo
+        return None if a.lo <= -INT_SAT or a.hi >= INT_SAT else a.hi - a.lo
     if k == "finite_domain":
         return a.elements[-1] - a.elements[0]
     return None

@@ -7,7 +7,9 @@ is an index into per-cell lists owned by the network:
   dropped the cell;
 - `watchers[cid]`: a tuple of the propagator ids that read the cell, in
   ascending id order (attach appends, the new id being the largest);
-  `attach` and `detach` replace the tuple, never mutate it;
+  `attach` and `detach` replace the tuple, never mutate it. `attach`
+  skips a cell already exact: it can only turn into a contradiction, which
+  ends the run, so it would wake no one;
 - `origins[cid]`: (frame id, source name), used in trace records;
 - `contributors[cid]`: the writes that refined the cell, as a persistent
   cons list `(write id, rest)` ending in None.
@@ -27,7 +29,9 @@ write reads the target's kind once and compares the computed bounds with
 its exact value, interval ends or domain ends, and `alldifferent` collects
 its exact cells in one pass and returns at once when there are none. Every
 bound is an integer (an unbounded end is read as infinite and written back
-clamped at ±2^62), so no arithmetic passes through binary64. Of what
+clamped at ±2^62), so no arithmetic passes through binary64; `product`
+multiplies or floor/ceil-divides four integer ends directly, and only an
+infinite end takes the corner rules of `_ext_mul` and `_ext_div`. Of what
 still reaches `merge` without changing the cell (declarations, branches,
 search bounds), `merge` hands back the old value itself, so it costs one
 identity test; a write that already is the join (an exact value inside
@@ -160,8 +164,8 @@ class Network:
         self.propagators.append(prop)
         watchers = self.watchers
         for cid in prop.cells:  # a repeated cell already ends with pid
-            if watchers[cid][-1:] != (pid,):
-                watchers[cid] = watchers[cid] + (pid,)  # the largest id
+            if contents[cid].kind != "exact" and watchers[cid][-1:] != (pid,):
+                watchers[cid] += (pid,)  # the largest id
         self.pending.add(pid)
         self.queue.append(pid)
         return pid
@@ -293,7 +297,12 @@ class Network:
 
     def drop_cell(self, cid):
         """Remove a cell from the store. Only storage management calls this,
-        after detaching every propagator that touches the cell."""
+        after detaching every propagator that watches the cell. One that
+        reads it without watching it (the cell was exact when it attached)
+        may stay attached only while every cell it watches is exact: then
+        no write wakes it to read a dropped cell, as an exact cell only
+        turns into a contradiction, which ends the run. `collect_garbage`
+        keeps this by folding a frame only once its boundary is exact."""
         self.contents[cid] = None
         self.watchers[cid] = ()
         self.contributors[cid] = None
@@ -451,18 +460,22 @@ def _ext_div(n, d, up):
 
 
 def _mul_hull(r1, r2):
-    products = (
-        _ext_mul(r1[0], r2[0]),
-        _ext_mul(r1[0], r2[1]),
-        _ext_mul(r1[1], r2[0]),
-        _ext_mul(r1[1], r2[1]),
-    )
+    (a, b), (c, d) = r1, r2
+    if type(a) is type(b) is type(c) is type(d) is int:
+        products = (a * c, a * d, b * c, b * d)
+    else:
+        products = (_ext_mul(a, c), _ext_mul(a, d), _ext_mul(b, c),
+                    _ext_mul(b, d))
     return min(products), max(products)
 
 
 def _div_hull(rnum, rden):
     """The integers of the quotient hull, empty when no integer divides;
     only valid when the denominator range excludes 0."""
+    (n0, n1), (d0, d1) = rnum, rden
+    if type(n0) is type(n1) is type(d0) is type(d1) is int:
+        return (-max(-n0 // d0, -n0 // d1, -n1 // d0, -n1 // d1),
+                max(n0 // d0, n0 // d1, n1 // d0, n1 // d1))
     corners = [(n, d) for n in rnum for d in rden]
     return (min(_ext_div(n, d, True) for n, d in corners),
             max(_ext_div(n, d, False) for n, d in corners))

@@ -675,9 +675,14 @@ NUMERIC = {
         "(a 1152921504606846977) (c 1152921504606846977)", ""), 0,
         [{"c": 1152921504606846977}]),
     # c >= 2^62 - 1 keeps 2^62 - 1 itself
+    "lesseq-2^62-1-exact": (LESSEQ.format(
+        "(a 4611686018427387903) (c 4611686018427387903)", ""), 0,
+        [{"c": 4611686018427387903}]),
+    # c >= 2^62 - 1 is unbounded above, however narrow its saturated range
+    # [2^62 - 1, 2^62] reads, so no precision pins it, as none pins c >= 5
     "lesseq-2^62-1": (LESSEQ.format("(a 4611686018427387903)",
-                                    " (precision 1)"), 0,
-                      [{"c": [4611686018427387903, None]}]),
+                                    " (precision 1)"), 3, []),
+    "lesseq-5": (LESSEQ.format("(a 5)", " (precision 1)"), 3, []),
     # a = c / 1 over three integers past 2^53 stays three integers wide
     "product-under-determined": (PRODUCT.format(""), 3, []),
     "product-range": (PRODUCT.format(" (precision 2)"), 0, [{

@@ -417,8 +417,32 @@ def test_countdown_structure_is_linear():
     assert kinds.count("sum") == 2049 and kinds.count("equal") == 0
     assert len(inst.network.contents) == 3 * (1 + 1024) + 2 == 3077
     assert not any(name.startswith("(if") for _, name in inst.network.origins)
+    # no propagator watches an exact cell: not `one`, and not a frame's `n`,
+    # which its parent has pinned before the frame expands. So the root's
+    # two sums watch 2 cells each, every other frame's `nm1 = n - 1`
+    # watches only nm1, and the 1023 `k = krest + 1` watch 2
     watchers = sum(len(w) for w in inst.network.watchers)
-    assert watchers == 3 * 2049 == 6147  # one per cell each one reads
+    assert watchers == 2 + 2 + 1024 + 2 * 1023 == 3074
+
+
+CHAIN = ("(def (chain n lo hi) (cell nm1) (cell mid) (const one 1)"
+         " (sum nm1 one n) (lesseq lo hi)"
+         " (if n ((call chain nm1 mid hi) (sum lo one mid)) ()))")
+
+
+@pytest.mark.parametrize("depth", [1000, 4000])
+def test_a_cell_exact_before_a_frame_expands_gains_no_watcher(depth):
+    # `hi` is read by every frame's `lesseq`, but only the root's attaches
+    # before the binding makes it exact, so its watcher tuple stays one id
+    # long and attaching stays linear in depth
+    program = parse(CHAIN)
+    inst = instantiate(program, "chain", {"n": depth, "lo": 0, "hi": 10**9})
+    settle(inst)
+    while inst.unexpanded:
+        expand(inst, inst.unexpanded[0])
+        settle(inst)
+    assert inst.expansions == depth
+    assert inst.network.watchers[inst.cell_of(0, "hi")] == (1,)
 
 
 def test_unexpanded_worklist_tracks_frames():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fifth.lattice import (
+    INT_SAT,
     NOTHING,
     Contradiction,
     Exact,
@@ -168,6 +169,10 @@ def test_helpers():
     assert width_of(exact(2)) == 0
     assert width_of(int_interval(2, 6)) == 4
     assert width_of(int_interval(BIG, BIG + 2)) == 2
+    # an end at ±2^62 is saturated: it stands for every value past it
+    assert width_of(int_interval(INT_SAT - 1, INT_SAT)) is None
+    assert width_of(int_interval(-INT_SAT, 1 - INT_SAT)) is None
+    assert width_of(exact(INT_SAT)) == 0
     assert width_of(NOTHING) is None
 
 

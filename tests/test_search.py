@@ -618,6 +618,24 @@ def test_collect_garbage_respects_interior_targets():
     assert len(report.summarized) == 5
 
 
+def test_a_propagator_left_on_a_dropped_cell_watches_only_exact_cells():
+    # attach registers no watcher on an exact cell, so a frame's `sum nm1
+    # one n`, with `one` exact and `n` pinned by its parent, is not detached
+    # through the cells it drops; it stays on the boundary cell `n`, which
+    # no write can wake
+    inst, r = run_fact(10)
+    collect_garbage(inst, (r,))
+    net = inst.network
+    dropped = {c for c, info in enumerate(net.contents) if info is None}
+    left = set()
+    for cid, pids in enumerate(net.watchers):
+        for pid in pids:
+            if dropped.intersection(net.propagators[pid].cells):
+                left.add(pid)
+                assert net.contents[cid].kind == "exact"
+    assert len(left) == 9
+
+
 def test_collect_garbage_then_clone_still_works():
     inst, r = run_fact(6)
     collect_garbage(inst, (r,))

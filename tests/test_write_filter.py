@@ -28,6 +28,10 @@ from fifth.network import (
     Network,
     Propagator,
     WriteResult,
+    _div_hull,
+    _ext_div,
+    _ext_mul,
+    _mul_hull,
     _range_write,
 )
 from fifth.search import optimize, solve
@@ -111,6 +115,35 @@ def test_transfers_drop_only_what_merge_keeps(kind, contents):
             assert got == built
         else:
             assert all(_unchanged(net.contents[cid], info) for info in built)
+
+
+# the ends a transfer reads: an end at or past ±2^62 is read as infinite
+HULL_ENDS = (st.integers(-12, 12) | st.sampled_from([
+    0, 1, -1, 2**53 - 1, 2**53 + 1, 1 - 2**53, -2**53 - 1, INT_SAT - 1,
+    1 - INT_SAT, -float("inf"), float("inf")]))
+RANGES = _sorted_pair(HULL_ENDS).map(tuple)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(RANGES, RANGES)
+@example((2, 5), (3, 3))
+@example((2, 5), (-3, -3))
+@example((-7, 2**53 + 1), (-2, -1))
+@example((0, float("inf")), (INT_SAT - 1, INT_SAT - 1))
+def test_product_hulls_equal_their_corner_formulas(r1, r2):
+    """The integer paths of `_mul_hull` and `_div_hull` are the corner
+    formulas, computed without the extended arithmetic."""
+    products = [_ext_mul(x, y) for x in r1 for y in r2]
+    got = _mul_hull(r1, r2)
+    assert got == (min(products), max(products))
+    assert list(map(type, got)) == [type(min(products)), type(max(products))]
+    if not r2[0] <= 0 <= r2[1]:  # a quotient hull needs a divisor without 0
+        corners = [(n, d) for n in r1 for d in r2]
+        lo = min(_ext_div(n, d, True) for n, d in corners)
+        hi = max(_ext_div(n, d, False) for n, d in corners)
+        got = _div_hull(r1, r2)
+        assert got == (lo, hi)
+        assert list(map(type, got)) == [type(lo), type(hi)]
 
 
 def _alldifferent_reference(contents, cells):
