@@ -16,6 +16,7 @@ depend on what the encoders learned.
 """
 
 import json
+import math
 import os
 import re
 import struct
@@ -34,8 +35,11 @@ _SLOTS = 3  # boundary cells summarized individually before aggregation
 
 
 def _squash(x):
-    """x / (1 + |x|); every bound lies within ±2^62, so it converts."""
+    """x / (1 + |x|), ±1 at an open end; a finite bound lies within ±2^62,
+    so it converts."""
     x = float(x)
+    if math.isinf(x):
+        return math.copysign(1.0, x)
     return x / (1.0 + abs(x))
 
 

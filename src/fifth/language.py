@@ -18,8 +18,9 @@ from collections import namedtuple
 
 from .errors import ParseError, StructuralError
 from .lattice import (
-    INT_SAT,
+    INT_LIMIT,
     PartialInfo,
+    bounds_of,
     exact,
     finite_domain,
     int_interval,
@@ -27,7 +28,7 @@ from .lattice import (
     truth_value,
     width_of,
 )
-from .network import Network, QuiescenceReport, _operand
+from .network import Network, QuiescenceReport
 
 # deepest `if` nesting a definition may have; compiling and elaboration
 # recurse once per level, so this keeps them off the Python stack limit
@@ -150,14 +151,14 @@ def _atom(node, what="name"):
 
 
 def _int_atom(node):
-    """The integer a literal spells. Computed values saturate at ±2^62, so
-    a literal there or beyond could not be told from a saturated bound."""
+    """The integer a literal spells, strictly within ±2^62: a computed value
+    at or past that limit cuts its branch, so no literal may start there."""
     tok = _atom(node, "integer")
     try:
         value = int(tok)
     except ValueError:
         raise ParseError(f"expected integer, got {tok!r}", node[1], node[2])
-    if not -INT_SAT < value < INT_SAT:
+    if not -INT_LIMIT < value < INT_LIMIT:
         raise ParseError("integer literal out of range", node[1], node[2])
     return value
 
@@ -580,8 +581,9 @@ def _fails(contents, cellmap, tests):
                 return True
             continue
         # a <= b puts a in b + (-inf, 0]; a + b = c puts c in a + b
-        ra = (-math.inf, 0) if kind == "less_equal" else _operand(cells[0])
-        rb, rt = _operand(cells[1]), _operand(cells[2 if kind == "sum" else 0])
+        ra = (-math.inf, 0) if kind == "less_equal" else bounds_of(cells[0])
+        rb = bounds_of(cells[1])
+        rt = bounds_of(cells[2 if kind == "sum" else 0])
         if ra and rb and rt and (
                 ra[0] + rb[0] > rt[1] or rt[0] > ra[1] + rb[1]):
             return True  # bounds that do not meet

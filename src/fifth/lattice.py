@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 
-# Interval arithmetic saturates integer bounds here instead of overflowing.
-INT_SAT = 2**62
+# Every finite bound lies strictly within ±INT_LIMIT; an open end is ±inf.
+INT_LIMIT = 2**62
 
 
 class PartialInfo:
@@ -127,8 +127,8 @@ class Contradiction(PartialInfo):
 
 
 def int_interval(lo, hi):
-    """Canonical integer interval: degenerate -> Exact, empty -> Contradiction."""
-    lo, hi = int(lo), int(hi)
+    """Canonical integer interval: degenerate -> Exact, empty -> Contradiction.
+    An open end is -inf or +inf."""
     if lo > hi:
         return Contradiction()
     if lo == hi:
@@ -237,8 +237,8 @@ def info_bits(a: PartialInfo, reference_width: float) -> float:
     """How many bits of the reference width this value has pinned down.
 
     Intervals and domains score log2(reference / remaining measure), clamped
-    to [0, 64]; Exact and Contradiction both clamp to 64 (Contradiction is
-    additionally flagged downstream).
+    to [0, 64], so an open range scores 0; Exact and Contradiction both clamp
+    to 64 (Contradiction is additionally flagged downstream).
     """
     if reference_width <= 0:
         raise ValueError("reference_width must be positive")
@@ -249,6 +249,8 @@ def info_bits(a: PartialInfo, reference_width: float) -> float:
         return 64.0
     if k == "int_interval":
         width = a.hi - a.lo + 1
+        if width == math.inf:
+            return 0.0
     else:
         width = len(a.elements)
     bits = math.log2(reference_width / width)
@@ -299,14 +301,13 @@ def truth_value(a: PartialInfo):
 
 
 def width_of(a: PartialInfo):
-    """Interval width used for precision checks; None when unbounded, as an
-    interval is with an end at ±2^62, the saturated image of values past
-    it (a finite domain holds literals, which lie strictly within)."""
+    """Interval width used for precision checks: inf for an open range, None
+    when there are no bounds."""
     k = a.kind
     if k == "exact":
         return 0
     if k == "int_interval":
-        return None if a.lo <= -INT_SAT or a.hi >= INT_SAT else a.hi - a.lo
+        return a.hi - a.lo
     if k == "finite_domain":
         return a.elements[-1] - a.elements[0]
     return None

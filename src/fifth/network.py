@@ -14,10 +14,9 @@ is an index into per-cell lists owned by the network:
 - `contributors[cid]`: the writes that refined the cell, as a persistent
   cons list `(write id, rest)` ending in None.
 
-plus one `saturated` set of cells whose computed bounds were clamped at
-±2^62. Cloning a network, which search does once per branch, is a few
-list and set copies; lattice values and Propagator objects are immutable
-and shared.
+Cloning a network, which search does once per branch, is a few list and
+set copies; lattice values and Propagator objects are immutable and
+shared.
 
 Writing a cell merges new partial information into its content. Transfer
 functions emit only writes that can refine: each candidate is compared
@@ -28,10 +27,15 @@ runs write nothing, so that "no write" is decided from raw fields: a range
 write reads the target's kind once and compares the computed bounds with
 its exact value, interval ends or domain ends, and `alldifferent` collects
 its exact cells in one pass and returns at once when there are none. Every
-bound is an integer (an unbounded end is read as infinite and written back
-clamped at ±2^62), so no arithmetic passes through binary64; `product`
+finite bound is an integer strictly within ±2^62 (`INT_LIMIT`) and an open
+end is ±inf, so no finite bound passes through binary64; `product`
 multiplies or floor/ceil-divides four integer ends directly, and only an
-infinite end takes the corner rules of `_ext_mul` and `_ext_div`. Of what
+infinite end takes the corner rules of `_ext_mul` and `_ext_div`.
+`_range_write` alone decides how a computed bound at or past the limit is
+stored: such an end is widened to ±inf, which only loses information, and
+a range wholly at or past the limit is an overflow, a contradiction whose
+provenance names `overflow`; search counts that node as cut, never as
+refuted, since the branch may hold an answer the limit cannot show. Of what
 still reaches `merge` without changing the cell (declarations, branches,
 search bounds), `merge` hands back the old value itself, so it costs one
 identity test; a write that already is the join (an exact value inside
@@ -47,9 +51,9 @@ A propagator's own refining write does not alert it again when a rerun
 could write nothing (Schulte & Stuckey, TOPLAS 2008): with distinct cells,
 `equal` (both sides then hold one join), `less_equal` into interval bounds
 (neither direction reads the bound it moves), and `sum` writing into an
-integer interval, or into an empty cell while all its cells lie within
-±2^60 (integer projections of a + b = c are a fixpoint of each other, and
-no new direction reaches the ±2^62 clamp).
+integer interval or an empty cell (integer projections of a + b = c are a
+fixpoint of each other, and a widened end only loosens what a rerun
+reads).
 
 A propagator's writes carry its integer id as their write id. The name
 `p{id}:{kind}` is rendered only where a person reads it: in a
@@ -67,7 +71,7 @@ from enum import Enum
 
 from fifth.errors import StructuralError
 from fifth.lattice import (
-    INT_SAT,
+    INT_LIMIT,
     NOTHING,
     Contradiction,
     bounds_of,
@@ -116,9 +120,9 @@ class Propagator:
 
 class Network:
     __slots__ = (
-        "contents", "watchers", "origins", "contributors", "saturated",
-        "propagators", "queue", "pending", "write_counter", "steps_total",
-        "contradiction", "trace_sink",
+        "contents", "watchers", "origins", "contributors", "propagators",
+        "queue", "pending", "write_counter", "steps_total", "contradiction",
+        "trace_sink",
     )
 
     def __init__(self):
@@ -126,7 +130,6 @@ class Network:
         self.watchers = []
         self.origins = []
         self.contributors = []
-        self.saturated = set()
         self.propagators = []
         self.queue = deque()
         self.pending = set()
@@ -205,7 +208,7 @@ class Network:
         contents[cid] = new
         self.contributors[cid] = (write_id, self.contributors[cid])
         skip = write_id if type(write_id) is int and _idle_after(
-            self, self.propagators[write_id], old, info) else None
+            self.propagators[write_id], old) else None
         # watchers never hold a detached id: detach removes it everywhere
         pending = self.pending
         for pid in self.watchers[cid]:
@@ -231,8 +234,6 @@ class Network:
             "new": render(new),
             "propagator": self._write_name(write_id),
         }
-        if cid in self.saturated:
-            rec["saturated"] = True
         self.trace_sink(rec)
 
     # -- scheduling --------------------------------------------------------
@@ -274,7 +275,6 @@ class Network:
         net.watchers = self.watchers[:]  # tuples, replaced on change
         net.origins = self.origins[:]
         net.contributors = self.contributors[:]  # persistent cons lists
-        net.saturated = set(self.saturated)
         net.propagators = self.propagators[:]  # immutable, shared
         net.queue = deque(self.queue)
         net.pending = set(self.pending)
@@ -306,35 +306,15 @@ class Network:
         self.contents[cid] = None
         self.watchers[cid] = ()
         self.contributors[cid] = None
-        self.saturated.discard(cid)
 
 
-def _idle_after(net, prop, old, info):
-    """Whether `prop` rerun right after writing `info` over `old` is idle."""
+def _idle_after(prop, old):
+    """Whether `prop` rerun right after its own write over `old` is idle."""
     kind = prop.kind if prop.distinct else None  # repeated cells rerun
     if kind == "less_equal":
         return old.kind == "int_interval"
     if kind == "sum":
-        if old.kind == "int_interval" and info.kind == "int_interval":
-            return True
-        if old.kind != "int_interval" and old.kind != "nothing":
-            return False
-        bound = _INF if old.kind == "int_interval" else 2**60
-        # one pass: every cell integer-valued and strictly within ±bound
-        for c in prop.cells:
-            x = net.contents[c]
-            k = x.kind
-            if k == "int_interval":
-                lo, hi = x.lo, x.hi
-            elif k == "finite_domain":
-                lo, hi = x.elements[0], x.elements[-1]
-            elif k == "exact":
-                lo = hi = x.value
-            else:
-                return False
-            if lo <= -bound or hi >= bound:
-                return False
-        return True
+        return old.kind == "int_interval" or old.kind == "nothing"
     return kind == "equal"
 
 
@@ -344,40 +324,20 @@ def _idle_after(net, prop, old, info):
 _INF = float("inf")
 
 
-def _operand(info):
-    """(lo, hi) of a cell as transfer arithmetic reads it, or None when the
-    cell has no bounds yet.
-
-    An endpoint at or beyond ±2^62 may be the saturated image of something
-    far larger, so it is read back as infinite: it must never be allowed to
-    tighten a neighbouring cell.
-    """
-    k = info.kind
-    if k == "exact":
-        lo = hi = info.value
-    elif k == "int_interval":
-        lo, hi = info.lo, info.hi
-    elif k == "finite_domain":
-        lo, hi = info.elements[0], info.elements[-1]
-    else:
-        return None
-    if lo <= -INT_SAT:
-        lo = -_INF
-    if hi >= INT_SAT:
-        hi = _INF
-    return lo, hi
-
-
 def _range_write(net, cid, lo, hi):
     """The interval to write at cid from computed bounds, or None when the
-    cell already lies inside them, so merging could not change it."""
-    if not (type(lo) is int and type(hi) is int
-            and -INT_SAT <= lo <= hi <= INT_SAT):
-        slo = min(max(lo, -INT_SAT), INT_SAT)
-        shi = max(min(hi, INT_SAT), -INT_SAT)
-        if slo != lo or shi != hi:
-            net.saturated.add(cid)
-        lo, hi = slo, shi
+    cell already lies inside them, so merging could not change it. An end
+    at or past ±INT_LIMIT is stored open; a range wholly at or past it is
+    an overflow, a contradiction naming `overflow`."""
+    if not -INT_LIMIT < lo <= hi < INT_LIMIT:
+        if lo > hi:
+            return Contradiction()
+        if lo >= INT_LIMIT or hi <= -INT_LIMIT:
+            return Contradiction(("overflow",))
+        if lo <= -INT_LIMIT:
+            lo = -_INF
+        if hi >= INT_LIMIT:
+            hi = _INF
     cur = net.contents[cid]
     k = cur.kind
     if k == "exact":
@@ -390,6 +350,12 @@ def _range_write(net, cid, lo, hi):
         if lo <= cur.elements[0] and cur.elements[-1] <= hi:
             return None
     return int_interval(lo, hi)
+
+
+def overflowed(net):
+    """Whether the contradiction that stopped `net` is an overflow, which
+    cuts its branch, rather than a refutation."""
+    return "overflow" in net.contents[net.contradiction].provenance
 
 
 # -- transfer functions ---------------------------------------------------------
@@ -426,8 +392,8 @@ def _t_equal(net, prop):
 def _t_sum(net, prop):
     a, b, c = prop.cells
     contents = net.contents
-    ra, rb, rc = (
-        _operand(contents[a]), _operand(contents[b]), _operand(contents[c]))
+    ra, rb, rc = (bounds_of(contents[a]), bounds_of(contents[b]),
+                  bounds_of(contents[c]))
     writes = []
     if ra and rb and (w := _range_write(
             net, c, ra[0] + rb[0], ra[1] + rb[1])):
@@ -484,8 +450,8 @@ def _div_hull(rnum, rden):
 def _t_product(net, prop):
     a, b, c = prop.cells
     contents = net.contents
-    ra, rb, rc = (
-        _operand(contents[a]), _operand(contents[b]), _operand(contents[c]))
+    ra, rb, rc = (bounds_of(contents[a]), bounds_of(contents[b]),
+                  bounds_of(contents[c]))
     writes = []
     if ra and rb and (w := _range_write(net, c, *_mul_hull(ra, rb))):
         writes.append((c, w))
@@ -499,12 +465,12 @@ def _t_product(net, prop):
 
 def _t_less_equal(net, prop):
     a, b = prop.cells
-    ra = _operand(net.contents[a])
-    rb = _operand(net.contents[b])
+    ra = bounds_of(net.contents[a])
+    rb = bounds_of(net.contents[b])
     writes = []
-    if rb is not None and (w := _range_write(net, a, -INT_SAT, rb[1])):
+    if rb is not None and (w := _range_write(net, a, -_INF, rb[1])):
         writes.append((a, w))
-    if ra is not None and (w := _range_write(net, b, ra[0], INT_SAT)):
+    if ra is not None and (w := _range_write(net, b, ra[0], _INF)):
         writes.append((b, w))
     return writes
 
@@ -516,7 +482,7 @@ def _t_alldifferent(net, prop):
     exacts = [
         (cid, info.value)
         for cid in prop.cells
-        if (info := contents[cid]).kind == "exact" and abs(info.value) < INT_SAT
+        if (info := contents[cid]).kind == "exact"
     ]
     if not exacts:
         return []
@@ -535,13 +501,11 @@ def _t_alldifferent(net, prop):
                     writes.append(
                         (cj, finite_domain(e for e in info.elements if e != v))
                     )
-            elif k == "int_interval":
-                # endpoints at the saturation limit stand in for values
-                # beyond it and cannot be shaved
-                if v == info.lo and abs(info.lo) < INT_SAT:
-                    writes.append((cj, int_interval(info.lo + 1, info.hi)))
-                elif v == info.hi and abs(info.hi) < INT_SAT:
-                    writes.append((cj, int_interval(info.lo, info.hi - 1)))
+            elif k == "int_interval":  # a shaved end may reach the limit
+                if v == info.lo:
+                    writes.append((cj, _range_write(net, cj, v + 1, info.hi)))
+                elif v == info.hi:
+                    writes.append((cj, _range_write(net, cj, info.lo, v - 1)))
     return writes
 
 

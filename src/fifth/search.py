@@ -8,6 +8,7 @@ values tried, never the variables, so learned guidance can change the cost
 of search but not its answers.
 """
 
+import math
 from collections import namedtuple
 from types import NoneType
 
@@ -24,7 +25,8 @@ from .language import (
     settle,
     unsettled_choices,
 )
-from .lattice import INT_SAT, Exact, bounds_of, exact, int_interval
+from .lattice import Exact, bounds_of, exact, int_interval
+from .network import overflowed
 
 
 class UniformOracle:
@@ -110,20 +112,18 @@ def _order_values(inst, cp, values, oracle):
 
 
 def _target_values(inst, targets):
-    """Exact values as numbers, anything else as its [lo, hi] hull. An
-    endpoint at or beyond the saturation limit stands for every value past
-    it, so it is reported open (null), and a saturated exact value becomes
-    the half-open range it stands for."""
+    """Exact values as numbers, anything else as its [lo, hi] hull, with
+    null for an open (infinite) end."""
     cells = {}
     contents = inst.network.contents
     for n, cid in targets.items():
         content = contents[cid]
         lo, hi = bounds_of(content)
-        if content.kind == "exact" and -INT_SAT < lo < INT_SAT:
+        if content.kind == "exact":
             cells[n] = lo
         else:
-            cells[n] = [None if lo <= -INT_SAT else lo,
-                        None if hi >= INT_SAT else hi]
+            cells[n] = [None if lo == -math.inf else lo,
+                        None if hi == math.inf else hi]
     return cells
 
 
@@ -163,11 +163,13 @@ def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
 
     Each popped node goes to `pre_run`, if given, which may write into it
     (optimize() posts its incumbent bound), then is quiesced and reported
-    to `trace`; contradicted and half-run nodes go no further. A surviving
-    node is handed to `leaf` when every attached choice is decided and no
-    dormant `if` branch could still post a `choose`, and otherwise split on
-    one choice cell, one clone per value; with no cell to split on, it
-    leaves the search incomplete.
+    to `trace`; contradicted and half-run nodes go no further, and one
+    stopped by an overflow (a value past ±2^62, see `network._range_write`)
+    is cut, never reported as a dead end. A surviving node is handed to
+    `leaf` when every attached choice is decided and no dormant `if` branch
+    could still post a `choose`, and otherwise split on one choice cell,
+    one clone per value; with no cell to split on, it leaves the search
+    incomplete.
 
     Unless the search is watched or guided (an oracle reads cells outside
     the key), a node about to split is looked up by `_memo_key` in a memo of
@@ -197,7 +199,9 @@ def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
         if trace is not None:
             trace.node(inst)
         if report.contradiction is not None:
-            if trace is not None:
+            if overflowed(inst.network):
+                state.cuts += 1  # the branch may hold an answer past the limit
+            elif trace is not None:
                 trace.deadend(inst)
             continue
         if report.steps_exhausted:
@@ -330,7 +334,8 @@ def optimize(program: Program, query: Query, oracle=None,
     in `stats.steps`.
     If the pin contradicts, the objective is searched on above that bound
     (a clone with the write `bound:unattained`); a pin that runs out of
-    steps records nothing and makes the search incomplete.
+    steps or overflows, and an objective open below, record nothing and
+    make the search incomplete.
 
     `trace`, `gc`, and `write_sink` behave exactly as in solve(). Each
     improving solution is kept in order; the last one is the optimum.
@@ -349,9 +354,9 @@ def optimize(program: Program, query: Query, oracle=None,
             return
         # a child cloned from a node that took the bound already holds it
         r = bounds_of(inst.network.contents[obj_cell])
-        if r is not None and -INT_SAT <= r[0] and r[1] < incumbent:
+        if r is not None and r[1] < incumbent:
             return
-        inst.network.write(obj_cell, int_interval(-INT_SAT, incumbent - 1),
+        inst.network.write(obj_cell, int_interval(-math.inf, incumbent - 1),
                            "bound:incumbent")
 
     def improve(inst):
@@ -359,15 +364,23 @@ def optimize(program: Program, query: Query, oracle=None,
         if lb is None or (state.incumbent is not None
                           and lb >= state.incumbent):
             return
+        if lb == -math.inf:  # nothing to pin
+            state.cuts += 1
+            return
         pinned = inst.clone()
         pinned.network.write(obj_cell, exact(lb), "probe:objective")
         report = settle(pinned, query.steps)
         state.steps += report.steps_used
         if report.contradiction is not None:
+            if overflowed(pinned.network):
+                # lb may still be attained: searching above it could prove
+                # a larger optimum
+                state.cuts += 1
+                return
             # the lower bound is not attainable in this branch, but a larger
             # value may be
             above = inst.clone()
-            above.network.write(obj_cell, int_interval(lb + 1, INT_SAT),
+            above.network.write(obj_cell, int_interval(lb + 1, math.inf),
                                 "bound:unattained")
             state.stack.append(above)
             return

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 
 from fifth.lattice import (
-    INT_SAT,
+    INT_LIMIT,
     NOTHING,
     contradiction,
     exact,
@@ -23,7 +23,7 @@ from fifth.network import Network
 from fifth.rng import SplitMix64
 
 # where binary64 stops holding every integer, and the literal limit
-EDGES = (2**53 - 1, 2**53 + 1, -2**53 - 1, INT_SAT - 1, 1 - INT_SAT)
+EDGES = (2**53 - 1, 2**53 + 1, -2**53 - 1, INT_LIMIT - 1, 1 - INT_LIMIT)
 
 
 def random_partial_info(rng):
@@ -152,8 +152,8 @@ def confluence_sample(n_networks=200, n_orders=20, seed=77):
 
     Contradicted instances compare by the contradiction flag only: eager stop
     leaves the rest of a dead branch order-dependent by design. Networks whose
-    default-order run fails to quiesce within the probe budget (saturated
-    countdown loops can take ~2^62 steps) have no quiescent state to compare
+    default-order run fails to quiesce within the probe budget (a countdown
+    loop can take ~2^62 steps to overflow) have no quiescent state to compare
     and are re-rolled; permuted orders get 10x headroom so scheduling overhead
     never masquerades as divergence.
     """

@@ -637,30 +637,30 @@ FACT = """\
 (query (fact (n {n})) (show r) (depth {depth}))
 """
 
-SATURATED = [4611686018427387904, None]  # [2^62, unbounded]
-
-
-def test_solve_saturated_target_is_a_range(tmp_path, capsys):
-    # 21! is past 2^62; printing the clamp as an exact value was a wrong answer
+def test_solve_a_target_past_the_limit_cuts_its_branch(tmp_path, capsys):
+    # 21! is past 2^62: no answer, and no proof there is none
     f = tmp_path / "fact21.5th"
     f.write_text(FACT.format(n=21, depth=40))
     code, out, _ = run(["solve", f], capsys)
-    assert code == 0
+    assert code == 3
     payload = json.loads(out)
     check_schema(payload, "solution.schema.json")
-    assert payload["solutions"] == [{"cells": {"r": SATURATED}}]
+    assert payload["solutions"] == []
+    assert payload["stats"]["complete"] is False
 
 
-def test_solve_saturated_target_deep_under_gc(tmp_path, capsys):
+def test_solve_deep_overflow_under_gc_cuts_its_branch(tmp_path, capsys):
     f = tmp_path / "fact5000.5th"
     f.write_text(FACT.format(n=5000, depth=5010))
     code, out, _ = run(["solve", "--gc", f], capsys)
-    assert code == 0
+    assert code == 3
     payload = json.loads(out)
     check_schema(payload, "solution.schema.json")
-    assert payload["solutions"] == [{"cells": {"r": SATURATED}}]
+    assert payload["solutions"] == []
+    # every frame expands before the products overflow on the way back up;
+    # the node is cut, so nothing is left to fold
     assert payload["stats"]["expansions"] == 5000
-    assert payload["stats"]["summarized"] == 5000
+    assert payload["stats"]["summarized"] == 0
 
 
 LESSEQ = "(def (f a c) (lesseq a c)) (query (f {}) (show c){})\n"
@@ -678,8 +678,8 @@ NUMERIC = {
     "lesseq-2^62-1-exact": (LESSEQ.format(
         "(a 4611686018427387903) (c 4611686018427387903)", ""), 0,
         [{"c": 4611686018427387903}]),
-    # c >= 2^62 - 1 is unbounded above, however narrow its saturated range
-    # [2^62 - 1, 2^62] reads, so no precision pins it, as none pins c >= 5
+    # c >= 2^62 - 1 is open above, so no precision pins it, as none pins
+    # c >= 5
     "lesseq-2^62-1": (LESSEQ.format("(a 4611686018427387903)",
                                     " (precision 1)"), 3, []),
     "lesseq-5": (LESSEQ.format("(a 5)", " (precision 1)"), 3, []),
@@ -688,11 +688,37 @@ NUMERIC = {
     "product-range": (PRODUCT.format(" (precision 2)"), 0, [{
         "a": [9007199254740995, 9007199254740997],
         "c": [9007199254740995, 9007199254740997]}]),
-    # a computed value still saturates
-    "product-saturates": ("(def (f a b c) (const a 2305843009213693952)"
+    # a value computed at or past 2^62 cuts its branch: no answer, exit 3
+    "product-overflows": ("(def (f a b c) (const a 2305843009213693952)"
                           " (const b 4) (product a b c))"
-                          " (query (f) (show c))\n", 0,
-                          [{"c": SATURATED}]),
+                          " (query (f) (show c))\n", 3, []),
+    # 2a = 2^63 - 2, so no x solves y = a + x = 2a; a clamp made y and 2a
+    # both read 2^62 and printed x = 1, 2 and 3
+    "sum-overflow-equal": ("(def (f a d x) (const a 4611686018427387903)"
+                           " (sum a a d) (int x 0 3) (choose x 0 1 2 3)"
+                           " (cell y) (sum a x y) (equal y d))"
+                           " (query (f) (show x))\n", 3, []),
+    # 2a differs from a + b, yet a clamp made both read 2^62
+    "sum-overflow-differ": ("(def (f a b c) (const a 4611686018427387903)"
+                            " (const b 4611686018427387902) (cell d) (cell e)"
+                            " (sum a a d) (sum a b e) (equal d e))"
+                            " (query (f) (show a))\n", 3, []),
+    # each step doubles the bit length of x's lower bound, until it passes
+    # the limit
+    "product-squaring": ("(def (f x y) (const two 2) (lesseq two x)"
+                         " (product x x y) (product y y x))"
+                         " (query (f) (show x y))\n", 3, []),
+    # y = 0 needs w = 2^62, so pinning y there overflows: that leaf is cut,
+    # not searched above 0, so y = 1 is found but not proven optimal
+    "minimize-pin-overflows": ("(def (f x y w) (choose x 0 1) (int y 0 3)"
+                               " (lesseq x y) (const m 4611686018427387903)"
+                               " (const one 1) (cell u) (sum u y m)"
+                               " (sum u one w)) (query (f) (show x)"
+                               " (minimize y))\n", 0, [{"x": 1}]),
+    # y <= x has no minimum: nothing to pin, so no proven optimum
+    "minimize-open-below": ("(def (f x y) (int x 0 3) (choose x 0 1 2 3)"
+                            " (lesseq y x)) (query (f) (show x)"
+                            " (minimize y))\n", 3, []),
 }
 
 
@@ -701,8 +727,9 @@ def test_solve_integers_stay_exact_at_any_magnitude(name, tmp_path, capsys):
     program, exit_code, solutions = NUMERIC[name]
     f = tmp_path / "numeric.5th"
     f.write_text(program)
-    code, out, _ = run(["solve", f], capsys)
+    code, out, err = run(["solve", f], capsys)
     assert code == exit_code
+    assert err == ""
     assert [s["cells"] for s in json.loads(out)["solutions"]] == solutions
 
 
@@ -720,7 +747,7 @@ def test_solve_integers_stay_exact_at_any_magnitude(name, tmp_path, capsys):
      "expected integer, got '0.0000000009'"),
     ("(def (f x) (int x 0 10)) (query (f) (show x) (precision 0.5))", "0.5",
      "expected integer, got '0.5'"),
-    # integer literals at or past ±2^62, which computed values saturate at
+    # integer literals at or past ±2^62, where a computed value overflows
     ("(def (f a b c) (const a 10000000000000000000) (const b 1) (sum a b c))"
      " (query (f) (show c))", "10000000000000000000",
      "integer literal out of range"),
@@ -865,7 +892,7 @@ def test_hostile_argv_exits_cleanly(argv):
 
 HUGE_INT = (
     "(def (csp x0 x1 b h) (choose x0 0 1 2 3) (choose x1 0 1 2 3)"
-    " (const h 9007199254740993) (product h h b) (alldiff x0 x1))"
+    " (const h 9007199254740993) (lesseq h b) (alldiff x0 x1))"
     " (query (csp) (show x0 x1))\n")
 
 
@@ -873,9 +900,9 @@ HUGE_INT = (
 def test_guidance_reads_an_integer_past_float_range(command, tmp_path,
                                                     capsys):
     """Boundary cells holding an int past binary64's exact range (2^53 + 1)
-    and a product of two of them, saturated at 2^62, are featurized like
-    any other. A literal past 2^62 is a parse error, so no cell holds an
-    int past binary64's range itself."""
+    and a range open above it are featurized like any other. A literal past
+    2^62 is a parse error, and a computed value there cuts its branch, so
+    no cell holds an int past binary64's range itself."""
     corpus = tmp_path / "huge"
     corpus.mkdir()
     program = corpus / "huge.5th"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fifth.lattice import (
-    INT_SAT,
+    INT_LIMIT,
     NOTHING,
     Contradiction,
     Exact,
@@ -140,9 +140,11 @@ def test_info_bits_examples():
     assert info_bits(finite_domain(range(256)), 1024) == pytest.approx(2.0)
     assert info_bits(exact(5), 1024) == 64.0
     assert info_bits(contradiction(), 1024) == 64.0
-    # clamped at both ends
+    # clamped at both ends; an open range pins nothing
     assert info_bits(int_interval(0, 9999), 1024) == 0.0
     assert info_bits(int_interval(0, 1), 2**70) == 64.0
+    assert info_bits(int_interval(0, math.inf), 1024) == 0.0
+    assert info_bits(int_interval(-math.inf, math.inf), 1024) == 0.0
     with pytest.raises(ValueError):
         info_bits(NOTHING, 0)
 
@@ -169,10 +171,10 @@ def test_helpers():
     assert width_of(exact(2)) == 0
     assert width_of(int_interval(2, 6)) == 4
     assert width_of(int_interval(BIG, BIG + 2)) == 2
-    # an end at ±2^62 is saturated: it stands for every value past it
-    assert width_of(int_interval(INT_SAT - 1, INT_SAT)) is None
-    assert width_of(int_interval(-INT_SAT, 1 - INT_SAT)) is None
-    assert width_of(exact(INT_SAT)) == 0
+    # an open range is wider than any precision, however near the limit
+    assert width_of(int_interval(INT_LIMIT - 1, math.inf)) == math.inf
+    assert width_of(int_interval(-math.inf, 1 - INT_LIMIT)) == math.inf
+    assert width_of(exact(INT_LIMIT - 1)) == 0
     assert width_of(NOTHING) is None
 
 
@@ -181,6 +183,9 @@ def test_helpers():
 ints = st.integers(min_value=-50, max_value=50)
 # integers binary64 cannot all hold, up to the literal limit
 edges = st.sampled_from([2**53 - 1, 2**53 + 1, -2**53 - 1, TOP, -TOP])
+# an interval end may be open: -inf only low, +inf only high
+low_ends = edges | st.just(-math.inf)
+high_ends = edges | ints | st.just(math.inf)
 
 
 @st.composite
@@ -192,7 +197,7 @@ def partial_infos(draw):
         a, b = draw(ints), draw(ints)
         return int_interval(min(a, b), max(a, b))
     if which == 2:
-        a, b = draw(edges), draw(edges | ints)
+        a, b = draw(low_ends), draw(high_ends)
         return int_interval(min(a, b), max(a, b))
     if which == 3:
         return finite_domain(draw(st.sets(ints, min_size=1, max_size=8)))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fifth.errors import StructuralError
@@ -236,7 +238,7 @@ def test_less_equal_keeps_integers_past_binary64_exact():
     net.attach("less_equal", (a, b))
     net.write(a, exact(2**53 + 1))
     net.run_to_quiescence()
-    assert net.content(b) == int_interval(2**53 + 1, 2**62)
+    assert net.content(b) == int_interval(2**53 + 1, math.inf)
     net.write(b, exact(2**53 + 1))
     assert net.run_to_quiescence().contradiction is None
 
@@ -372,18 +374,17 @@ def test_contradiction_stops_eagerly():
     assert not net.queue and not net.pending  # remaining work discarded
 
 
-def test_saturation_flags_cell():
+def test_overflow_is_a_contradiction_named_overflow():
     net = Network()
     a, b, c = (net.add_cell() for _ in range(3))
     net.attach("product", (a, b, c))
     net.write(a, exact(2**40))
     net.write(b, int_interval(2**30, 2**40))
-    net.run_to_quiescence()
-    assert net.contradiction is None
-    assert c in net.saturated
-    # both true bounds exceed the limit, so the clamped hull degenerates
-    assert net.content(c) == exact(2**62)
-    # the clamped value must not leak back through the inverse direction
+    report = net.run_to_quiescence()
+    # both true bounds of c lie past 2^62: the run stops there, so search
+    # can tell the overflow from a refutation
+    assert report.contradiction == c
+    assert net.content(c).provenance == ("overflow", "p0:product")
     assert net.content(b) == int_interval(2**30, 2**40)
 
 
@@ -449,7 +450,7 @@ def test_clone_isolates_state():
 
 def _store(net):
     return (list(net.contents), list(net.watchers), list(net.contributors),
-            set(net.saturated), len(net.propagators))
+            len(net.propagators))
 
 
 def _busy_network():
@@ -458,9 +459,9 @@ def _busy_network():
     net.attach("product", (a, b, c))
     net.attach("equal", (c, d))
     net.write(a, exact(2**40), "decl:0:a")
-    net.write(b, int_interval(2**30, 2**40), "decl:0:b")
+    net.write(b, int_interval(2**10, math.inf), "decl:0:b")
     net.run_to_quiescence()
-    assert c in net.saturated
+    assert net.content(c) == int_interval(2**50, math.inf)
     return net
 
 
@@ -487,7 +488,7 @@ def test_clone_shares_no_mutable_store(mutated):
     _mutate(changed)
     assert _store(kept) == before
     assert _store(changed) != before
-    assert kept.content(2) == exact(2**62) and 2 in kept.saturated
+    assert kept.content(2) == int_interval(2**50, math.inf)
     assert 1 in kept.watchers[2] and 1 in kept.watchers[3]
     with pytest.raises(StructuralError):
         changed.content(2)

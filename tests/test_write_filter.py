@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fifth.language import parse
 from fifth.lattice import (
-    INT_SAT,
+    INT_LIMIT,
     NOTHING,
     Contradiction,
     exact,
@@ -38,13 +38,14 @@ from fifth.search import optimize, solve
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
-SAT_INTS = st.sampled_from([
-    -2**70, -INT_SAT - 1, -INT_SAT, -INT_SAT + 1,
-    INT_SAT - 1, INT_SAT, INT_SAT + 1, 2**70,
-])
-# integers binary64 cannot all hold
-EDGE_INTS = st.sampled_from([2**53 - 1, 2**53 + 1, -2**53 - 1])
-INTS = st.integers(-12, 12) | SAT_INTS | EDGE_INTS
+INF = float("inf")
+# what the store can hold: integers strictly within ±2^62, the last ones
+# before the limit, and integers binary64 cannot all hold
+INTS = st.integers(-12, 12) | st.sampled_from([
+    1 - INT_LIMIT, INT_LIMIT - 1, 2**53 - 1, 2**53 + 1, -2**53 - 1])
+# what a transfer can compute: also ends at and past the limit, and open ends
+PAST_INTS = st.sampled_from([
+    -2**70, -INT_LIMIT - 1, -INT_LIMIT, INT_LIMIT, INT_LIMIT + 1, 2**70])
 
 
 def _sorted_pair(values):
@@ -54,10 +55,12 @@ def _sorted_pair(values):
 CONTENTS = st.one_of(
     st.just(NOTHING),
     INTS.map(exact),
-    _sorted_pair(INTS).map(lambda r: int_interval(*r)),
+    # an interval end may be open; sorting keeps -inf low and +inf high
+    st.tuples(INTS | st.just(-INF), INTS | st.just(INF)).map(
+        lambda r: int_interval(*sorted(r))),
     st.lists(INTS, min_size=1, max_size=4).map(finite_domain),
 )
-BOUNDS = INTS | st.sampled_from([-float("inf"), float("inf")])
+BOUNDS = INTS | PAST_INTS | st.sampled_from([-INF, INF])
 
 
 def _unchanged(cur, info):
@@ -71,10 +74,15 @@ def _unchanged(cur, info):
 @example(exact(3), [0, 5])
 @example(exact(7), [0, 5])
 @example(exact(2**53 + 1), [2**53, 2**53 + 1])
-@example(exact(INT_SAT), [0, 2**70])
-@example(exact(-INT_SAT), [-float("inf"), 0])
-@example(exact(2**70), [0, 2**70])
-@example(exact(2**70), [0, float("inf")])
+@example(exact(INT_LIMIT - 1), [0, INT_LIMIT])
+@example(exact(1 - INT_LIMIT), [-INF, 0])
+@example(int_interval(0, INF), [-2**70, 2**70])
+# widened: an end at or past the limit is written open
+@example(NOTHING, [0, INT_LIMIT])
+@example(int_interval(-INF, 5), [-INT_LIMIT - 1, 9])
+# overflow: a range wholly at or past the limit
+@example(exact(INT_LIMIT - 1), [INT_LIMIT, 2**70])
+@example(NOTHING, [-INF, -INT_LIMIT])
 @example(finite_domain([1, 3]), [0, 5])
 @example(finite_domain([1, 3]), [2, 5])
 @example(int_interval(1, 2), [0, 5])
@@ -90,7 +98,26 @@ def test_range_write_drops_only_what_merge_keeps(cur, bounds):
         assert _unchanged(cur, built)
     else:
         assert got == built
-    assert net.saturated == empty.saturated
+
+
+@pytest.mark.parametrize("bounds,written", [
+    # widened: only information is lost
+    ((0, INT_LIMIT), int_interval(0, INF)),
+    ((-2**70, INT_LIMIT - 1), int_interval(-INF, INT_LIMIT - 1)),
+    ((-INT_LIMIT, INT_LIMIT), int_interval(-INF, INF)),
+    ((INT_LIMIT - 1, INT_LIMIT + 1), int_interval(INT_LIMIT - 1, INF)),
+    # wholly past the limit: an overflow, which search counts as a cut
+    ((INT_LIMIT, INT_LIMIT), Contradiction(["overflow"])),
+    ((INT_LIMIT + 1, INF), Contradiction(["overflow"])),
+    ((-INF, -INT_LIMIT), Contradiction(["overflow"])),
+    ((2**70, 2**70), Contradiction(["overflow"])),
+    # empty, however large: a refutation, not an overflow
+    ((INT_LIMIT + 1, INT_LIMIT), Contradiction()),
+])
+def test_range_write_widens_past_the_limit_or_overflows(bounds, written):
+    net = Network()
+    net.contents.append(NOTHING)
+    assert _range_write(net, 0, *bounds) == written
 
 
 ARITY = {"sum": 3, "product": 3, "less_equal": 2, "equal": 2}
@@ -117,10 +144,10 @@ def test_transfers_drop_only_what_merge_keeps(kind, contents):
             assert all(_unchanged(net.contents[cid], info) for info in built)
 
 
-# the ends a transfer reads: an end at or past ±2^62 is read as infinite
+# the ends a transfer reads: strictly within ±2^62, or open
 HULL_ENDS = (st.integers(-12, 12) | st.sampled_from([
-    0, 1, -1, 2**53 - 1, 2**53 + 1, 1 - 2**53, -2**53 - 1, INT_SAT - 1,
-    1 - INT_SAT, -float("inf"), float("inf")]))
+    0, 1, -1, 2**53 - 1, 2**53 + 1, 1 - 2**53, -2**53 - 1, INT_LIMIT - 1,
+    1 - INT_LIMIT, -INF, INF]))
 RANGES = _sorted_pair(HULL_ENDS).map(tuple)
 
 
@@ -129,7 +156,7 @@ RANGES = _sorted_pair(HULL_ENDS).map(tuple)
 @example((2, 5), (3, 3))
 @example((2, 5), (-3, -3))
 @example((-7, 2**53 + 1), (-2, -1))
-@example((0, float("inf")), (INT_SAT - 1, INT_SAT - 1))
+@example((0, INF), (INT_LIMIT - 1, INT_LIMIT - 1))
 def test_product_hulls_equal_their_corner_formulas(r1, r2):
     """The integer paths of `_mul_hull` and `_div_hull` are the corner
     formulas, computed without the extended arithmetic."""
@@ -148,14 +175,15 @@ def test_product_hulls_equal_their_corner_formulas(r1, r2):
 
 def _alldifferent_reference(contents, cells):
     """The writes of an alldifferent over `cells`, from its spec: each
-    exact value strictly within ±INT_SAT is removed from the finite domains
-    and shaved off the integer interval endpoints of the other cells, and
-    an equal exact value contradicts at the later of the two cells."""
+    exact value is removed from the finite domains and shaved off the
+    integer interval endpoints of the other cells (an interval shaved to
+    ±2^62 overflows), and an equal exact value contradicts at the later of
+    the two cells."""
     writes = []
     for i, j in permutations(range(len(cells)), 2):
         ci, cj = cells[i], cells[j]
         mine, other = contents[ci], contents[cj]
-        if mine.kind != "exact" or abs(mine.value) >= INT_SAT:
+        if mine.kind != "exact":
             continue
         v = mine.value
         if other.kind == "exact" and other.value == v and cj > ci:
@@ -163,8 +191,10 @@ def _alldifferent_reference(contents, cells):
         elif other.kind == "finite_domain" and v in other.elements:
             writes.append((cj, finite_domain(set(other.elements) - {v})))
         elif other.kind == "int_interval" and v in (other.lo, other.hi):
-            writes.append((cj, int_interval(other.lo + (v == other.lo),
-                                            other.hi - (v == other.hi))))
+            lo, hi = other.lo + (v == other.lo), other.hi - (v == other.hi)
+            writes.append((cj, Contradiction(["overflow"])
+                           if lo >= INT_LIMIT or hi <= -INT_LIMIT
+                           else int_interval(lo, hi)))
     return writes
 
 
@@ -174,6 +204,9 @@ def _alldifferent_reference(contents, cells):
                                  max_size=4)).flatmap(
            lambda contents: st.tuples(st.just(contents),
                                       st.permutations(range(len(contents))))))
+# an end shaved to the limit
+@example(([exact(INT_LIMIT - 1), int_interval(INT_LIMIT - 1, INF)], [0, 1]))
+@example(([int_interval(-INF, 1 - INT_LIMIT), exact(1 - INT_LIMIT)], [0, 1]))
 def test_alldifferent_writes_what_its_spec_says(drawn):
     """Contents drawn from a small pool, so equal values repeat."""
     contents, cells = drawn
@@ -196,12 +229,15 @@ CELLS = st.permutations(range(3)) | st.lists(st.integers(0, 2), min_size=3,
          (0, 1, 2))
 @example("product", [NOTHING, exact(3), int_interval(2**53 + 1, 2**53 + 5)],
          (0, 1, 2))
-# a sum into an empty cell sleeps only while every cell lies strictly
-# within ±2^60, and only over integer cells
-@example("sum", [exact(2**60 - 1), exact(0), NOTHING], (0, 1, 2))
-@example("sum", [exact(2**60), exact(0), NOTHING], (0, 1, 2))
-@example("sum", [exact(1 - 2**60), exact(0), NOTHING], (0, 1, 2))
-@example("sum", [exact(-2**60), exact(0), NOTHING], (0, 1, 2))
+# a sum into an empty cell sleeps, also when its write is widened at the
+# limit, or overflows
+@example("sum", [exact(INT_LIMIT - 1), int_interval(0, 1), NOTHING],
+         (0, 1, 2))
+@example("sum", [exact(1 - INT_LIMIT), int_interval(-1, 0), NOTHING],
+         (0, 1, 2))
+@example("sum", [exact(INT_LIMIT - 1), exact(1), NOTHING], (0, 1, 2))
+@example("sum", [NOTHING, exact(1 - INT_LIMIT), int_interval(0, INF)],
+         (0, 1, 2))
 def test_a_propagator_left_asleep_by_its_own_writes_has_nothing_left(
         kind, contents, cells):
     """Run a transfer once and apply its writes as the kernel does; if that
@@ -218,9 +254,7 @@ def test_a_propagator_left_asleep_by_its_own_writes_has_nothing_left(
         if net.write(cid, info, pid) is WriteResult.CONTRADICTION:
             return
     if pid not in net.pending:
-        saturated = set(net.saturated)
         assert _TRANSFER[kind](net, prop) == []
-        assert net.saturated == saturated
 
 
 class _QuiescedNodes:
