@@ -1,16 +1,18 @@
 """Surface language: s-expression programs over cells and constraints.
 
 A program is a set of definitions. Instantiating one builds a propagator
-network. A call becomes a child frame, unexpanded until demand reaches it;
-an `if` branch waits dormant until its condition decides, or refutes the
-condition once the branch cannot hold. Neither is attached before it opens,
-so recursion is unbounded but only paid for where information flows.
+network. A call becomes a child frame, unexpanded until demand reaches it.
+An `if` decided as its body runs opens its branch there; any other waits
+dormant until its condition decides, or refutes the condition once the
+branch cannot hold. Neither is attached before it opens, so recursion is
+unbounded but only paid for where information flows.
 
 `parse` compiles each body straight to the form that runs: a plan, one
 (opcode, name, operand) triple per statement with its lattice values built
 once, checked for syntax and scope in the same pass. A body (a frame's, or
 an opened branch's) is attached by running its plan, so a recursion reads
-its program text once.
+its program text once, and each constant value is one cell every frame
+shares (see `instantiate`).
 """
 
 import math
@@ -19,6 +21,7 @@ from collections import namedtuple
 from .errors import ParseError, StructuralError
 from .lattice import (
     INT_LIMIT,
+    Exact,
     PartialInfo,
     bounds_of,
     exact,
@@ -30,8 +33,8 @@ from .lattice import (
 )
 from .network import Network, QuiescenceReport
 
-# deepest `if` nesting a definition may have; compiling and elaboration
-# recurse once per level, so this keeps them off the Python stack limit
+# deepest `if` nesting a definition may have; compiling, opening decided
+# `if`s in place and `may_post` recurse once per level, within the stack
 MAX_IF_NESTING = 200
 
 
@@ -67,11 +70,12 @@ class Query(namedtuple("Query", "entry bindings show depth steps nodes"
 
 
 class Program:
-    __slots__ = ("definitions", "query", "__weakref__")
+    __slots__ = ("definitions", "query", "constants", "__weakref__")
 
-    def __init__(self, definitions, query=None):
+    def __init__(self, definitions, query=None, constants=()):
         self.definitions = definitions
         self.query = query
+        self.constants = constants  # the value of each shared cell, by id
 
 
 # -- tokenizer / reader ------------------------------------------------------
@@ -194,10 +198,11 @@ def parse(text: str) -> Program:
         else:
             raise ParseError(f"unknown form {head!r}", node[0][0][1], node[0][0][2])
     arities = {name: params for name, (params, _) in headers.items()}
+    constants = {}  # value -> id of its shared cell
     program = Program({
-        name: Definition(name, params,
-                         _compile(body, name, arities, set(params), []))
-        for name, (params, body) in headers.items()}, query)
+        name: Definition(name, params, _compile(
+            body, name, arities, set(params), [], constants))
+        for name, (params, body) in headers.items()}, query, tuple(constants))
     _check_query(program, named)
     return program
 
@@ -223,14 +228,16 @@ _KIND = {"sum": "sum", "product": "product", "equal": "equal",
          "lesseq": "less_equal"}
 
 
-def _compile(nodes, dname, arities, known, declared, nesting=0):
+def _compile(nodes, dname, arities, known, declared, constants, nesting=0):
     """The plan of the statements `nodes` in definition `dname`, checked as
     it is built: one (opcode, name, operand) triple per statement, with its
     lattice values built once. `known` is the scope, names declared so far,
     which `if` branches share with the enclosing body; every name this body
-    and its nested branches declare is appended to `declared`. An `if`
-    holds, for each non-empty branch, its polarity, its plan, the names it
-    declares and its tests: its top-level `lesseq`, `equal` and `sum`."""
+    and its nested branches declare is appended to `declared`. A new
+    top-level local with an exact value names its value's shared cell, by
+    its id in `constants`. An `if` holds, for each non-empty branch, its
+    polarity, its plan, the names it declares and its tests: its top-level
+    `lesseq`, `equal` and `sum`."""
     plan = []
     for node in nodes:
         if not _is_list(node) or not node[0]:
@@ -253,9 +260,13 @@ def _compile(nodes, dname, arities, known, declared, nesting=0):
                 value = int_interval(_int_atom(args[1]), _int_atom(args[2]))
             else:
                 value = exact(_int_atom(args[1]))
+            if nesting == 0 and name not in known and type(value) is Exact:
+                plan.append(("constant", name,
+                             constants.setdefault(value, len(constants))))
+            else:
+                plan.append(("declare", name, value))
             known.add(name)
             declared.append(name)
-            plan.append(("declare", name, value))
         elif head in _KIND:
             plan.append(("attach", _KIND[head],
                          _names(args, known, dname, line, col)))
@@ -284,7 +295,7 @@ def _compile(nodes, dname, arities, known, declared, nesting=0):
                 if branch[0]:
                     local = []
                     body = _compile(branch[0], dname, arities, known, local,
-                                    nesting + 1)
+                                    constants, nesting + 1)
                     tests = tuple(op[1:] for op in body if op[0] == "attach"
                                   and op[1] in ("less_equal", "equal", "sum"))
                     branches.append((polarity, body,
@@ -466,11 +477,15 @@ class Instance:
 
 
 def instantiate(program: Program, name: str, bindings=None) -> Instance:
-    """Build the root frame of `name`, attach its constraints, apply writes."""
+    """Build the root frame of `name`, attach its constraints, apply writes.
+    The shared constant cells come first: cell i holds `constants[i]`."""
     d = program.definitions.get(name)
     if d is None:
         raise StructuralError(f"unknown definition {name!r}")
     net = Network()
+    for value in program.constants:
+        spelled = f"(const {value.value})"  # a name no token can spell
+        net.write(net.add_cell(("", spelled)), value, f"decl:{spelled}")
     cellmap = {}
     root = Frame(0, name, None, 0, cellmap, EXPANDED)
     inst = Instance(program, net, [root], [])
@@ -488,8 +503,9 @@ def instantiate(program: Program, name: str, bindings=None) -> Instance:
 
 
 def _elaborate_body(inst, frame, plan):
-    """Attach a body in `frame` by running its plan; each non-empty `if`
-    branch waits dormant."""
+    """Attach a body in `frame` by running its plan. An `if` whose condition
+    already has a truth value opens the matching branch on the spot and
+    drops the other; an undecided one's non-empty branches wait dormant."""
     net = inst.network
     cellmap = frame.cellmap
     fid = frame.id
@@ -500,16 +516,22 @@ def _elaborate_body(inst, frame, plan):
                 cid = cellmap[name] = net.add_cell((fid, name))
             if operand is not None:
                 net.write(cid, operand, f"decl:{fid}:{name}")
+        elif op == "constant":
+            cellmap[name] = operand
         elif op == "attach":
             net.attach(name, [cellmap[a] for a in operand])
         elif op == "if":
             # a branch's names are visible after the `if`, opened or not
             cond = cellmap[name]
+            truth = truth_value(net.contents[cond])
             for polarity, branch, declared, tests in operand:
                 for local in declared:
                     if local not in cellmap:
                         cellmap[local] = net.add_cell((fid, local))
-                inst.dormant.append((fid, cond, polarity, branch, tests))
+                if truth is None:
+                    inst.dormant.append((fid, cond, polarity, branch, tests))
+                elif truth == polarity:
+                    _elaborate_body(inst, frame, branch)
         elif op == "call":
             # the callee's parameters are the caller's argument cells
             # themselves, so a call adds no cell and no propagator
@@ -591,9 +613,10 @@ def _fails(contents, cellmap, tests):
 
 
 def settle(inst: Instance, step_budget=None) -> QuiescenceReport:
-    """Quiesce, opening the dormant branches that decide. Each round scans
-    them (see `_open_decided`; tests wait for the first quiescence), then
-    quiesces; rounds repeat until a scan neither opens nor writes."""
+    """Quiesce, opening the dormant branches that decide (an `if` decided
+    as its body ran is open already). Each round scans them (see
+    `_open_decided`; tests wait for the first quiescence), then quiesces;
+    rounds repeat until a scan neither opens nor writes."""
     net = inst.network
     if not inst.dormant:
         return net.run_to_quiescence(step_budget)

@@ -417,9 +417,9 @@ def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
     `choose` or a `call`, every descendant has folded, and no query target
     lives in its interior. Its interior propagators are detached, its
     interior cells dropped and its dormant branches forgotten: none of them
-    could change a boundary cell or start a search. Boundary contents, and
-    every cell a frame names as a parameter, are untouched, so every
-    already derived answer survives by construction.
+    could change a boundary cell or start a search. Boundary contents, the
+    cells frames name as parameters and the shared constant cells are
+    untouched, so every already derived answer survives by construction.
     """
     net = inst.network
     summarized, dropped = [], 0
@@ -468,8 +468,9 @@ def _foldable(inst, target_cells):
                 busy = {cp.frame for cp in unsettled_choices(inst)}
                 busy |= may_post(inst, ("choose", "call"))
             if f.id not in busy:
-                params = params or {c for g in inst.frames
-                                    for c in g.boundary_cells(inst.program)}
+                params = params or set(range(len(inst.program.constants))) | {
+                    c for g in inst.frames
+                    for c in g.boundary_cells(inst.program)}
                 interior = [c for c in f.cellmap.values() if c not in params]
                 if not targets.intersection(interior):
                     folds.append((f, interior))

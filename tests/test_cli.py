@@ -24,6 +24,7 @@ from fifth.hierarchy import (
     load_bundle,
     save_bundle,
 )
+from fifth.language import MAX_IF_NESTING, instantiate
 from fifth.lattice import merge
 from fifth.planning import generate_random_csp
 from fifth import parse, selftest, solve
@@ -785,11 +786,16 @@ def test_solve_undecided_gate_exits_3_without_expanding(tmp_path, capsys):
     assert payload["stats"]["expansions"] == 0
 
 
-def _nested_ifs(depth):
+def _if_tower(depth):
+    """`depth` ifs nested on x, innermost (const y 1)."""
     body = "(const y 1)"
     for _ in range(depth):
         body = f"(if x ({body}) ())"
-    return f"(def (f x y) {body})\n(query (f (x 1)) (show y))\n"
+    return body
+
+
+def _nested_ifs(depth):
+    return f"(def (f x y) {_if_tower(depth)})\n(query (f (x 1)) (show y))\n"
 
 
 @pytest.mark.parametrize("program", [
@@ -811,6 +817,34 @@ def test_solve_hundred_nested_ifs(tmp_path, capsys):
     code, out, _ = run(["solve", f], capsys)
     assert code == 0
     assert json.loads(out)["solutions"] == [{"cells": {"y": 1}}]
+
+
+# the tower's x decided when the body runs, by a const, in the root or in
+# a frame that demand expands; `_nested_ifs` only binds it in the query
+DECIDED_TOWER = {
+    "root": "(def (f y) (const x 1) {}) (query (f) (show y))",
+    "frame": "(def (f y) (const x 1) {}) (def (g y) (call f y))"
+             " (query (g) (show y))",
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--trace"]], ids=["plain", "trace"])
+@pytest.mark.parametrize("where", ["root", "frame"])
+def test_ifs_nested_to_the_limit_open_in_place(tmp_path, capsys, where,
+                                               flags):
+    # opening a decided `if` recurses once per level, within the stack
+    tower = _if_tower(MAX_IF_NESTING)
+    root = parse(DECIDED_TOWER["root"].format(tower))
+    assert instantiate(root, "f").dormant == []  # opened as it attached
+    answers = []
+    for name, text in ((where, DECIDED_TOWER[where].format(tower)),
+                       ("bound", _nested_ifs(MAX_IF_NESTING))):
+        path = tmp_path / f"{name}.5th"
+        path.write_text(text)
+        code, out, _ = run(["solve", *flags, path], capsys)
+        assert code == 0
+        answers.append(json.loads(out)["solutions"])
+    assert answers[0] == answers[1] == [{"cells": {"y": 1}}]
 
 
 # -- hostile inputs ----------------------------------------------------------

@@ -223,10 +223,10 @@ def test_expand_creates_one_unexpanded_child():
     assert [f.state for f in inst.frames] == [EXPANDED]
     settle(inst)  # n = 5 opens the branch holding the call
     assert [f.state for f in inst.frames] == [EXPANDED, UNEXPANDED]
+    # the child's n = 4 is exact before it expands, so its `if n` opens
+    # during the expansion, and the grandchild exists with no settle
     expand(inst, 1)
-    assert len(inst.frames) == 2
-    settle(inst)
-    assert len(inst.frames) == 3
+    assert len(inst.frames) == 3 and inst.dormant == []
     child = inst.frames[2]
     assert child.state == UNEXPANDED
     assert child.parent == 1
@@ -404,9 +404,9 @@ def test_unterminated_list_reports_the_innermost_open_paren():
 def test_countdown_structure_is_linear():
     # exact counters, no wall time: a frame opens only once demand reaches
     # it and a branch only once its condition holds, and a call passes its
-    # argument cells themselves, so each of the 1025 frames costs 3 cells
+    # argument cells themselves, so each of the 1025 frames costs 2 cells
     # and 2 propagators, len(0) only its own sum; the root's two parameters
-    # are the only other cells
+    # and the one cell every frame's `one` names are the only other cells
     program = parse(COUNTDOWN)
     inst = instantiate(program, "len", {"n": 1024})
     report = demand_loop(inst, [inst.cell_of(0, "k")], 2000, 1_000_000)
@@ -415,7 +415,7 @@ def test_countdown_structure_is_linear():
     kinds = [p.kind for p in inst.network.propagators]
     assert len(kinds) == 2049
     assert kinds.count("sum") == 2049 and kinds.count("equal") == 0
-    assert len(inst.network.contents) == 3 * (1 + 1024) + 2 == 3077
+    assert len(inst.network.contents) == 2 * (1 + 1024) + 2 + 1 == 2053
     assert not any(name.startswith("(if") for _, name in inst.network.origins)
     # no propagator watches an exact cell: not `one`, and not a frame's `n`,
     # which its parent has pinned before the frame expands. So the root's

@@ -618,12 +618,31 @@ def test_collect_garbage_respects_interior_targets():
     assert len(report.summarized) == 5
 
 
+# fact with `one` declared in the branch: each frame has its own, exact
+# before the branch's `sum` attaches
+BRANCH_ONE_FACT = """
+(def (fact n r)
+  (cell nm1)
+  (cell rest)
+  (if n
+    ((const one 1)
+     (sum nm1 one n)
+     (call fact nm1 rest)
+     (product n rest r))
+    ((const r 1))))
+"""
+
+
 def test_a_propagator_left_on_a_dropped_cell_watches_only_exact_cells():
     # attach registers no watcher on an exact cell, so a frame's `sum nm1
     # one n`, with `one` exact and `n` pinned by its parent, is not detached
-    # through the cells it drops; it stays on the boundary cell `n`, which
-    # no write can wake
-    inst, r = run_fact(10)
+    # through the cells it drops; it stays on the cell `nm1`, its child's
+    # boundary, which no write can wake once exact
+    prog = parse(BRANCH_ONE_FACT)
+    inst = instantiate(prog, "fact", {"n": 10})
+    r = inst.cell_of(0, "r")
+    demand_loop(inst, (r,), 10_000, 1_000_000)
+    assert inst.network.content(r) == exact(3628800)
     collect_garbage(inst, (r,))
     net = inst.network
     dropped = {c for c, info in enumerate(net.contents) if info is None}
@@ -693,6 +712,27 @@ def test_gc_keeps_the_truth_of_guard_cells_it_folds(text, entry):
     states = [truth_value(inst.network.content(f.cellmap["n"]))
               for f in inst.frames]
     assert states == [True] * 12 + [False]
+
+
+def test_gc_never_drops_the_shared_constant_cell():
+    # every frame's `one` names the one cell of the value 1, which folding
+    # keeps. A frame's own cells are nm1 and rest; they are its child's
+    # parameters, which folding keeps too, so of the 12 folded frames only
+    # the bottom one, which calls no one, drops its 2 (14 at the parent,
+    # where each frame also dropped its own `one`)
+    prog = parse(COUNT)
+    assert prog.constants == (exact(1),)
+    q = Query(entry="count", bindings=(("n", 12),), show=("r",))
+    leaves = _Leaves()
+    plain = solve(prog, q, trace=leaves)
+    folded = solve(prog, q, trace=leaves, gc=True)
+    assert folded.solutions == plain.solutions == [{"cells": {"r": 12}}]
+    assert folded.stats["summarized"] == 12
+    unfolded, inst = leaves.leaves
+    assert {f.cellmap["one"] for f in unfolded.frames} == {0}
+    net = inst.network
+    assert net.origins[0] == ("", "(const 1)") and net.contents[0] == exact(1)
+    assert sum(info is None for info in net.contents) == 2
 
 
 # every frame posts nm1 <= n in a branch whose condition c nothing decides;
@@ -828,3 +868,40 @@ def test_memo_keys_the_objective_even_when_exact():
                                minimize="m"))
     assert res.objective == 1 and res.proven
     assert res.solution == {"cells": {"o": 2, "m": 1, "x": 0}}
+
+
+# after c is branched on, the nodes under c = 1 and c = 0 hold only open x
+# and z, and differ in the domain the opened branch's `choose` wrote into x
+BRANCH_CHOICE = ("(def (f y c x z) (choose y 0 1) (choose c 0 1)"
+                 " (if c ((choose x 1 2)) ((choose x 1 2 3))) (choose z 0 1))"
+                 " (query (f) (show y c x z))")
+
+
+def _memo_on_and_off(text):
+    prog = parse(text)
+    on = solve(prog, prog.query)
+    # a write sink watches the search, which turns the memo off
+    off = solve(prog, prog.query, write_sink=lambda rec: None)
+    assert on.stats["memo_hits"] > 0 and off.stats["memo_hits"] == 0
+    assert on.solutions == off.solutions
+    assert on.stats["complete"] == off.stats["complete"]
+    return on
+
+
+def test_memo_keys_the_contents_of_open_cells():
+    # no neighbour value fixes x's domain: without its contents in the key,
+    # the node c = 1 replays c = 0 and shows 3 values of x, not 2 (24
+    # answers)
+    on = _memo_on_and_off(BRANCH_CHOICE)
+    assert len(on.solutions) == 2 * (2 + 3) * 2 == 20
+    assert on.stats["complete"]
+
+
+def test_memo_keys_the_contents_or_the_choices_of_a_node():
+    # under c = 0 nothing writes x, so no leaf is reached and the search is
+    # incomplete; the c = 0 and c = 1 nodes then differ in x's contents
+    # and in whether x's choice is unsettled: the key needs one of the two
+    # (12 answers without both)
+    on = _memo_on_and_off(BRANCH_CHOICE.replace("((choose x 1 2 3))", "()"))
+    assert len(on.solutions) == 2 * 2 * 2 == 8
+    assert not on.stats["complete"]
