@@ -129,10 +129,15 @@ def _resolve(path_str):
 
 
 def _load_program(path_str):
+    """The program in the file `path_str` names: UTF-8 text with a query."""
     source = _resolve(path_str)
     if not source.is_file():
         raise UsageError(f"no such file: {path_str}")
-    program = parse(source.read_text())
+    try:
+        text = source.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path_str} is not UTF-8 text (byte {e.start})")
+    program = parse(text)
     if program.query is None:
         raise UsageError(f"{path_str} has no query")
     return program
@@ -224,9 +229,7 @@ def _fit_bundle(cfg, corpus_dir, model_out):
     names = []
     traces = []
     for f in files:
-        program = parse(f.read_text())
-        if program.query is None:
-            raise UsageError(f"{f} has no query")
+        program = _load_program(f)
         log = TraceLog()
         _run(program, _query(program, cfg), UniformOracle(), trace=log)
         names.append(f.name)
@@ -287,9 +290,7 @@ def cmd_measure(cfg):
         raise UsageError(f"no instances in {cfg.eval_dir}")
     rows = []
     for f in files:
-        program = parse(f.read_text())
-        if program.query is None:
-            raise UsageError(f"{f} has no query")
+        program = _load_program(f)
         query = _query(program, cfg)
         uniform = _run(program, query, blank)
         learned = _run(program, query, LearnedOracle(tree))

@@ -347,7 +347,10 @@ def _parse_query(node):
     for b in header[1:]:
         if not _is_list(b) or len(b[0]) != 2:
             raise ParseError("binding must be (name integer)", b[1], b[2])
-        bindings.append((_atom(b[0][0]), _int_atom(b[0][1])))
+        name = _atom(b[0][0])
+        if any(name == bound for bound, _ in bindings):
+            raise ParseError(f"repeated binding {name!r}", b[1], b[2])
+        bindings.append((name, _int_atom(b[0][1])))
         named.append(("binding", b[0][0]))
     show_node = items[2]
     if (
@@ -405,6 +408,8 @@ class Frame:
     demand reaches it, and its body is then elaborated like the root's.
     `cellmap` maps the definition's names to cell ids, its parameters (the
     caller's argument cells) from the start and its locals once expanded.
+    A summarized frame has folded (see `search.collect_garbage`): its
+    `cellmap` is empty and the cells it owned are dropped.
     """
 
     __slots__ = ("id", "defname", "parent", "depth", "cellmap", "state")

@@ -7,9 +7,10 @@ is an index into per-cell lists owned by the network:
   dropped the cell;
 - `watchers[cid]`: a tuple of the propagator ids that read the cell, in
   ascending id order (attach appends, the new id being the largest);
-  `attach` and `detach` replace the tuple, never mutate it. `attach`
-  skips a cell already exact: it can only turn into a contradiction, which
-  ends the run, so it would wake no one;
+  `attach` replaces the tuple, never mutates it, and skips a cell already
+  exact: it can only turn into a contradiction, which ends the run, so it
+  would wake no one. A propagator stays attached for good; once storage
+  management drops a cell it reads, it lies idle (see `drop_cell`);
 - `origins[cid]`: (frame id, source name), used in trace records;
 - `contributors[cid]`: the writes that refined the cell, as a persistent
   cons list `(write id, rest)` ending in None.
@@ -209,7 +210,6 @@ class Network:
         self.contributors[cid] = (write_id, self.contributors[cid])
         skip = write_id if type(write_id) is int and _idle_after(
             self.propagators[write_id], old) else None
-        # watchers never hold a detached id: detach removes it everywhere
         pending = self.pending
         for pid in self.watchers[cid]:
             if pid not in pending and pid != skip:
@@ -284,25 +284,15 @@ class Network:
         net.trace_sink = self.trace_sink
         return net
 
-    def detach(self, pid):
-        """Drop a propagator from scheduling (used by storage management)."""
-        if pid in self.pending:
-            self.pending.discard(pid)
-            self.queue.remove(pid)
-        # attach() registered the pid on these cells and nowhere else
-        watchers = self.watchers
-        for cid in set(self.propagators[pid].cells):
-            if pid in watchers[cid]:
-                watchers[cid] = tuple(p for p in watchers[cid] if p != pid)
-
     def drop_cell(self, cid):
-        """Remove a cell from the store. Only storage management calls this,
-        after detaching every propagator that watches the cell. One that
-        reads it without watching it (the cell was exact when it attached)
-        may stay attached only while every cell it watches is exact: then
-        no write wakes it to read a dropped cell, as an exact cell only
-        turns into a contradiction, which ends the run. `collect_garbage`
-        keeps this by folding a frame only once its boundary is exact."""
+        """Remove a cell from the store; only storage management calls this.
+        The propagators that read the cell stay attached, and may stay on
+        the watcher tuples of other cells. That is safe while each is idle
+        (not queued) and every other cell it reads is dropped too or exact:
+        a dropped cell wakes no one, and a write to an exact cell either
+        changes nothing or contradicts, which ends the run, so it never
+        runs again. `collect_garbage` keeps this by folding a quiescent
+        network's frames bottom-up, each once its boundary is exact."""
         self.contents[cid] = None
         self.watchers[cid] = ()
         self.contributors[cid] = None

@@ -209,8 +209,7 @@ def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
             # abandoned as incomplete rather than judged on a half-run
             continue
         if gc:
-            folded = collect_garbage(inst, targets.values())
-            state.summarized += len(folded.summarized)
+            state.summarized += len(collect_garbage(inst).summarized)
         choices = unsettled_choices(inst)
         if report.targets_met and not choices and not may_post(
                 inst, ("choose",)):
@@ -231,7 +230,7 @@ def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
                 and not (len(inst.frames) == 1 and any(
                     type(contents[c]) is not Exact
                     for p in wide or () for c in p.cells)):
-            key = _memo_key(inst, targets, gc, objective, shapes)
+            key = _memo_key(inst, gc, objective, shapes)
             seen = memo.get(key)
             if seen is not None:
                 state.memo_hits += 1
@@ -252,7 +251,7 @@ def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
             state.stack.append(child)
 
 
-def _memo_key(inst, targets, gc, objective, shapes):
+def _memo_key(inst, gc, objective, shapes):
     """What the subtree of a quiesced node can still read (Chu, Garcia de la
     Banda & Stuckey, CPAIOR 2010): cells not exact, exact cells sharing a
     propagator with one, the unsettled choices, dormant branches and
@@ -262,7 +261,7 @@ def _memo_key(inst, targets, gc, objective, shapes):
     (named by the last) and kinds of cell."""
     net, frames = inst.network, inst.frames
     contents, props = net.contents, net.propagators
-    folds = [] if gc or len(frames) == 1 else _foldable(inst, targets.values())
+    folds = [] if gc or len(frames) == 1 else _foldable(inst)
     dropped = frozenset().union(*(cells for _, cells in folds))
     shape = (props[-1] if props else None, tuple(map(type, contents)), dropped)
     cached = shapes.get(shape)
@@ -294,12 +293,12 @@ def solve(program: Program, query: Query, oracle=None, trace=None,
     solver reports every quiesced node to it so guidance can be trained
     from what the search actually saw; it turns the memo (see `_dfs`) off.
 
-    `gc` summarizes decided frames after each node quiesces, so clones stay
-    small on deep recursions. Summarization only folds a frame whose
-    boundary is exact, whose attached choices are all decided and none of
-    whose dormant `if` branches could still post a `choose` or a `call`, so
+    `gc` folds finished frames after each node quiesces (see
+    `collect_garbage`), so clones stay small on deep recursions: a folded
+    frame keeps no cell. A frame with an open choice or a dormant `if`
+    branch that could still post a `choose` or a `call` does not fold, so
     search still branches on a choice the boundary no longer depends on;
-    answers, their repeats and node counts must not depend on the flag.
+    answers, their repeats and node counts do not depend on the flag.
 
     `write_sink` taps every cell write made during the search (clones
     inherit it); instantiation writes happen before it is installed.
@@ -409,71 +408,58 @@ SummarizationReport = namedtuple("SummarizationReport",
                                  "summarized dropped_cells")
 
 
-def collect_garbage(inst: Instance, target_cells) -> SummarizationReport:
-    """Summarize frames whose work is finished.
-
-    A frame folds up when its boundary is fully decided, every choice
-    attached in it is decided, no dormant branch of it could still post a
-    `choose` or a `call`, every descendant has folded, and no query target
-    lives in its interior. Its interior propagators are detached, its
-    interior cells dropped and its dormant branches forgotten: none of them
-    could change a boundary cell or start a search. Boundary contents, the
-    cells frames name as parameters and the shared constant cells are
-    untouched, so every already derived answer survives by construction.
-    """
+def collect_garbage(inst: Instance) -> SummarizationReport:
+    """Fold, bottom-up, every frame whose work is finished: expanded, with
+    every descendant folded, its boundary exact, every choice attached in
+    it decided and no dormant branch that could still post a `choose` or a
+    `call`. Folding drops the cells the frame owns (its `cellmap` but its
+    boundary and the shared constant cells), empties its `cellmap` and
+    forgets its dormant branches, and detaches nothing (see
+    `Network.drop_cell`). The root, which holds every query target, never
+    folds; a network with queued propagators or a contradiction folds
+    nothing."""
     net = inst.network
-    summarized, dropped = [], 0
-    for f, interior in _foldable(inst, target_cells):
-        for cid in interior:
-            for pid in net.watchers[cid]:
-                net.detach(pid)
+    quiet = net.quiescent and net.contradiction is None
+    folds = _foldable(inst) if quiet else []
+    for f, owned in folds:
+        for cid in owned:
             net.drop_cell(cid)
-            dropped += 1
-        boundary = f.boundary_cells(inst.program)
-        f.cellmap = {n: c for n, c in f.cellmap.items() if c in boundary}
+        f.cellmap = {}
         f.state = SUMMARIZED
-        summarized.append(f.id)
     inst.dormant = [e for e in inst.dormant
                     if inst.frames[e[0]].state != SUMMARIZED]
-    return SummarizationReport(tuple(reversed(summarized)), dropped)
+    return SummarizationReport(tuple(f.id for f, _ in reversed(folds)),
+                               sum(len(owned) for _, owned in folds))
 
 
-def _foldable(inst, target_cells):
-    """The frames `collect_garbage` would fold, last first, with interiors."""
-    net = inst.network
-    targets = set(target_cells)
-
-    # A frame folds bottom-up: only once every descendant has folded. A
-    # child left unexpanded or expanded still reads its parent's cells, so
-    # the parent must stay. Children always have larger ids than their
-    # parents, so one sweep from the last frame back settles every frame. A
-    # frame that is finished but holds a query target in its interior stays
-    # expanded without holding up its parent: folding the parent detaches
-    # no more than folding it would.
+def _foldable(inst):
+    """The frames `collect_garbage` would fold, last first, each with the
+    cells it owns."""
+    # Children have larger ids than their parents, so one sweep from the
+    # last frame back folds bottom-up. A cell passes only down the tree, so
+    # once a frame's descendants have folded no live frame reads its cells.
     #
     # An open choice keeps its frame even when the boundary no longer
     # depends on it: search has yet to branch on it, once per repeat. So
     # does a dormant branch that could still post one, or a call. Those
     # frames (`busy`) are found only once a frame passes the cheaper tests.
-    busy = params = None
+    contents, program = inst.network.contents, inst.program
+    shared = len(program.constants)  # cells 0 .. shared - 1
+    busy = None
     unfinished = [False] * len(inst.frames)
     folds = []
     for f in reversed(inst.frames):
         if f.id == 0 or f.state == SUMMARIZED:
             continue
-        if f.state == EXPANDED and not unfinished[f.id] and all(
-                net.content(c).kind == "exact"
-                for c in f.boundary_cells(inst.program)):
-            if busy is None:
-                busy = {cp.frame for cp in unsettled_choices(inst)}
-                busy |= may_post(inst, ("choose", "call"))
-            if f.id not in busy:
-                params = params or set(range(len(inst.program.constants))) | {
-                    c for g in inst.frames
-                    for c in g.boundary_cells(inst.program)}
-                interior = [c for c in f.cellmap.values() if c not in params]
-                if not targets.intersection(interior):
-                    folds.append((f, interior))
-                continue
+        if f.state == EXPANDED and not unfinished[f.id]:
+            boundary = f.boundary_cells(program)
+            if all(type(contents[c]) is Exact for c in boundary):
+                if busy is None:
+                    busy = {cp.frame for cp in unsettled_choices(inst)}
+                    busy |= may_post(inst, ("choose", "call"))
+                if f.id not in busy:
+                    folds.append((f, [c for c in f.cellmap.values()
+                                      if c >= shared and c not in boundary]))
+                    continue
         unfinished[f.parent] = True
     return folds

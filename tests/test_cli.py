@@ -92,6 +92,18 @@ def test_solve_parse_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "train"])
+def test_a_program_file_that_is_not_utf8_is_an_error_naming_it(
+        command, tmp_path, capsys):
+    bad = tmp_path / "bad.5th"
+    bad.write_bytes(b"\xff(def")
+    argv = ([command, bad] if command == "solve"
+            else [command, tmp_path, "--model", tmp_path / "m"])
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {bad} is not UTF-8 text (byte 0)"]
+
+
 def test_solve_no_query(tmp_path, capsys):
     noq = tmp_path / "noq.5th"
     noq.write_text("(def (noq x) (choose x 1 2))")

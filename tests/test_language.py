@@ -151,6 +151,12 @@ def test_a_repeated_query_option_is_a_fault(options, message):
     assert str(e.value) == message
 
 
+def test_a_repeated_binding_is_a_fault():
+    with pytest.raises(ParseError) as e:
+        parse("(def (f x y) (sum x x y))\n(query (f (x 1) (x 2)) (show y))")
+    assert str(e.value) == "2:17: repeated binding 'x'"
+
+
 def test_instantiate_double():
     program = parse("(def (double x y) (sum x x y))")
     inst = instantiate(program, "double", {"x": 3})

@@ -470,8 +470,6 @@ def _mutate(net):
     net.write(0, exact(2**40), "again")  # unchanged
     net.write(e, exact(5), "decl:1:e")
     net.attach("sum", (e, e, f))
-    net.detach(0)
-    net.detach(1)
     net.drop_cell(2)
     net.run_to_quiescence()
     assert net.content(f) == exact(10)
@@ -479,8 +477,8 @@ def _mutate(net):
 
 @pytest.mark.parametrize("mutated", ("clone", "parent"))
 def test_clone_shares_no_mutable_store(mutated):
-    # writes, attach, detach and drop_cell on one side leave every
-    # per-cell list and set of the other side as it was
+    # writes, attach and drop_cell on one side leave every per-cell list
+    # and set of the other side as it was
     net = _busy_network()
     twin = net.clone()
     changed, kept = (twin, net) if mutated == "clone" else (net, twin)
@@ -494,18 +492,17 @@ def test_clone_shares_no_mutable_store(mutated):
         changed.content(2)
 
 
-def test_watchers_ascend_and_detach_replaces_the_tuple():
+def test_watchers_ascend_and_attach_replaces_the_tuple():
     net = Network()
     a, b, c = (net.add_cell() for _ in range(3))
-    for cells in ((a, b, c), (a, a), (c, a), (b, c)):
+    for cells in ((a, b, c), (a, a), (c, a)):
         net.attach("sum" if len(cells) == 3 else "equal", cells)
+    held = net.watchers[c]
+    net.attach("equal", (b, c))
+    assert held == (0, 2)
     assert net.watchers[a] == (0, 1, 2)
-    assert net.watchers[c] == (0, 2, 3)
-    held = net.watchers[a]
-    net.detach(1)
-    assert held == (0, 1, 2)
-    assert net.watchers[a] == (0, 2)
     assert net.watchers[b] == (0, 3)
+    assert net.watchers[c] == (0, 2, 3)
 
 
 def test_dropped_cell_is_unknown():

@@ -562,14 +562,14 @@ def run_fact(n, depth=10_000):
 def test_collect_garbage_counts_decided_frames():
     inst, r = run_fact(10)
     assert inst.network.content(r) == exact(3628800)
-    report = collect_garbage(inst, (r,))
+    report = collect_garbage(inst)
     assert len(report.summarized) == 10
     assert report.dropped_cells > 0
 
 
 def test_collect_garbage_preserves_answers():
     inst, r = run_fact(10)
-    collect_garbage(inst, (r,))
+    collect_garbage(inst)
     assert inst.network.content(r) == exact(3628800)
     assert inst.network.content(inst.cell_of(0, "n")) == exact(10)
     assert inst.network.contradiction is None
@@ -577,23 +577,23 @@ def test_collect_garbage_preserves_answers():
 
 def test_collect_garbage_skips_undecided_frames():
     inst, r = run_fact(10, depth=3)  # bottom of the chain still unexpanded
-    report = collect_garbage(inst, (r,))
+    report = collect_garbage(inst)
     assert report.summarized == ()
 
 
 def test_collect_garbage_keeps_root():
     inst, r = run_fact(6)
-    collect_garbage(inst, (r,))
+    collect_garbage(inst)
     assert inst.root.state == EXPANDED
 
 
 def test_collect_garbage_marks_frames_and_prunes_cellmaps():
     inst, r = run_fact(6)
-    report = collect_garbage(inst, (r,))
+    report = collect_garbage(inst)
     for fid in report.summarized:
         f = inst.frames[fid]
         assert f.state == SUMMARIZED
-        assert set(f.cellmap) == {"n", "r"}
+        assert f.cellmap == {}
 
 
 def test_collect_garbage_leaves_refuted_leaves_alone():
@@ -601,21 +601,25 @@ def test_collect_garbage_leaves_refuted_leaves_alone():
     # never became a frame: the whole chain folds, and nothing is left
     # unexpanded or dormant for a later pass to trip over
     inst, r = run_fact(6)
-    report = collect_garbage(inst, (r,))
+    report = collect_garbage(inst)
     assert len(report.summarized) == 6
     assert not any(f.state == UNEXPANDED for f in inst.frames)
     assert inst.dormant == []
 
 
-def test_collect_garbage_respects_interior_targets():
+def test_collect_garbage_folds_nothing_while_propagators_are_queued():
+    # a queued propagator of a folded frame would read a dropped cell, so
+    # folding waits until the network is quiescent
     inst, r = run_fact(6)
-    # ask to keep an interior cell of the deepest expanded frame
-    deep = max((f for f in inst.frames if f.state == EXPANDED),
-               key=lambda f: f.depth)
-    keep = deep.cellmap["nm1"]
-    report = collect_garbage(inst, (r, keep))
-    assert deep.id not in report.summarized
-    assert len(report.summarized) == 5
+    net = inst.network
+    net.attach("less_equal", (inst.cell_of(0, "n"), r))
+    assert not net.quiescent
+    stored = list(net.contents)
+    assert collect_garbage(inst) == ((), 0)
+    assert net.contents == stored
+    assert not any(f.state == SUMMARIZED for f in inst.frames)
+    net.run_to_quiescence()
+    assert len(collect_garbage(inst).summarized) == 6
 
 
 # fact with `one` declared in the branch: each frame has its own, exact
@@ -634,16 +638,17 @@ BRANCH_ONE_FACT = """
 
 
 def test_a_propagator_left_on_a_dropped_cell_watches_only_exact_cells():
-    # attach registers no watcher on an exact cell, so a frame's `sum nm1
-    # one n`, with `one` exact and `n` pinned by its parent, is not detached
-    # through the cells it drops; it stays on the cell `nm1`, its child's
-    # boundary, which no write can wake once exact
+    # folding detaches nothing: a propagator that reads a dropped cell stays
+    # attached, and stays on a watcher tuple only where the cell is exact,
+    # which no write can wake. Every cell below the root's own is dropped,
+    # so only a propagator reading a root cell is still listed: frame 1's
+    # `product n rest r`, on the root's rest
     prog = parse(BRANCH_ONE_FACT)
     inst = instantiate(prog, "fact", {"n": 10})
     r = inst.cell_of(0, "r")
     demand_loop(inst, (r,), 10_000, 1_000_000)
     assert inst.network.content(r) == exact(3628800)
-    collect_garbage(inst, (r,))
+    collect_garbage(inst)
     net = inst.network
     dropped = {c for c, info in enumerate(net.contents) if info is None}
     left = set()
@@ -652,12 +657,12 @@ def test_a_propagator_left_on_a_dropped_cell_watches_only_exact_cells():
             if dropped.intersection(net.propagators[pid].cells):
                 left.add(pid)
                 assert net.contents[cid].kind == "exact"
-    assert len(left) == 9
+    assert len(left) == 1
 
 
 def test_collect_garbage_then_clone_still_works():
     inst, r = run_fact(6)
-    collect_garbage(inst, (r,))
+    collect_garbage(inst)
     fresh = inst.clone()
     assert fresh.network.content(r) == exact(720)
     rep = fresh.network.run_to_quiescence(10_000)
@@ -694,32 +699,25 @@ class _Leaves:
 
 @pytest.mark.parametrize("text,entry", [(FACT, "fact"), (COUNT, "count")],
                          ids=["fact", "count"])
-def test_gc_keeps_the_truth_of_guard_cells_it_folds(text, entry):
-    # each frame's `if n` reads its boundary cell n, which summarization
-    # keeps while it drops the interior: the conditions of the 12 folded
-    # frames still hold, the one under n = 0 is still refuted, and that
-    # refuted branch left neither a frame nor a dormant entry
+def test_gc_empties_the_cellmap_of_every_frame_it_folds(text, entry):
+    # the 12 frames under the root fold and keep no cell; the root's `if n`
+    # still holds, and the refuted branch under n = 0 left neither a frame
+    # nor a dormant entry
     trace = _Leaves()
     q = Query(entry=entry, bindings=(("n", 12),), show=("r",))
     res = solve(parse(text), q, trace=trace, gc=True)
     inst, = trace.leaves
-    folded = [f for f in inst.frames if f.state == SUMMARIZED]
+    folded = inst.frames[1:]
+    assert all(f.state == SUMMARIZED and f.cellmap == {} for f in folded)
     assert len(folded) == res.stats["summarized"] == 12
-    assert len(inst.frames) == 13 and inst.dormant == []
-    for f in folded:
-        assert set(f.cellmap) == {"n", "r"}
-        assert inst.network.content(f.cellmap["n"]).kind == "exact"
-    states = [truth_value(inst.network.content(f.cellmap["n"]))
-              for f in inst.frames]
-    assert states == [True] * 12 + [False]
+    assert inst.dormant == []
+    assert truth_value(inst.network.content(inst.cell_of(0, "n"))) is True
 
 
 def test_gc_never_drops_the_shared_constant_cell():
     # every frame's `one` names the one cell of the value 1, which folding
-    # keeps. A frame's own cells are nm1 and rest; they are its child's
-    # parameters, which folding keeps too, so of the 12 folded frames only
-    # the bottom one, which calls no one, drops its 2 (14 at the parent,
-    # where each frame also dropped its own `one`)
+    # keeps, as it keeps the root's cells; each of the 12 folded frames
+    # drops the 2 cells it owns, nm1 and rest
     prog = parse(COUNT)
     assert prog.constants == (exact(1),)
     q = Query(entry="count", bindings=(("n", 12),), show=("r",))
@@ -732,7 +730,9 @@ def test_gc_never_drops_the_shared_constant_cell():
     assert {f.cellmap["one"] for f in unfolded.frames} == {0}
     net = inst.network
     assert net.origins[0] == ("", "(const 1)") and net.contents[0] == exact(1)
-    assert sum(info is None for info in net.contents) == 2
+    assert sum(info is None for info in net.contents) == 24
+    assert all(net.contents[c] is not None
+               for c in inst.root.cellmap.values())
 
 
 # every frame posts nm1 <= n in a branch whose condition c nothing decides;
