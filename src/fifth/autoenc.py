@@ -114,7 +114,10 @@ class Autoencoder:
         x = self._as_batch(dataset)
         if x.shape[0] == 0:
             raise ValueError("loss needs a non-empty batch")
-        xs = self._standardize(x)
+        return self._objective(self._standardize(x))
+
+    def _objective(self, xs):
+        """The training objective of a standardized batch, by term."""
         _, code, _, out = self._forward(xs)
         rec = float(np.mean((out - xs) ** 2))
         sparsity = float(np.mean(np.sum(np.abs(code), axis=1)))
@@ -186,15 +189,6 @@ class Autoencoder:
             x = np.random.default_rng(seed).normal(size=self.n_features)
         xs = self._standardize(self._as_batch(x))
         analytic = self._gradients(xs)
-
-        def total(batch):
-            _, code, _, out = self._forward(batch)
-            rec = np.mean((out - batch) ** 2)
-            sp = np.mean(np.sum(np.abs(code), axis=1))
-            dec = sum(np.sum(getattr(self, n) ** 2)
-                      for n in _LAYERS if getattr(self, n).ndim == 2)
-            return rec + self.sparsity_weight * sp + self.decay_weight * dec
-
         worst = 0.0
         for name in _LAYERS:
             arr = getattr(self, name)
@@ -202,9 +196,9 @@ class Autoencoder:
             for i in range(flat.size):
                 keep = flat[i]
                 flat[i] = keep + eps
-                up = total(xs)
+                up = self._objective(xs)["total"]
                 flat[i] = keep - eps
-                down = total(xs)
+                down = self._objective(xs)["total"]
                 flat[i] = keep
                 numeric = (up - down) / (2.0 * eps)
                 a = analytic[name].reshape(-1)[i]

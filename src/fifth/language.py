@@ -360,7 +360,11 @@ def _parse_query(node):
     ):
         raise ParseError("query needs a (show ...) clause",
                          show_node[1], show_node[2])
-    show = tuple(_atom(s) for s in show_node[0][1:])
+    show = []
+    for s in show_node[0][1:]:
+        if _atom(s) in show:
+            raise ParseError(f"repeated show target {s[0]!r}", s[1], s[2])
+        show.append(s[0])
     named += [("show target", s) for s in show_node[0][1:]]
     opts = {}
     for opt in items[3:]:
@@ -378,7 +382,7 @@ def _parse_query(node):
             named.append(("minimize target", opt[0][1]))
         else:
             raise ParseError(f"unknown query option {key!r}", opt[1], opt[2])
-    return Query(entry, tuple(bindings), show, **opts), named
+    return Query(entry, tuple(bindings), tuple(show), **opts), named
 
 
 def _check_query(program, named):

@@ -253,12 +253,19 @@ def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
 
 def _memo_key(inst, gc, objective, shapes):
     """What the subtree of a quiesced node can still read (Chu, Garcia de la
-    Banda & Stuckey, CPAIOR 2010): cells not exact, exact cells sharing a
-    propagator with one, the unsettled choices, dormant branches and
-    unexpanded frames with their frames' cells, the expansions made and the
-    `objective`. What `collect_garbage` would fold is left out, so `gc`
-    changes no key. `shapes` caches the cells read, per attached propagators
-    (named by the last) and kinds of cell."""
+    Banda & Stuckey, CPAIOR 2010); a `test_memo_keys_*` test pins each part:
+    the last propagator (clones share the attached list); the open cells,
+    their contents and the values of exact cells sharing a propagator with
+    one; the unsettled choices (search breaks ties by cell id, and `equal`
+    gives a cell a choice's domain without making it one); the expansions,
+    which the depth budget counts; the dormant branches, in the order a
+    decision opens them; the definition, cells and contents of each frame
+    holding one; the `objective`. Left out: unexpanded frames (a node
+    splits once `demand_loop` has met the targets, spent the depth budget
+    or run out of frames, so none expands below it), frame ids (they only
+    order frames) and what `collect_garbage` would fold (so `gc` changes no
+    key). `shapes` caches the cells read, per last propagator and kinds of
+    cell."""
     net, frames = inst.network, inst.frames
     contents, props = net.contents, net.propagators
     folds = [] if gc or len(frames) == 1 else _foldable(inst)
@@ -274,13 +281,13 @@ def _memo_key(inst, gc, objective, shapes):
     opened, near = cached
     folded = {f.id for f, _ in folds}
     dormant = [e for e in inst.dormant if e[0] not in folded]
-    waiting = sorted({e[0] for e in dormant}.union(inst.unexpanded))
-    cells = [c for f in waiting for c in frames[f].cellmap.values()]
+    waiting = [frames[f] for f in sorted({e[0] for e in dormant})]
+    cells = [c for f in waiting for c in f.cellmap.values()]
     return (shape[0], opened, tuple(map(contents.__getitem__, opened)),
             tuple(contents[c].value for c in near),
             tuple(cp.cell for cp in inst.choices), inst.expansions,
-            tuple((e[1], e[2], id(e[3])) for e in dormant), tuple(waiting),
-            tuple(frames[f].defname for f in waiting), tuple(cells),
+            tuple((e[1], e[2], id(e[3])) for e in dormant),
+            tuple(f.defname for f in waiting), tuple(cells),
             tuple(map(contents.__getitem__, cells)),
             objective is not None and contents[objective])
 
@@ -316,11 +323,6 @@ def solve(program: Program, query: Query, oracle=None, trace=None,
     return SolutionSet(solutions=state.solutions, stats=_stats(state))
 
 
-def _objective_lower_bound(inst, obj_cell):
-    r = bounds_of(inst.network.contents[obj_cell])
-    return None if r is None else r[0]
-
-
 def optimize(program: Program, query: Query, oracle=None,
              trace=None, gc: bool = False, write_sink=None) -> OptimizeResult:
     """Branch-and-bound minimization of the objective cell.
@@ -333,8 +335,8 @@ def optimize(program: Program, query: Query, oracle=None,
     in `stats.steps`.
     If the pin contradicts, the objective is searched on above that bound
     (a clone with the write `bound:unattained`); a pin that runs out of
-    steps or overflows, and an objective open below, record nothing and
-    make the search incomplete.
+    steps or overflows, and an objective with no lower bound, record
+    nothing and make the search incomplete.
 
     `trace`, `gc`, and `write_sink` behave exactly as in solve(). Each
     improving solution is kept in order; the last one is the optimum.
@@ -359,11 +361,11 @@ def optimize(program: Program, query: Query, oracle=None,
                            "bound:incumbent")
 
     def improve(inst):
-        lb = _objective_lower_bound(inst, obj_cell)
-        if lb is None or (state.incumbent is not None
-                          and lb >= state.incumbent):
+        r = bounds_of(inst.network.contents[obj_cell])
+        lb = -math.inf if r is None else r[0]
+        if state.incumbent is not None and lb >= state.incumbent:
             return
-        if lb == -math.inf:  # nothing to pin
+        if lb == -math.inf:  # nothing to pin: no bounds, or open below
             state.cuts += 1
             return
         pinned = inst.clone()

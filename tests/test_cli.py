@@ -732,6 +732,9 @@ NUMERIC = {
     "minimize-open-below": ("(def (f x y) (int x 0 3) (choose x 0 1 2 3)"
                             " (lesseq y x)) (query (f) (show x)"
                             " (minimize y))\n", 3, []),
+    # nothing bounds y at all: no minimum either, so no proven optimum
+    "minimize-unbounded": ("(def (f x y) (choose x 1 2)) (query (f)"
+                           " (show x) (minimize y))\n", 3, []),
 }
 
 

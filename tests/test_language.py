@@ -157,6 +157,12 @@ def test_a_repeated_binding_is_a_fault():
     assert str(e.value) == "2:17: repeated binding 'x'"
 
 
+def test_a_repeated_show_target_is_a_fault():
+    with pytest.raises(ParseError) as e:
+        parse("(def (f x y) (sum x x y))\n(query (f) (show x y x))")
+    assert str(e.value) == "2:22: repeated show target 'x'"
+
+
 def test_instantiate_double():
     program = parse("(def (double x y) (sum x x y))")
     inst = instantiate(program, "double", {"x": 3})

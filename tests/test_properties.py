@@ -6,7 +6,9 @@ argument cells it repeats; random small job-shops minimize to the
 brute-force optimum with and without summarization; random disjunctive
 programs, whose `if` branches may refute their conditions, give the
 answers and optima of brute-force enumeration; the subproblem memo changes
-neither the answers and their order nor the optimum, over both generators."""
+neither the answers and their order nor the optimum, over both generators
+and one whose branches hold only `choose` and `call` statements under a
+depth budget that runs out in some of them."""
 
 import itertools
 from collections import Counter
@@ -372,6 +374,35 @@ def test_disjunctive_programs_answer_like_brute_force(spec):
                        for env in envs)
 
 
+@st.composite
+def gated_programs(draw):
+    """A main that chooses c, branches on it and calls k, which branches
+    on x - 1. Each branch holds 1-2 `choose` and `call` statements only:
+    in main on x, calling g, which writes what a `choose` would but spends
+    an expansion; in k on y, calling g or w, which sets 9. The depth
+    budget, 2 or 3 expansions, runs out in some branches and not others.
+    Optionally x or y is minimized."""
+    values = draw(st.sampled_from(("1 2", "0 1 2")))
+
+    def branch(cell, *callees):
+        statements = [f"(choose {cell} {values})"] + [
+            f"(call {f} {cell})" for f in callees]
+        return " ".join(draw(st.lists(st.sampled_from(statements),
+                                      min_size=1, max_size=2)))
+
+    text = (f"(def (g v) (choose v {values})) (def (w v) (const v 9))"
+            " (def (k x y) (cell d) (const one 1) (sum d one x)"
+            f" (if d ({branch('y', 'g', 'w')}) ({branch('y', 'g', 'w')})))"
+            " (def (main c x y) (choose c 0 1)"
+            f" (if c ({branch('x', 'g')}) ({branch('x', 'g')}))"
+            " (call k x y))")
+    query = Query(entry="main", show=("c", "x", "y"),
+                  depth=draw(st.integers(2, 3)))
+    minimize = draw(st.sampled_from((None, "x", "y")))
+    return text, [query] + ([] if minimize is None
+                            else [query._replace(minimize=minimize)])
+
+
 class _Quiet:
     """A trace that records nothing: passing it only turns the memo off."""
 
@@ -400,7 +431,8 @@ def _disjunctive_case(spec):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(recursive_programs().map(_recursive_case),
-                 disjunctive_programs().map(_disjunctive_case)))
+                 disjunctive_programs().map(_disjunctive_case),
+                 gated_programs()))
 def test_the_memo_keeps_answers_their_order_and_optima(case):
     text, queries = case
     program = parse(text)

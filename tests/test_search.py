@@ -905,3 +905,129 @@ def test_memo_keys_the_contents_or_the_choices_of_a_node():
     on = _memo_on_and_off(BRANCH_CHOICE.replace("((choose x 1 2 3))", "()"))
     assert len(on.solutions) == 2 * 2 * 2 == 8
     assert not on.stats["complete"]
+
+
+def test_memo_keys_the_expansions_made():
+    # memo off gives 3 answers: under c = 1 the call to g spends one of the
+    # two expansions, so x = 2 cannot expand w and is cut. A key without
+    # the count lets c = 1 replay c = 0's subtree, which had one to spare
+    prog = parse("(def (g x) (choose x 1 2))"
+                 " (def (w y) (const y 9))"
+                 " (def (k x y) (cell d) (const one 1) (sum d one x)"
+                 " (if d ((call w y)) ((const y 0))))"
+                 " (def (f c x y) (choose c 0 1)"
+                 " (if c ((call g x)) ((choose x 1 2))) (call k x y))"
+                 " (query (f) (show c x y) (depth 2))")
+    on = solve(prog, prog.query)
+    off = solve(prog, prog.query, write_sink=lambda rec: None)
+    assert on.solutions == off.solutions
+    assert [tuple(s["cells"].values()) for s in on.solutions] == [
+        (0, 1, 0), (0, 2, 9), (1, 1, 0)]
+    assert not on.stats["complete"] and not off.stats["complete"]
+
+
+def test_memo_keys_the_unsettled_choices():
+    # x < z < y. Under s = 1 the choices are x and z, under s = 0 z and y;
+    # the equal tie gives x and y the same domain either way, so only the
+    # choice list tells the nodes apart. Search breaks the tie between
+    # equal domains by cell id: x before z, but z before y
+    on = _memo_on_and_off("(def (f s x z y) (choose s 0 1) (choose z 1 2)"
+                          " (equal x y)"
+                          " (if s ((choose x 1 2)) ((choose y 1 2))))"
+                          " (query (f) (show s x z))")
+    assert [tuple(a.values()) for a in on.assignments()] == [
+        (0, 1, 1), (0, 2, 1), (0, 1, 2), (0, 2, 2),
+        (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]
+
+
+def test_memo_keys_the_dormant_branches_in_order():
+    # s = 0 opens a's branch before b's, s = 1 b's before a's, so the two
+    # `if x` branches of h wait in opposite orders with the same cells and
+    # contents. x = 1 opens both at once and expands their calls in that
+    # order; the first call's w has the lower cell id and is branched on
+    # first, so o1 varies slowest under s = 0 and o2 under s = 1
+    on = _memo_on_and_off(
+        "(def (g out) (cell w) (choose w 1 2) (equal w out))"
+        " (def (h a b x o1 o2)"
+        " (if a ((if x ((call g o1)) ((const o1 0)))) ())"
+        " (if b ((if x ((call g o2)) ((const o2 0)))) ()))"
+        " (def (main s a b x o1 o2) (choose s 0 1) (choose a 0 1)"
+        " (choose b 0 1) (choose x 0 1)"
+        " (if s ((const b 1)) ((const a 1))) (call h a b x o1 o2))"
+        " (query (main) (show s x o1 o2))")
+    assert [tuple(a.values()) for a in on.assignments()] == [
+        (0, 0, 0, 0), (0, 1, 1, 1), (0, 1, 1, 2), (0, 1, 2, 1), (0, 1, 2, 2),
+        (1, 0, 0, 0), (1, 1, 1, 1), (1, 1, 2, 1), (1, 1, 1, 2), (1, 1, 2, 2)]
+
+
+def test_memo_keys_the_definitions_of_waiting_frames():
+    # t = 1 calls e on q and f on r, t = 0 the reverse. Once k = 1 opens
+    # f's outer branch, each node holds two frames over (c, q, k) and
+    # (c, r, k) whose branches on c wait in the same order with the same
+    # cells; only the definitions say which of q and r c = 1 sets to 5
+    on = _memo_on_and_off(
+        "(def (e p s k) (if p ((const s 5)) ()))"
+        " (def (f p s k) (if k ((if p ((const s 7)) ())) ()))"
+        " (def (main t k c q r) (choose t 0 1) (choose k 0 1)"
+        " (choose c 0 1) (choose q 5 7) (choose r 5 7)"
+        " (if t ((call e c q k) (call f c r k))"
+        " ((call f c q k) (call e c r k))))"
+        " (query (main) (show t k c q r))")
+    answers = [tuple(a.values()) for a in on.assignments()]
+    assert (0, 1, 1, 7, 5) in answers and (1, 1, 1, 5, 7) in answers
+
+
+def test_memo_keys_the_cells_of_waiting_frames():
+    # c = 1 calls g on q, c = 0 on r: the two nodes hold one frame of g
+    # with the same definition, branch and contents, but a = 1 sets a
+    # different cell to 5
+    on = _memo_on_and_off("(def (g p q) (if p ((const q 5)) ()))"
+                          " (def (f c a q r) (choose c 0 1) (choose a 0 1)"
+                          " (choose q 0 5) (choose r 0 5)"
+                          " (if c ((call g a q)) ((call g a r))))"
+                          " (query (f) (show c a q r))")
+    answers = [tuple(a.values()) for a in on.assignments()]
+    assert (0, 1, 0, 5) in answers and (0, 1, 5, 0) not in answers
+    assert (1, 1, 5, 0) in answers and (1, 1, 0, 5) not in answers
+
+
+def test_memo_keys_the_last_propagator():
+    # c = 1 attaches y <= x, which prunes nothing until x is branched on:
+    # the z = 0 nodes under c = 0 and c = 1 hold the same cells and
+    # contents, and only the attached propagators tell them apart
+    on = _memo_on_and_off("(def (f c z x y) (choose c 0 1) (choose z 0 1)"
+                          " (choose x 1 2) (choose y 1 2)"
+                          " (if c ((lesseq y x)) ()))"
+                          " (query (f) (show c x y))")
+    assert [tuple(a.values()) for a in on.assignments()] == (
+        [(0, x, y) for x in (1, 2) for y in (1, 2)] * 2
+        + [(1, 1, 1), (1, 2, 1), (1, 2, 2)] * 2)
+
+
+def test_memo_keys_which_cells_are_open():
+    # s = 0 pins v and s = 1 pins u; the other stays [0, 1], which the
+    # precision lets stand. The z nodes then hold one open range each with
+    # the same contents, so only the open cells' ids tell u from v, and a
+    # replay of s = 0 would show v = 1 under s = 1
+    prog = parse("(def (f s z u v) (choose s 0 1) (choose z 0 1)"
+                 " (int u 0 1) (int v 0 1) (if s ((const u 1)) ((const v 1))))"
+                 " (query (f) (show s u v) (precision 1))")
+    on = solve(prog, prog.query)
+    assert on.solutions == solve(prog, prog.query,
+                                 write_sink=lambda rec: None).solutions
+    assert on.assignments() == [{"s": 0, "u": [0, 1], "v": 1}] * 2 + [
+        {"s": 1, "u": 1, "v": [0, 1]}] * 2
+
+
+def test_memo_keys_the_contents_of_waiting_frames():
+    # the x nodes under s = 0 and s = 1 differ only in s, an exact cell
+    # no propagator reads, until x = 1 opens the branch that copies s
+    # into y
+    prog = parse("(def (f s x y) (choose s 0 1) (choose x 0 1)"
+                 " (if x ((equal y s)) ((const y 5))))"
+                 " (query (f) (show s x y))")
+    on = solve(prog, prog.query)
+    assert on.solutions == solve(prog, prog.query,
+                                 write_sink=lambda rec: None).solutions
+    assert [tuple(a.values()) for a in on.assignments()] == [
+        (0, 0, 5), (0, 1, 0), (1, 0, 5), (1, 1, 1)]
