@@ -8,6 +8,7 @@ representation is discovered rather than configured.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -18,6 +19,9 @@ from .errors import TrainingDivergence
 # weight matrices in forward order; biases interleave after each
 _LAYERS = ("w_enc_in", "b_enc_in", "w_enc_out", "b_enc_out",
            "w_dec_in", "b_dec_in", "w_dec_out", "b_dec_out")
+_WEIGHTS = _LAYERS[0::2]
+# the layout of `params`: weights first, so decay is one slice
+_FLAT = _WEIGHTS + _LAYERS[1::2]
 
 _HYPER = ("n_features", "n_hidden", "n_code", "prune_threshold",
           "sparsity_weight", "decay_weight", "learning_rate", "batch_size")
@@ -38,14 +42,12 @@ class Autoencoder:
         self.learning_rate = learning_rate
         self.batch_size = batch_size
         f, h, k = n_features, n_hidden, n_code
-        self.w_enc_in = np.zeros((h, f))
-        self.b_enc_in = np.zeros(h)
-        self.w_enc_out = np.zeros((k, h))
-        self.b_enc_out = np.zeros(k)
-        self.w_dec_in = np.zeros((h, k))
-        self.b_dec_in = np.zeros(h)
-        self.w_dec_out = np.zeros((f, h))
-        self.b_dec_out = np.zeros(f)
+        self._shapes = ((h, f), (k, h), (h, k), (f, h), (h,), (k,), (h,), (f,))
+        self.n_weights = 2 * h * (f + k)
+        # the only storage of the eight parameter arrays; each named
+        # attribute is a view into it, written in place, never rebound
+        self.params = np.zeros(self.n_weights + 2 * h + k + f)
+        self.__dict__.update(self._split(self.params)[1])
         self.feat_mean = np.zeros(f)
         self.feat_std = np.ones(f)
 
@@ -96,16 +98,22 @@ class Autoencoder:
                 f"expected a vector or rows of {self.n_features} features")
         return self._codes(x[..., None, :])[..., 0, :]
 
+    def _split(self, flat=None):
+        """A vector laid out like `params`, by default a new one, and each
+        named array as a view into it."""
+        flat = np.empty_like(self.params) if flat is None else flat
+        views, end = {}, 0
+        for name, shape in zip(_FLAT, self._shapes):
+            start, end = end, end + math.prod(shape)
+            views[name] = flat[start:end].reshape(shape)
+        return flat, views
+
     def init_weights(self, seed=0):
         rng = np.random.default_rng(seed)
-        for name in _LAYERS:
-            arr = getattr(self, name)
-            if arr.ndim == 2:
-                fan_out, fan_in = arr.shape
-                lim = np.sqrt(6.0 / (fan_in + fan_out))
-                setattr(self, name, rng.uniform(-lim, lim, arr.shape))
-            else:
-                setattr(self, name, np.zeros_like(arr))
+        for (fan_out, fan_in), name in zip(self._shapes, _WEIGHTS):
+            lim = np.sqrt(6.0 / (fan_in + fan_out))
+            getattr(self, name)[:] = rng.uniform(-lim, lim, (fan_out, fan_in))
+        self.params[self.n_weights:] = 0.0
         return self
 
     # -- objective -----------------------------------------------------------
@@ -121,34 +129,35 @@ class Autoencoder:
         _, code, _, out = self._forward(xs)
         rec = float(np.mean((out - xs) ** 2))
         sparsity = float(np.mean(np.sum(np.abs(code), axis=1)))
-        decay = float(sum(np.sum(getattr(self, n) ** 2)
-                          for n in _LAYERS if getattr(self, n).ndim == 2))
+        decay = float(sum(np.sum(getattr(self, n) ** 2) for n in _WEIGHTS))
         total = rec + self.sparsity_weight * sparsity + self.decay_weight * decay
         return {"reconstruction": rec, "sparsity": sparsity,
                 "decay": decay, "total": total}
 
-    def _gradients(self, xs):
+    def _gradients(self, xs, into=None):
+        """Gradients of the objective at a standardized batch, by name, as
+        views into one vector laid out like `params`. `into` is such a
+        vector and its views from `_split`, reused across calls."""
+        flat, g = into or self._split()
         n = xs.shape[0]
         h1, code, h2, out = self._forward(xs)
         d_out = 2.0 * (out - xs) / out.size
-        g = {}
-        g["w_dec_out"] = d_out.T @ h2
-        g["b_dec_out"] = d_out.sum(axis=0)
+        np.matmul(d_out.T, h2, out=g["w_dec_out"])
+        d_out.sum(axis=0, out=g["b_dec_out"])
         d_h2 = d_out @ self.w_dec_out
         d_pre2 = d_h2 * (1.0 - h2 ** 2)
-        g["w_dec_in"] = d_pre2.T @ code
-        g["b_dec_in"] = d_pre2.sum(axis=0)
+        np.matmul(d_pre2.T, code, out=g["w_dec_in"])
+        d_pre2.sum(axis=0, out=g["b_dec_in"])
         d_code = d_pre2 @ self.w_dec_in
         d_code = d_code + self.sparsity_weight * np.sign(code) / n
-        g["w_enc_out"] = d_code.T @ h1
-        g["b_enc_out"] = d_code.sum(axis=0)
+        np.matmul(d_code.T, h1, out=g["w_enc_out"])
+        d_code.sum(axis=0, out=g["b_enc_out"])
         d_h1 = d_code @ self.w_enc_out
         d_pre1 = d_h1 * (1.0 - h1 ** 2)
-        g["w_enc_in"] = d_pre1.T @ xs
-        g["b_enc_in"] = d_pre1.sum(axis=0)
-        for name in _LAYERS:
-            if getattr(self, name).ndim == 2:
-                g[name] = g[name] + 2.0 * self.decay_weight * getattr(self, name)
+        np.matmul(d_pre1.T, xs, out=g["w_enc_in"])
+        d_pre1.sum(axis=0, out=g["b_enc_in"])
+        weights = slice(0, self.n_weights)
+        flat[weights] += 2.0 * self.decay_weight * self.params[weights]
         return g
 
     def train(self, dataset, epochs, seed=0):
@@ -158,19 +167,18 @@ class Autoencoder:
             raise ValueError("train needs a non-empty dataset")
         rng = np.random.default_rng(seed)
         trace = []
+        xs = self._standardize(x)
+        into = grad, _ = self._split()
         # a diverging run overflows before the loss check catches it; the
         # check is the intended detector, so keep numpy quiet here
         with np.errstate(over="ignore", invalid="ignore"):
             for epoch in range(epochs):
-                order = rng.permutation(x.shape[0])
+                shuffled = xs[rng.permutation(x.shape[0])]
                 for start in range(0, x.shape[0], self.batch_size):
-                    xs = self._standardize(
-                        x[order[start:start + self.batch_size]])
-                    grads = self._gradients(xs)
-                    for name, grad in grads.items():
-                        setattr(self, name,
-                                getattr(self, name) - self.learning_rate * grad)
-                total = self.loss(x)["total"]
+                    self._gradients(
+                        shuffled[start:start + self.batch_size], into)
+                    self.params -= self.learning_rate * grad
+                total = self._objective(xs)["total"]
                 trace.append(total)
                 if not np.isfinite(total):
                     raise TrainingDivergence(
@@ -188,22 +196,21 @@ class Autoencoder:
         if x is None:
             x = np.random.default_rng(seed).normal(size=self.n_features)
         xs = self._standardize(self._as_batch(x))
-        analytic = self._gradients(xs)
+        into = analytic, _ = self._split()
+        self._gradients(xs, into)
+        flat = self.params
         worst = 0.0
-        for name in _LAYERS:
-            arr = getattr(self, name)
-            flat = arr.reshape(-1)
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + eps
-                up = self._objective(xs)["total"]
-                flat[i] = keep - eps
-                down = self._objective(xs)["total"]
-                flat[i] = keep
-                numeric = (up - down) / (2.0 * eps)
-                a = analytic[name].reshape(-1)[i]
-                scale = max(abs(a) + abs(numeric), 1e-8)
-                worst = max(worst, abs(a - numeric) / scale)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + eps
+            up = self._objective(xs)["total"]
+            flat[i] = keep - eps
+            down = self._objective(xs)["total"]
+            flat[i] = keep
+            numeric = (up - down) / (2.0 * eps)
+            a = analytic[i]
+            scale = max(abs(a) + abs(numeric), 1e-8)
+            worst = max(worst, abs(a - numeric) / scale)
         return worst
 
     # -- persistence -----------------------------------------------------------
@@ -234,9 +241,9 @@ class Autoencoder:
             ae.feat_std = np.array(header["standardization"]["std"])
             for name in _LAYERS:
                 (count,) = struct.unpack("<Q", fh.read(8))
-                shape = getattr(ae, name).shape
+                arr = getattr(ae, name)
                 data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-                if data.size != count or int(np.prod(shape)) != count:
+                if data.size != count or arr.size != count:
                     raise ValueError(f"checkpoint array {name} has wrong size")
-                setattr(ae, name, data.reshape(shape).copy())
+                arr[...] = data.reshape(arr.shape)
         return ae

@@ -221,10 +221,17 @@ class AugmentationTree:
             report["batches"] += 1
             report["rows"] += x.shape[0]
             report["losses"][defname] = trace[-1] if trace else None
+        # one encode per definition; each row's code is bit-identical to
+        # encoding that outcome alone
+        vecs = {}
+        for defname, vec, _label in outcomes:
+            vecs.setdefault(defname, []).append(vec)
+        codes = {d: iter(self.encoder_for(d).encode(np.array(v)).tolist())
+                 for d, v in vecs.items()}
         seen = {}
-        for defname, vec, label in outcomes:
-            code = self.encoder_for(defname).encode(vec)
-            seen.setdefault((defname, label), set()).add(tuple(code.tolist()))
+        for defname, _vec, label in outcomes:
+            code = next(codes[defname])
+            seen.setdefault((defname, label), set()).add(tuple(code))
             report["memory"][label] += 1
         self.memory = {key: np.array(sorted(rows))
                        for key, rows in seen.items()}

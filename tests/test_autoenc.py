@@ -172,6 +172,76 @@ def test_train_reduces_loss_on_plane_data(plane):
     assert trace[-1] < 0.1 * initial
 
 
+def _reference_forward(p, xs):
+    h1 = np.tanh(xs @ p["w_enc_in"].T + p["b_enc_in"])
+    code = h1 @ p["w_enc_out"].T + p["b_enc_out"]
+    h2 = np.tanh(code @ p["w_dec_in"].T + p["b_dec_in"])
+    return h1, code, h2, h2 @ p["w_dec_out"].T + p["b_dec_out"]
+
+
+def _reference_gradients(ae, p, xs):
+    n = xs.shape[0]
+    h1, code, h2, out = _reference_forward(p, xs)
+    d_out = 2.0 * (out - xs) / out.size
+    g = {"w_dec_out": d_out.T @ h2, "b_dec_out": d_out.sum(axis=0)}
+    d_pre2 = (d_out @ p["w_dec_out"]) * (1.0 - h2 ** 2)
+    g["w_dec_in"] = d_pre2.T @ code
+    g["b_dec_in"] = d_pre2.sum(axis=0)
+    d_code = d_pre2 @ p["w_dec_in"]
+    d_code = d_code + ae.sparsity_weight * np.sign(code) / n
+    g["w_enc_out"] = d_code.T @ h1
+    g["b_enc_out"] = d_code.sum(axis=0)
+    d_pre1 = (d_code @ p["w_enc_out"]) * (1.0 - h1 ** 2)
+    g["w_enc_in"] = d_pre1.T @ xs
+    g["b_enc_in"] = d_pre1.sum(axis=0)
+    for name in g:
+        if name.startswith("w_"):
+            g[name] = g[name] + 2.0 * ae.decay_weight * p[name]
+    return g
+
+
+def _reference_fit(ae, x, epochs, seed):
+    """Fit as a plain loop over named arrays: `w - lr * g` per array, each
+    batch standardized again. Returns the arrays and the loss per epoch."""
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std[std < 1e-12] = 1.0
+    rng = np.random.default_rng(seed)
+    p = {}
+    for name in ("w_enc_in", "w_enc_out", "w_dec_in", "w_dec_out"):
+        fan_out, fan_in = getattr(ae, name).shape
+        lim = np.sqrt(6.0 / (fan_in + fan_out))
+        p[name] = rng.uniform(-lim, lim, (fan_out, fan_in))
+        p["b" + name[1:]] = np.zeros(fan_out)
+    rng = np.random.default_rng(seed)
+    history = []
+    for _ in range(epochs):
+        order = rng.permutation(x.shape[0])
+        for start in range(0, x.shape[0], ae.batch_size):
+            xs = (x[order[start:start + ae.batch_size]] - mean) / std
+            g = _reference_gradients(ae, p, xs)
+            p = {name: p[name] - ae.learning_rate * g[name] for name in p}
+        xs = (x - mean) / std
+        _, code, _, out = _reference_forward(p, xs)
+        decay = float(sum(np.sum(p[n] ** 2) for n in p if n.startswith("w_")))
+        history.append(float(np.mean((out - xs) ** 2))
+                       + ae.sparsity_weight
+                       * float(np.mean(np.sum(np.abs(code), axis=1)))
+                       + ae.decay_weight * decay)
+    return p, history
+
+
+def test_fit_matches_the_plain_loop_bit_for_bit(plane):
+    wide = np.random.default_rng(3).normal(size=(101, 16))
+    wide[:, 5] = 0.25  # a constant feature keeps its unit scale
+    for x, epochs in ((plane, 30), (wide, 20)):  # 101 rows: a short batch
+        ae = Autoencoder(n_features=x.shape[1]).fit(x, epochs=epochs, seed=4)
+        p, history = _reference_fit(ae, x, epochs, seed=4)
+        assert ae.history_ == history
+        for name, arr in p.items():
+            assert getattr(ae, name).tobytes() == arr.tobytes(), name
+
+
 def test_divergence_aborts_with_report(plane):
     ae = Autoencoder(n_features=10, learning_rate=50.0)
     ae.feat_mean = plane.mean(axis=0)

@@ -1,11 +1,15 @@
 """Search, optimization, and frame summarization."""
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from fifth import (
+    AugmentationTree,
+    LearnedOracle,
     Query,
+    TraceLog,
     UniformOracle,
     collect_garbage,
     demand_loop,
@@ -365,6 +369,48 @@ def test_oracle_steers_first_solution():
     high = solve(prog, q, oracle=_HighFirst())
     assert low.solutions[0]["cells"]["a"] == 1
     assert high.solutions[0]["cells"]["a"] == 3
+
+
+def _answers(result):
+    return Counter(tuple(sorted(s["cells"].items()))
+                   for s in result.solutions)
+
+
+def _trained(programs):
+    log = TraceLog()
+    for prog, query in programs:
+        solve(prog, query, trace=log)
+    tree = AugmentationTree()
+    tree.train_from_traces(log, seed=0)
+    return LearnedOracle(tree)
+
+
+def test_value_order_cannot_change_the_nodes_of_a_complete_enumeration():
+    """Branching picks its variable from the node's state alone, so a solve
+    that ends without a cut visits the same nodes under any value order;
+    only the order of the answers moves. Every oracle here turns the memo
+    off, so no replay hides a node."""
+    queens = [(parse(queens_text(5)), queens_query(5))]
+    csps = [(prog, prog.query) for prog in (
+        parse(f.read_text())
+        for f in sorted((CORPUS / "csp" / "eval").glob("*.5th")))]
+    train = [(prog, prog.query) for prog in (
+        parse((CORPUS / "csp" / "train" / f"train-0{i}.5th").read_text())
+        for i in (0, 5, 7))]
+    blank = LearnedOracle(AugmentationTree())
+    for cases, learned in ((queens, _trained(queens)), (csps, _trained(train))):
+        moved = Counter()
+        for prog, query in cases:
+            base = solve(prog, query, oracle=blank)
+            assert base.stats["complete"]
+            for name, oracle in (("high", _HighFirst()), ("learned", learned)):
+                other = solve(prog, query, oracle=oracle)
+                assert other.stats["memo_hits"] == 0
+                assert other.stats["nodes"] == base.stats["nodes"]
+                assert _answers(other) == _answers(base)
+                moved[name] += other.solutions[:1] != base.solutions[:1]
+        # the orders do differ, so equal counts are not for want of a change
+        assert moved["high"] > 0 and moved["learned"] > 0
 
 
 class _Fixed:
