@@ -254,8 +254,8 @@ class TraceLog:
     `node` logs every expanded frame's features; `solution` and `deadend`
     log every expanded frame with that outcome, so the same state recurs
     once per leaf that reaches it. Handed the instance `node` just saw,
-    they reuse its features for the frames still expanded (`--gc` may fold
-    some in between, and folding changes no boundary cell).
+    they reuse its features for the frames it still holds (`--gc` may fold
+    some in between, which replaces them, and changes no boundary cell).
     """
 
     def __init__(self):
@@ -267,7 +267,7 @@ class TraceLog:
     def _features(self, inst):
         seen, feats = self._last
         if seen is inst:
-            return [(f, x) for f, x in feats if f.state == EXPANDED]
+            return [(f, x) for f, x in feats if inst.frames[f.id] is f]
         return [(f, featurize(f, inst.network, inst.program))
                 for f in inst.frames if f.state == EXPANDED]
 
@@ -314,17 +314,16 @@ def save_bundle(tree, directory):
 
 def load_bundle(directory):
     """Read a bundle written by save_bundle. A truncated or incomplete
-    file, a bundle in an older layout, or memory rows or encoders whose
-    width does not fit `n_code` and the feature count raise BundleError
-    naming the file; retraining is the only upgrade path. The `bridges`
-    key and `bridge_*.aenc` files of bundles that still carry them are
+    file, memory that is not rows by label by definition (the older layout
+    listed labelled vectors), or memory rows or encoders whose width does
+    not fit `n_code` and the feature count raise BundleError naming the
+    file; retraining is the only upgrade path. Keys it does not read (the
+    older `bridges` and `spine_bridges`) and `bridge_*.aenc` files are
     ignored."""
     path = os.path.join(directory, "manifest.json")
     try:
         with open(path) as fh:
             manifest = json.load(fh)
-        if "spine_bridges" in manifest:
-            raise ValueError("written in the older layout")
         tree = AugmentationTree(n_code=manifest["n_code"])
         n_code = tree.n_code
         tree.memory = {(d, label): np.array(rows, dtype=float)

@@ -413,7 +413,10 @@ class Frame:
     `cellmap` maps the definition's names to cell ids, its parameters (the
     caller's argument cells) from the start and its locals once expanded.
     A summarized frame has folded (see `search.collect_garbage`): its
-    `cellmap` is empty and the cells it owned are dropped.
+    `cellmap` is empty and the cells it owned are dropped. No frame changes
+    once another instance can see it, so clones share frames: expanding or
+    folding one puts a new frame in its instance's list, and opening a
+    dormant branch adds no name, as its `if` declared them all.
     """
 
     __slots__ = ("id", "defname", "parent", "depth", "cellmap", "state")
@@ -425,10 +428,6 @@ class Frame:
         self.depth = depth
         self.cellmap = cellmap
         self.state = state
-
-    def copy(self):
-        return Frame(self.id, self.defname, self.parent, self.depth,
-                     dict(self.cellmap), self.state)
 
     def boundary_cells(self, program):
         params = program.definitions[self.defname].params
@@ -477,7 +476,7 @@ class Instance:
         return Instance(
             self.program,
             self.network.clone(),
-            [f.copy() for f in self.frames],
+            self.frames[:],  # frames never change, see `Frame`
             list(self.choices),
             self.expansions,
             list(self.unexpanded),
@@ -556,16 +555,17 @@ def _elaborate_body(inst, frame, plan):
 
 
 def expand(inst: Instance, frame_id: int) -> Frame:
-    """Attach the body of an unexpanded frame, elaborated like the root's."""
-    frame = inst.frames[frame_id]
-    if frame.state == SUMMARIZED:
+    """Attach the body of an unexpanded frame, elaborated like the root's,
+    into the expanded frame that replaces it (clones may share the old)."""
+    f = inst.frames[frame_id]
+    if f.state == SUMMARIZED:
         raise StructuralError(f"frame {frame_id} is summarized; not expandable")
-    if frame.state == EXPANDED:
+    if f.state == EXPANDED:
         raise StructuralError(f"frame {frame_id} is already expanded")
     inst.unexpanded.remove(frame_id)
-    d = inst.program.definitions[frame.defname]
-    _elaborate_body(inst, frame, d.plan)
-    frame.state = EXPANDED
+    frame = inst.frames[frame_id] = Frame(
+        frame_id, f.defname, f.parent, f.depth, dict(f.cellmap), EXPANDED)
+    _elaborate_body(inst, frame, inst.program.definitions[f.defname].plan)
     inst.expansions += 1
     return frame
 

@@ -15,6 +15,7 @@ from types import NoneType
 from .errors import StructuralError
 from .language import (
     EXPANDED,
+    Frame,
     Instance,
     Program,
     Query,
@@ -415,19 +416,19 @@ def collect_garbage(inst: Instance) -> SummarizationReport:
     every descendant folded, its boundary exact, every choice attached in
     it decided and no dormant branch that could still post a `choose` or a
     `call`. Folding drops the cells the frame owns (its `cellmap` but its
-    boundary and the shared constant cells), empties its `cellmap` and
-    forgets its dormant branches, and detaches nothing (see
-    `Network.drop_cell`). The root, which holds every query target, never
-    folds; a network with queued propagators or a contradiction folds
-    nothing."""
+    boundary and the shared constant cells), puts in its place a frame with
+    an empty `cellmap` (clones may share the old one, see `Frame`), forgets
+    its dormant branches, and detaches nothing (see `Network.drop_cell`).
+    The root, which holds every query target, never folds; a network with
+    queued propagators or a contradiction folds nothing."""
     net = inst.network
     quiet = net.quiescent and net.contradiction is None
     folds = _foldable(inst) if quiet else []
     for f, owned in folds:
         for cid in owned:
             net.drop_cell(cid)
-        f.cellmap = {}
-        f.state = SUMMARIZED
+        inst.frames[f.id] = Frame(f.id, f.defname, f.parent, f.depth, {},
+                                  SUMMARIZED)
     inst.dormant = [e for e in inst.dormant
                     if inst.frames[e[0]].state != SUMMARIZED]
     return SummarizationReport(tuple(f.id for f, _ in reversed(folds)),

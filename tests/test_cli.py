@@ -294,6 +294,27 @@ def test_solve_trace_summary(capsys):
     assert {"step", "cell", "origin", "old", "new", "propagator"} <= set(rec)
 
 
+def test_solve_trace_gc_logs_no_folded_frame(tmp_path, capsys):
+    # the a = 1 branch runs a count chain that folds before its leaf, so
+    # each of the 2 answers logs the root alone; the chain's 4 frames, as
+    # they were when the node was logged, would make it 6
+    f = tmp_path / "main.5th"
+    f.write_text(
+        "(def (count n r) (cell nm1) (cell rest) (const one 1)"
+        " (sum nm1 one n)"
+        " (if n ((call count nm1 rest) (sum rest one r)) ((const r 0))))\n"
+        "(def (main n r a) (choose a 0 1)"
+        " (if a ((call count n r)) ((const r 7))))\n"
+        "(query (main (n 3)) (show r a))\n")
+    code, out, _ = run(["solve", "--trace", "--gc", f], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["solutions"] == [{"cells": {"r": 7, "a": 0}},
+                                    {"cells": {"r": 3, "a": 1}}]
+    assert payload["stats"]["summarized"] == 4
+    assert payload["trace"]["outcomes"]["success"] == 2
+
+
 def test_learned_oracle_requires_model(capsys):
     code, _, err = run(
         ["solve", "--oracle", "learned", CORPUS / "queens" / "q4.5th"],

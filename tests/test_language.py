@@ -18,7 +18,7 @@ from fifth.language import (
     targets_met,
 )
 from fifth.lattice import NOTHING, exact, finite_domain, int_interval
-from fifth.search import solve
+from fifth.search import collect_garbage, solve
 
 FACT = """
 ; factorial by countdown: nm1 + 1 = n ties the frames together
@@ -282,7 +282,9 @@ def test_expand_summarized_rejected():
     program = parse(FACT)
     inst = instantiate(program, "fact", {"n": 2})
     settle(inst)
-    inst.frames[1].state = SUMMARIZED
+    f = inst.frames[1]
+    inst.frames[1] = language.Frame(f.id, f.defname, f.parent, f.depth, {},
+                                    SUMMARIZED)
     with pytest.raises(StructuralError):
         expand(inst, 1)
 
@@ -343,13 +345,22 @@ def test_gated_int_decl_waits_for_gate():
 
 
 def test_clone_isolates_instances():
+    # a clone shares the original's frames; expanding or folding one puts
+    # a new frame in the clone's own list, so the original's stay as they
+    # were
     program = parse(FACT)
     inst = instantiate(program, "fact", {"n": 4})
+    settle(inst)  # n = 4 opens the branch holding the call
     twin = inst.clone()
+    assert all(a is b for a, b in zip(twin.frames, inst.frames, strict=True))
+    before = [(f.state, dict(f.cellmap)) for f in inst.frames]
     demand_loop(twin, [twin.cell_of(0, "r")], 100, 100_000)
     assert twin.network.content(twin.cell_of(0, "r")) == exact(24)
+    assert collect_garbage(twin).summarized == (1, 2, 3, 4)
     assert inst.network.content(inst.cell_of(0, "r")) == NOTHING
-    assert len(inst.frames) == 1 and len(inst.dormant) == 2
+    assert [(f.state, f.cellmap) for f in inst.frames] == before
+    assert [state for state, _ in before] == [EXPANDED, UNEXPANDED]
+    assert inst.unexpanded == [1] and inst.dormant == []
     assert len(twin.frames) == 5 and twin.dormant == []
     assert twin.expansions == 4 and inst.expansions == 0
 

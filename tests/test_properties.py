@@ -8,8 +8,10 @@ programs, whose `if` branches may refute their conditions, give the
 answers and optima of brute-force enumeration; the subproblem memo changes
 neither the answers and their order nor the optimum, over both generators
 and one whose branches hold only `choose` and `call` statements under a
-depth budget that runs out in some of them."""
+depth budget that runs out in some of them; and meanwhile no `settle` adds
+a name to an expanded frame."""
 
+import contextlib
 import itertools
 from collections import Counter
 from unittest import mock
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from fifth import JobShopInstance, Query, emit_jobshop_program, optimize
-from fifth import network, parse, solve
+from fifth import language, network, parse, search, solve
 from fifth.rng import SplitMix64
 from fifth.selftest import _ShuffledQueue
 
@@ -379,14 +381,15 @@ def gated_programs(draw):
     """A main that chooses c, branches on it and calls k, which branches
     on x - 1. Each branch holds 1-2 `choose` and `call` statements only:
     in main on x, calling g, which writes what a `choose` would but spends
-    an expansion; in k on y, calling g or w, which sets 9. The depth
-    budget, 2 or 3 expansions, runs out in some branches and not others.
-    Optionally x or y is minimized."""
+    an expansion; in k on y, calling g or w, which sets 9; in either, g
+    on a cell t local to the branch. The depth budget, 2 or 3 expansions,
+    runs out in some branches and not others. Optionally x or y is
+    minimized."""
     values = draw(st.sampled_from(("1 2", "0 1 2")))
 
     def branch(cell, *callees):
-        statements = [f"(choose {cell} {values})"] + [
-            f"(call {f} {cell})" for f in callees]
+        statements = [f"(choose {cell} {values})", "(int t 0 2) (call g t)"
+                      ] + [f"(call {f} {cell})" for f in callees]
         return " ".join(draw(st.lists(st.sampled_from(statements),
                                       min_size=1, max_size=2)))
 
@@ -429,6 +432,26 @@ def _disjunctive_case(spec):
     return _disjunctive_text(spec), queries
 
 
+@contextlib.contextmanager
+def _settle_adds_no_name():
+    """Check that no `settle` adds a name to an expanded frame's `cellmap`:
+    an `if` declares every name of its branches, so opening one adds none,
+    and clones may share the frame (see `language.Frame`)."""
+    real = language.settle
+
+    def settle(inst, *args):
+        before = [(f, list(f.cellmap)) for f in inst.frames
+                  if f.state == language.EXPANDED]
+        report = real(inst, *args)
+        for f, names in before:
+            assert list(f.cellmap) == names
+        return report
+
+    with mock.patch.object(language, "settle", settle), \
+            mock.patch.object(search, "settle", settle):
+        yield
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(recursive_programs().map(_recursive_case),
                  disjunctive_programs().map(_disjunctive_case),
@@ -439,8 +462,9 @@ def test_the_memo_keeps_answers_their_order_and_optima(case):
     for query in queries:
         run = solve if query.minimize is None else optimize
         for gc in (False, True):
-            on = run(program, query, gc=gc)
-            off = run(program, query, gc=gc, trace=_Quiet())
+            with _settle_adds_no_name():
+                on = run(program, query, gc=gc)
+                off = run(program, query, gc=gc, trace=_Quiet())
             assert off.stats["memo_hits"] == 0
             assert on.stats["complete"] == off.stats["complete"]
             assert on.stats["nodes"] <= off.stats["nodes"]
