@@ -3,9 +3,8 @@
     python3 scripts/compare_corpus.py OTHER_CHECKOUT [--ignore stats.steps]
     python3 scripts/compare_corpus.py OTHER_CHECKOUT --guided
 
-Every `corpus/**/*.5th` of this checkout is solved with and without `--gc`,
-once with each checkout's `src/` on the path and its own copy of the
-program. A run differs when its exit code or its stdout differs. With
+Every `corpus/**/*.5th` of this checkout is solved once with each
+checkout's `src/` on the path and its own copy of the program. A run differs when its exit code or its stdout differs. With
 `--ignore FIELD` (dotted, repeatable) that field is dropped from the JSON
 report of both runs before they are compared.
 
@@ -74,13 +73,10 @@ def _plain(other, ignore):
     """(differing, compared) solve runs over the whole corpus."""
     programs = sorted(p.relative_to(HERE).as_posix()
                       for p in HERE.glob("corpus/**/*.5th"))
-    differ = 0
-    for program in programs:
-        for gc in ([], ["--gc"]):
-            differ += _differ(" ".join([program, *gc]),
-                              _fifth(HERE, "solve", program, *gc),
-                              _fifth(other, "solve", program, *gc), ignore)
-    return differ, 2 * len(programs)
+    differ = sum(_differ(program, _fifth(HERE, "solve", program),
+                         _fifth(other, "solve", program), ignore)
+                 for program in programs)
+    return differ, len(programs)
 
 
 def _guided(other, ignore, scratch):

@@ -1,15 +1,17 @@
-"""Time a search below a deep, finished recursion, with and without `--gc`.
+"""Time a search below a deep, finished recursion.
 
     python3 scripts/deep_search.py [--repeat N]
 
 The program calls a `count` chain d frames deep, which the root node runs
-to its end, then chooses a, b and c from 0..4, all different, so every
-other search node sits below the finished chain (under gc, below its
-folded frames). Every run has 60 answers and takes 86 nodes. For d = 10
-and d = 2,000, with and without gc, the script prints one line of
-answers, nodes and the best of N in-process `solve` times in seconds
-(N = 5 by default). It exits 1 if the four runs differ in answers or
-nodes, else 0. Standard library and `fifth` only.
+to its end, then chooses a, b and c from 0..4, all different. The root
+node folds the finished chain before it splits, so every other search
+node sits below its folded frames. Every run has 60 answers and takes 86
+nodes. For d = 10 and d = 2,000 the script prints one line of answers,
+nodes, frames summarized and the best of N in-process `solve` times in
+seconds (N = 5 by default). It exits 1 if the two runs differ in answers
+or nodes, or if the 2,000-deep run does not fold all 2,001 frames of the
+chain (count(2000) down to count(0)), else 0. Standard library and
+`fifth` only.
 """
 
 import argparse
@@ -43,15 +45,16 @@ PROGRAM = """\
 DEPTHS = (10, 2000)
 
 
-def run(depth, gc, repeat):
-    """(answers, nodes, best seconds) of `repeat` solves."""
+def run(depth, repeat):
+    """(answers, nodes, summarized, best seconds) of `repeat` solves."""
     program = parse(PROGRAM.format(depth=depth))
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        result = solve(program, program.query, gc=gc)
+        result = solve(program, program.query)
         best = min(best, time.perf_counter() - start)
-    return len(result.solutions), result.stats["nodes"], best
+    stats = result.stats
+    return len(result.solutions), stats["nodes"], stats["summarized"], best
 
 
 def main(argv=None):
@@ -63,13 +66,16 @@ def main(argv=None):
         ap.error("--repeat must be >= 1")
     counts = set()
     for depth in DEPTHS:
-        for gc in (False, True):
-            answers, nodes, best = run(depth, gc, args.repeat)
-            counts.add((answers, nodes))
-            print(f"d={depth:<5} gc={'on ' if gc else 'off'}"
-                  f" answers={answers} nodes={nodes} best_s={best:.4f}")
+        answers, nodes, summarized, best = run(depth, args.repeat)
+        counts.add((answers, nodes))
+        print(f"d={depth:<5} answers={answers} nodes={nodes}"
+              f" summarized={summarized} best_s={best:.4f}")
     if len(counts) != 1:
         print("runs differ in answers or nodes", file=sys.stderr)
+        return 1
+    if summarized != depth + 1:
+        print(f"d={depth} summarized {summarized} frames, not {depth + 1}",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -13,7 +13,8 @@ carries no timing fields, so equal seeds give byte-equal output. Only
 `train`, `measure`, `check`, `solve --oracle learned` and `solve --trace`
 import the guidance stack (`fifth.hierarchy`, `fifth.autoenc`, numpy);
 only `measure` imports `statistics`, and only `check` the self-tests
-(`fifth.selftest`, `fifth.rng`).
+(`fifth.selftest`, `fifth.rng`). `solve --gc` is accepted and changes
+nothing: search always folds finished frames before a node splits.
 """
 
 import argparse
@@ -81,7 +82,7 @@ _FLAGS = {
     "model": dict(default=None),
     "trace": dict(action="store_true"),
     "out": dict(default=None),
-    "gc": dict(action="store_true"),
+    "gc": dict(action="store_true", help="accepted; changes nothing"),
 }
 _BUDGETS = ("depth", "steps", "nodes", "precision")
 
@@ -159,12 +160,10 @@ def _emit(payload, out):
         sys.stdout.write(text)
 
 
-def _run(program, query, oracle, trace=None, gc=False, write_sink=None):
-    if query.minimize is not None:
-        return optimize(program, query, oracle=oracle, trace=trace,
-                        gc=gc, write_sink=write_sink)
-    return solve(program, query, oracle=oracle, trace=trace,
-                 gc=gc, write_sink=write_sink)
+def _run(program, query, oracle, trace=None, write_sink=None):
+    run = solve if query.minimize is None else optimize
+    return run(program, query, oracle=oracle, trace=trace,
+               write_sink=write_sink)
 
 
 def _found(result):
@@ -200,8 +199,7 @@ def cmd_solve(cfg):
         log = TraceLog()
         sink = lambda rec: sys.stderr.write(
             json.dumps(rec, sort_keys=True) + "\n")
-    result = _run(program, query, oracle, trace=log, gc=cfg.gc,
-                  write_sink=sink)
+    result = _run(program, query, oracle, trace=log, write_sink=sink)
     payload = result.as_json()
     payload["command"] = "solve"
     if log is not None:

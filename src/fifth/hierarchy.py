@@ -254,8 +254,8 @@ class TraceLog:
     `node` logs every expanded frame's features; `solution` and `deadend`
     log every expanded frame with that outcome, so the same state recurs
     once per leaf that reaches it. Handed the instance `node` just saw,
-    they reuse its features for the frames it still holds (`--gc` may fold
-    some in between, which replaces them, and changes no boundary cell).
+    they reuse its features: search folds frames only in a node that
+    splits, which gets neither callback.
     """
 
     def __init__(self):
@@ -267,7 +267,7 @@ class TraceLog:
     def _features(self, inst):
         seen, feats = self._last
         if seen is inst:
-            return [(f, x) for f, x in feats if inst.frames[f.id] is f]
+            return feats
         return [(f, featurize(f, inst.network, inst.program))
                 for f in inst.frames if f.state == EXPANDED]
 

@@ -74,24 +74,16 @@ class _SearchState:
         self.incumbent = None
 
 
-def _branch_candidates(inst, cp):
-    # once its domain is written, a choice cell holds a finite domain, an
-    # exact value or a contradiction: merging a finite domain never widens
-    content = inst.network.contents[cp.cell]
-    if content.kind == "finite_domain":
-        return content.elements
-    return ()
-
-
 def _pick_choice(inst, choices):
     """Smallest domain among `choices`, ties by lowest cell id.
     Returns (cp, values)."""
+    # an unsettled choice holds a finite domain of at least two values:
+    # merging a domain gives a domain, an exact value or a contradiction
+    contents = inst.network.contents
     best = None
     best_vals = None
     for cp in choices:
-        vals = _branch_candidates(inst, cp)
-        if len(vals) < 2:
-            continue
+        vals = contents[cp.cell].elements
         if (
             best is None
             or len(vals) < len(best_vals)
@@ -156,7 +148,7 @@ def _stats(state):
     }
 
 
-def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
+def _dfs(root, targets, query, state, leaf, oracle, trace, write_sink,
          pre_run=None, objective=None):
     """The depth-first search loop behind solve() and optimize(), from the
     query's `root`. `targets` maps each target to its cell, resolved once:
@@ -171,6 +163,12 @@ def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
     could still post a `choose`, and otherwise split on one choice cell,
     one clone per value; with no cell to split on, it leaves the search
     incomplete.
+
+    A node about to split first folds its finished frames (see
+    `collect_garbage`), so its clones copy and key only live frames. Every
+    ancestor of a node split, so each node holds what folding at every node
+    would leave; leaves read only the root's cells, and cut and dead-end
+    nodes have no children, so none of them folds.
 
     Unless the search is watched or guided (an oracle reads cells outside
     the key), a node about to split is looked up by `_memo_key` in a memo of
@@ -209,8 +207,6 @@ def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
             # pending propagators could still contradict; the branch is
             # abandoned as incomplete rather than judged on a half-run
             continue
-        if gc:
-            state.summarized += len(collect_garbage(inst).summarized)
         choices = unsettled_choices(inst)
         if report.targets_met and not choices and not may_post(
                 inst, ("choose",)):
@@ -222,6 +218,8 @@ def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
             # to branch on: the branch is under-determined, not refuted
             state.cuts += 1
             continue
+        if len(inst.frames) > 1:  # the root never folds
+            state.summarized += len(collect_garbage(inst).summarized)
         # a node repeats no other node, so is not keyed, when it attached a
         # propagator (only its subtree shares its propagators) or, in a
         # one-frame program, when a live propagator reads every cell
@@ -231,7 +229,7 @@ def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
                 and not (len(inst.frames) == 1 and any(
                     type(contents[c]) is not Exact
                     for p in wide or () for c in p.cells)):
-            key = _memo_key(inst, gc, objective, shapes)
+            key = _memo_key(inst, objective, shapes)
             seen = memo.get(key)
             if seen is not None:
                 state.memo_hits += 1
@@ -252,7 +250,7 @@ def _dfs(root, targets, query, state, leaf, oracle, trace, gc, write_sink,
             state.stack.append(child)
 
 
-def _memo_key(inst, gc, objective, shapes):
+def _memo_key(inst, objective, shapes):
     """What the subtree of a quiesced node can still read (Chu, Garcia de la
     Banda & Stuckey, CPAIOR 2010); a `test_memo_keys_*` test pins each part:
     the last propagator (clones share the attached list); the open cells,
@@ -264,24 +262,21 @@ def _memo_key(inst, gc, objective, shapes):
     holding one; the `objective`. Left out: unexpanded frames (a node
     splits once `demand_loop` has met the targets, spent the depth budget
     or run out of frames, so none expands below it), frame ids (they only
-    order frames) and what `collect_garbage` would fold (so `gc` changes no
-    key). `shapes` caches the cells read, per last propagator and kinds of
-    cell."""
+    order frames) and folded frames (their cells are dropped, their dormant
+    branches forgotten). `shapes` caches the cells read, per last
+    propagator and kinds of cell."""
     net, frames = inst.network, inst.frames
     contents, props = net.contents, net.propagators
-    folds = [] if gc or len(frames) == 1 else _foldable(inst)
-    dropped = frozenset().union(*(cells for _, cells in folds))
-    shape = (props[-1] if props else None, tuple(map(type, contents)), dropped)
+    shape = (props[-1] if props else None, tuple(map(type, contents)))
     cached = shapes.get(shape)
     if cached is None:
-        opened = tuple(c for c, t in enumerate(shape[1]) if c not in dropped
-                       and t is not Exact and t is not NoneType)
+        opened = tuple(c for c, t in enumerate(shape[1])
+                       if t is not Exact and t is not NoneType)
         near = set().union(*[props[p].cells
                              for c in opened for p in net.watchers[c]])
         cached = shapes[shape] = opened, sorted(near.difference(opened))
     opened, near = cached
-    folded = {f.id for f, _ in folds}
-    dormant = [e for e in inst.dormant if e[0] not in folded]
+    dormant = inst.dormant  # folded frames left no entry
     waiting = [frames[f] for f in sorted({e[0] for e in dormant})]
     cells = [c for f in waiting for c in f.cellmap.values()]
     return (shape[0], opened, tuple(map(contents.__getitem__, opened)),
@@ -294,19 +289,12 @@ def _memo_key(inst, gc, objective, shapes):
 
 
 def solve(program: Program, query: Query, oracle=None, trace=None,
-          gc: bool = False, write_sink=None) -> SolutionSet:
+          write_sink=None) -> SolutionSet:
     """Depth-first enumeration of every solution reachable within budgets.
 
     `trace`, when given, must offer node/solution/deadend callbacks; the
     solver reports every quiesced node to it so guidance can be trained
     from what the search actually saw; it turns the memo (see `_dfs`) off.
-
-    `gc` folds finished frames after each node quiesces (see
-    `collect_garbage`), so clones stay small on deep recursions: a folded
-    frame keeps no cell. A frame with an open choice or a dormant `if`
-    branch that could still post a `choose` or a `call` does not fold, so
-    search still branches on a choice the boundary no longer depends on;
-    answers, their repeats and node counts do not depend on the flag.
 
     `write_sink` taps every cell write made during the search (clones
     inherit it); instantiation writes happen before it is installed.
@@ -320,12 +308,12 @@ def solve(program: Program, query: Query, oracle=None, trace=None,
             trace.solution(inst)
         state.solutions.append({"cells": _target_values(inst, targets)})
 
-    _dfs(root, targets, query, state, record, oracle, trace, gc, write_sink)
+    _dfs(root, targets, query, state, record, oracle, trace, write_sink)
     return SolutionSet(solutions=state.solutions, stats=_stats(state))
 
 
 def optimize(program: Program, query: Query, oracle=None,
-             trace=None, gc: bool = False, write_sink=None) -> OptimizeResult:
+             trace=None, write_sink=None) -> OptimizeResult:
     """Branch-and-bound minimization of the objective cell.
 
     Once there is an incumbent, each popped node whose objective does not
@@ -339,7 +327,7 @@ def optimize(program: Program, query: Query, oracle=None,
     steps or overflows, and an objective with no lower bound, record
     nothing and make the search incomplete.
 
-    `trace`, `gc`, and `write_sink` behave exactly as in solve(). Each
+    `trace` and `write_sink` behave exactly as in solve(). Each
     improving solution is kept in order; the last one is the optimum.
     """
     if query.minimize is None:
@@ -396,7 +384,7 @@ def optimize(program: Program, query: Query, oracle=None,
         if trace is not None:
             trace.solution(pinned)
 
-    _dfs(root, targets, query, state, improve, oracle, trace, gc, write_sink,
+    _dfs(root, targets, query, state, improve, oracle, trace, write_sink,
          pre_run=post_bound, objective=obj_cell)
     return OptimizeResult(
         solution=state.solutions[-1] if state.solutions else None,
@@ -421,23 +409,6 @@ def collect_garbage(inst: Instance) -> SummarizationReport:
     its dormant branches, and detaches nothing (see `Network.drop_cell`).
     The root, which holds every query target, never folds; a network with
     queued propagators or a contradiction folds nothing."""
-    net = inst.network
-    quiet = net.quiescent and net.contradiction is None
-    folds = _foldable(inst) if quiet else []
-    for f, owned in folds:
-        for cid in owned:
-            net.drop_cell(cid)
-        inst.frames[f.id] = Frame(f.id, f.defname, f.parent, f.depth, {},
-                                  SUMMARIZED)
-    inst.dormant = [e for e in inst.dormant
-                    if inst.frames[e[0]].state != SUMMARIZED]
-    return SummarizationReport(tuple(f.id for f, _ in reversed(folds)),
-                               sum(len(owned) for _, owned in folds))
-
-
-def _foldable(inst):
-    """The frames `collect_garbage` would fold, last first, each with the
-    cells it owns."""
     # Children have larger ids than their parents, so one sweep from the
     # last frame back folds bottom-up. A cell passes only down the tree, so
     # once a frame's descendants have folded no live frame reads its cells.
@@ -445,12 +416,16 @@ def _foldable(inst):
     # An open choice keeps its frame even when the boundary no longer
     # depends on it: search has yet to branch on it, once per repeat. So
     # does a dormant branch that could still post one, or a call. Those
-    # frames (`busy`) are found only once a frame passes the cheaper tests.
-    contents, program = inst.network.contents, inst.program
+    # frames (`busy`) are found only once a frame passes the cheaper tests,
+    # before anything is dropped.
+    net, program = inst.network, inst.program
+    if not net.quiescent or net.contradiction is not None:
+        return SummarizationReport((), 0)
+    contents = net.contents
     shared = len(program.constants)  # cells 0 .. shared - 1
     busy = None
     unfinished = [False] * len(inst.frames)
-    folds = []
+    folded, dropped = [], 0
     for f in reversed(inst.frames):
         if f.id == 0 or f.state == SUMMARIZED:
             continue
@@ -461,8 +436,16 @@ def _foldable(inst):
                     busy = {cp.frame for cp in unsettled_choices(inst)}
                     busy |= may_post(inst, ("choose", "call"))
                 if f.id not in busy:
-                    folds.append((f, [c for c in f.cellmap.values()
-                                      if c >= shared and c not in boundary]))
+                    for c in f.cellmap.values():
+                        if c >= shared and c not in boundary:
+                            net.drop_cell(c)
+                            dropped += 1
+                    inst.frames[f.id] = Frame(f.id, f.defname, f.parent,
+                                              f.depth, {}, SUMMARIZED)
+                    folded.append(f.id)
                     continue
         unfinished[f.parent] = True
-    return folds
+    if folded:
+        inst.dormant = [e for e in inst.dormant
+                        if inst.frames[e[0]].state != SUMMARIZED]
+    return SummarizationReport(tuple(reversed(folded)), dropped)

@@ -92,6 +92,21 @@ def test_solve_parse_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("program,message", [
+    ("(def (f x) (const x 1)))\n", "error: 1:24: unexpected )"),
+    ("(def (f x) (const x 1))\n(query (f) (show x) (budget 3))\n",
+     "error: 2:21: unknown query option 'budget'"),
+], ids=["unexpected-close", "unknown-option"])
+def test_solve_parse_fault_is_one_stderr_line(program, message, tmp_path,
+                                             capsys):
+    f = tmp_path / "fault.5th"
+    f.write_text(program)
+    code, out, err = run(["solve", f], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == message + "\n"
+
+
 @pytest.mark.parametrize("command", ["solve", "train"])
 def test_a_program_file_that_is_not_utf8_is_an_error_naming_it(
         command, tmp_path, capsys):
@@ -268,14 +283,16 @@ def test_optimize_pin_out_of_steps_is_not_an_optimum(steps, tmp_path, capsys):
 
 
 def test_solve_gc_preserves_answers(capsys):
+    # --gc is accepted and changes nothing; fact10 is one search node,
+    # which never splits, so nothing folds
     f = CORPUS / "fact" / "fact10.5th"
-    _, plain, _ = run(["solve", f], capsys)
-    code, folded, _ = run(["solve", "--gc", f], capsys)
+    plain = run(["solve", f], capsys)
+    assert run(["solve", "--gc", f], capsys) == plain
+    code, out, _ = plain
     assert code == 0
-    a, b = json.loads(plain), json.loads(folded)
-    assert a["solutions"] == b["solutions"] == [{"cells": {"r": 3628800}}]
-    assert b["stats"]["summarized"] == 10
-    assert a["stats"]["summarized"] == 0
+    payload = json.loads(out)
+    assert payload["solutions"] == [{"cells": {"r": 3628800}}]
+    assert payload["stats"]["summarized"] == 0
 
 
 def test_solve_trace_summary(capsys):
@@ -295,21 +312,23 @@ def test_solve_trace_summary(capsys):
 
 
 def test_solve_trace_gc_logs_no_folded_frame(tmp_path, capsys):
-    # the a = 1 branch runs a count chain that folds before its leaf, so
-    # each of the 2 answers logs the root alone; the chain's 4 frames, as
-    # they were when the node was logged, would make it 6
+    # the root node runs a count chain and folds its 4 frames before it
+    # splits on a, so each of the 2 answers logs the root alone; the
+    # chain's frames, as they were when the root was logged, would make it
+    # 10. --gc changes neither the report nor the write records
     f = tmp_path / "main.5th"
     f.write_text(
         "(def (count n r) (cell nm1) (cell rest) (const one 1)"
         " (sum nm1 one n)"
         " (if n ((call count nm1 rest) (sum rest one r)) ((const r 0))))\n"
-        "(def (main n r a) (choose a 0 1)"
-        " (if a ((call count n r)) ((const r 7))))\n"
+        "(def (main n r a) (call count n r) (choose a 0 1))\n"
         "(query (main (n 3)) (show r a))\n")
-    code, out, _ = run(["solve", "--trace", "--gc", f], capsys)
+    traced = run(["solve", "--trace", f], capsys)
+    assert run(["solve", "--trace", "--gc", f], capsys) == traced
+    code, out, _ = traced
     assert code == 0
     payload = json.loads(out)
-    assert payload["solutions"] == [{"cells": {"r": 7, "a": 0}},
+    assert payload["solutions"] == [{"cells": {"r": 3, "a": 0}},
                                     {"cells": {"r": 3, "a": 1}}]
     assert payload["stats"]["summarized"] == 4
     assert payload["trace"]["outcomes"]["success"] == 2

@@ -107,6 +107,65 @@ def test_parse_reports_the_first_fault_in_source_order(text, message):
     assert str(e.value) == message
 
 
+DEF_F = "(def (f x) (const x 1))\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("(def (f x) (const x 1)))", "1:24: unexpected )"),
+    (DEF_F + "(query (f) (show x))\n(def (g y) (const y 2))",
+     "3:1: definitions must precede the query"),
+    (DEF_F + "(def (f y) (const y 2))", "2:1: duplicate definition 'f'"),
+    (DEF_F + "(query (f) (show x))\n(query (f) (show x))",
+     "3:1: only one query form allowed"),
+    ("(def f (const x 1))", "1:1: def needs a (name params...) header"),
+    ("(def (f x y x) (const x 1))", "1:6: duplicate parameter in 'f'"),
+    ("(def (f x)\n  (const x 1)\n  x)", "3:3: expected a statement"),
+    ("(def (f x) (alldiff x))", "1:12: alldiff needs at least two cells"),
+    ("(def (f x) (choose x))",
+     "1:12: choose needs a cell and at least one value"),
+    ("(def (f x) (if x y ()))", "1:18: if branches must be statement lists"),
+    ("(def (f x) (call))", "1:12: call needs a target"),
+    (DEF_F + "(def (g y) (call f y y))",
+     "2:12: call to 'f' with 2 args, expected 1"),
+    (DEF_F + "(query (f))",
+     "2:1: query needs (entry bindings...) and (show ...)"),
+    (DEF_F + "(query (f x) (show x))", "2:11: binding must be (name integer)"),
+    (DEF_F + "(query (f) (show x) depth)",
+     "2:21: option must be (name value)"),
+    (DEF_F + "(query (f) (show x) (budget 3))",
+     "2:21: unknown query option 'budget'"),
+], ids=["unexpected-close", "def-after-query", "duplicate-def",
+        "two-queries", "header", "duplicate-param", "statement", "alldiff",
+        "choose", "if-branch", "call-target", "call-arity", "query-form",
+        "binding", "option", "unknown-option"])
+def test_each_parse_fault_names_its_position(text, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("misuse,error,message", [
+    (lambda inst: inst.cell_of(0, "nope"), StructuralError,
+     "frame 0 has no cell 'nope'"),
+    (lambda inst: instantiate(inst.program, "nope"), StructuralError,
+     "unknown definition 'nope'"),
+    (lambda inst: inst.network.attach("nope", (0,)), StructuralError,
+     "unknown propagator kind 'nope'"),
+    (lambda inst: inst.network.run_to_quiescence(-1), StructuralError,
+     "step_budget must be >= 0"),
+    (lambda inst: demand_loop(inst, (), -1, 10), ValueError,
+     "budgets must be >= 0"),
+    (lambda inst: demand_loop(inst, (), 10, -1), ValueError,
+     "budgets must be >= 0"),
+], ids=["cell_of", "instantiate", "attach", "run_to_quiescence",
+        "demand_loop-depth", "demand_loop-steps"])
+def test_each_misuse_raises_naming_what_is_wrong(misuse, error, message):
+    inst = instantiate(parse(FACT), "fact", {"n": 3})
+    with pytest.raises(error) as e:
+        misuse(inst)
+    assert str(e.value) == message
+
+
 def test_parse_query_form():
     program = parse(
         FACT + "(query (fact (n 6)) (show r) (depth 50) (precision 2))"

@@ -1,15 +1,15 @@
-"""Property tests: random small recursive programs give the same solutions
-and node counts with and without frame summarization, the same answers
-under permuted scheduling, and those answers match a direct evaluation of
-the recursion; a call answers like its body written inline, whichever
-argument cells it repeats; random small job-shops minimize to the
-brute-force optimum with and without summarization; random disjunctive
+"""Property tests: random small recursive programs give the same solutions,
+and with the memo off the same node counts, as a search that folds no
+frame, the same answers under permuted scheduling, and those answers match
+a direct evaluation of the recursion; a call answers like its body written
+inline, whichever argument cells it repeats, folding or not; random small
+job-shops minimize to the brute-force optimum; random disjunctive
 programs, whose `if` branches may refute their conditions, give the
 answers and optima of brute-force enumeration; the subproblem memo changes
-neither the answers and their order nor the optimum, over both generators
-and one whose branches hold only `choose` and `call` statements under a
-depth budget that runs out in some of them; and meanwhile no `settle` adds
-a name to an expanded frame."""
+neither the answers and their order nor the optimum, folding or not, over
+both generators and one whose branches hold only `choose` and `call`
+statements under a depth budget that runs out in some of them; and
+meanwhile no `settle` adds a name to an expanded frame."""
 
 import contextlib
 import itertools
@@ -19,6 +19,7 @@ from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from conftest import no_folding
 from fifth import JobShopInstance, Query, emit_jobshop_program, optimize
 from fifth import language, network, parse, search, solve
 from fifth.rng import SplitMix64
@@ -110,17 +111,17 @@ def _expected(spec):
     return Counter({v: repeats * m for v, m in Counter(values).items()})
 
 
-def _solve(program, spec, gc=False, order_seed=None):
+def _solve(program, spec, order_seed=None, trace=None):
     entry = "top" if spec["root_choice"] else "rec"
     q = Query(entry=entry, bindings=(("n", spec["n"]),), show=("r",),
               depth=50)
     if order_seed is None:
-        res = solve(program, q, gc=gc)
+        res = solve(program, q, trace=trace)
     else:
         rng = SplitMix64(order_seed)
         shuffled = lambda items=(): _ShuffledQueue(items, rng)
         with mock.patch.object(network, "deque", shuffled):
-            res = solve(program, q, gc=gc)
+            res = solve(program, q, trace=trace)
     assert res.stats["complete"]
     return res
 
@@ -135,15 +136,18 @@ def test_answers_agree_across_gc_and_scheduling(case, order_seed):
     spec, text = case
     program = parse(text)
     expected = _expected(spec)
-    plain = _solve(program, spec)
-    assert _answers(plain) == expected
-    assert _answers(_solve(program, spec, order_seed=order_seed)) == expected
-    # summarization leaves a frame with an open choice alone, so search
-    # takes the same path with it as without
+    # folding leaves a frame with an open choice alone, so search takes
+    # the same path with it as without: the same answers in the same
+    # order, and with the memo off the same nodes
     for seed in (None, order_seed):
-        folded = _solve(program, spec, gc=True, order_seed=seed)
-        assert folded.solutions == plain.solutions
-        assert folded.stats["nodes"] == plain.stats["nodes"]
+        folded = _solve(program, spec, order_seed=seed)
+        unkeyed = _solve(program, spec, order_seed=seed, trace=_Quiet())
+        assert _answers(folded) == expected
+        with no_folding():
+            reference = _solve(program, spec, order_seed=seed)
+            unfolded = _solve(program, spec, order_seed=seed, trace=_Quiet())
+        assert reference.solutions == folded.solutions
+        assert unfolded.stats["nodes"] == unkeyed.stats["nodes"]
 
 
 # the caller's cells a call may pass: two choices and a constant
@@ -229,8 +233,9 @@ def test_a_call_answers_like_its_inlined_body(spec):
     expected = _call_expected(spec)
     for text in _call_programs(spec):
         program = parse(text)
-        for gc in (False, True):
-            res = solve(program, query, gc=gc)
+        for folding in (contextlib.nullcontext, no_folding):
+            with folding():
+                res = solve(program, query)
             assert res.stats["complete"]
             answers = [tuple(a[name] for name in POOL)
                        for a in res.assignments()]
@@ -257,11 +262,8 @@ def test_jobshop_optimum_matches_brute_force(instance):
     query = program.query
     want = oracles.jobshop_optimum([list(j) for j in instance.jobs],
                                    instance.machines)
-    plain = optimize(program, query)
-    folded = optimize(program, query, gc=True)
-    assert plain.proven and plain.objective == want
-    assert folded.proven and folded.objective == want
-    assert folded.bound_trace == plain.bound_trace
+    res = optimize(program, query)
+    assert res.proven and res.objective == want
 
 
 # constants a disjunctive program may declare: small ones, and ±(2^53 + 1),
@@ -355,25 +357,23 @@ def test_disjunctive_programs_answer_like_brute_force(spec):
     shown = tuple(name for name, kind, _ in spec["cells"] if kind == "choose")
     envs = oracles.disjunctive_solutions(spec["cells"], spec["body"])
     expected = sorted(tuple(env[n] for n in shown) for env in envs)
-    for gc in (False, True):
-        res = solve(program, Query(entry="main", show=shown), gc=gc)
-        assert res.stats["complete"]
-        assert sorted(tuple(a[n] for n in shown)
-                      for a in res.assignments()) == expected
+    res = solve(program, Query(entry="main", show=shown))
+    assert res.stats["complete"]
+    assert sorted(tuple(a[n] for n in shown)
+                  for a in res.assignments()) == expected
     obj = spec["minimize"]
     if obj is None:
         return
     best = min((env[obj] for env in envs), default=None)
     query = Query(entry="main", show=shown, minimize=obj)
-    for gc in (False, True):
-        res = optimize(program, query, gc=gc)
-        assert res.stats["complete"]
-        assert res.objective == best and res.proven == (best is not None)
-        if best is not None:
-            cells = res.solution["cells"]
-            assert any(env[obj] == best and all(env[n] == cells[n]
-                                                for n in shown)
-                       for env in envs)
+    res = optimize(program, query)
+    assert res.stats["complete"]
+    assert res.objective == best and res.proven == (best is not None)
+    if best is not None:
+        cells = res.solution["cells"]
+        assert any(env[obj] == best and all(env[n] == cells[n]
+                                            for n in shown)
+                   for env in envs)
 
 
 @st.composite
@@ -461,10 +461,10 @@ def test_the_memo_keeps_answers_their_order_and_optima(case):
     program = parse(text)
     for query in queries:
         run = solve if query.minimize is None else optimize
-        for gc in (False, True):
-            with _settle_adds_no_name():
-                on = run(program, query, gc=gc)
-                off = run(program, query, gc=gc, trace=_Quiet())
+        for folding in (contextlib.nullcontext, no_folding):
+            with _settle_adds_no_name(), folding():
+                on = run(program, query)
+                off = run(program, query, trace=_Quiet())
             assert off.stats["memo_hits"] == 0
             assert on.stats["complete"] == off.stats["complete"]
             assert on.stats["nodes"] <= off.stats["nodes"]

@@ -19,9 +19,9 @@ from fifth import (
     parse,
     solve,
 )
+from conftest import no_folding
 from fifth.errors import StructuralError
 from fifth.language import EXPANDED, SUMMARIZED, UNEXPANDED
-from fifth.lattice import truth_value
 from fifth.search import _order_values
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -437,8 +437,7 @@ def test_value_order_is_descending_score_then_ascending_value(
     assert list(_order_values(inst, cp, values, _Fixed(scores))) == expected
 
 
-@pytest.mark.parametrize("gc", [False, True])
-def test_a_choice_branches_only_on_values_its_declaration_admits(gc):
+def test_a_choice_branches_only_on_values_its_declaration_admits():
     prog = parse("(def (p x) (int x 0 9) (choose x 3 4 20))")
     branches = []
 
@@ -446,8 +445,7 @@ def test_a_choice_branches_only_on_values_its_declaration_admits(gc):
         if rec["propagator"].startswith("branch:"):
             branches.append(rec["propagator"])
 
-    res = solve(prog, Query(entry="p", show=("x",)), gc=gc,
-                write_sink=sink)
+    res = solve(prog, Query(entry="p", show=("x",)), write_sink=sink)
     assert res.assignments() == [{"x": 3}, {"x": 4}]
     # children are cloned, and their branch written, last value first
     assert branches == ["branch:0=4", "branch:0=3"]
@@ -743,37 +741,48 @@ class _Leaves:
         pass
 
 
+def below(text, entry):
+    """`text` and a main that calls `entry` and then chooses s: search
+    splits the root node on s, so it folds the finished chain first."""
+    return text + f"(def (main n r s) (call {entry} n r) (choose s 0 1))\n"
+
+
+def main_query(n, *show):
+    return Query(entry="main", bindings=(("n", n),), show=("r", *show))
+
+
 @pytest.mark.parametrize("text,entry", [(FACT, "fact"), (COUNT, "count")],
                          ids=["fact", "count"])
 def test_gc_empties_the_cellmap_of_every_frame_it_folds(text, entry):
-    # the 12 frames under the root fold and keep no cell; the root's `if n`
-    # still holds, and the refuted branch under n = 0 left neither a frame
-    # nor a dormant entry
+    # the 12 frames of the chain fold before the root node splits and keep
+    # no cell, and the refuted branch under n = 0 left neither a frame nor
+    # a dormant entry; both leaves share the folded frames
     trace = _Leaves()
-    q = Query(entry=entry, bindings=(("n", 12),), show=("r",))
-    res = solve(parse(text), q, trace=trace, gc=True)
-    inst, = trace.leaves
-    folded = inst.frames[1:]
-    assert all(f.state == SUMMARIZED and f.cellmap == {} for f in folded)
-    assert len(folded) == res.stats["summarized"] == 12
-    assert inst.dormant == []
-    assert truth_value(inst.network.content(inst.cell_of(0, "n"))) is True
+    res = solve(parse(below(text, entry)), main_query(11), trace=trace)
+    assert len(res.solutions) == 2
+    for inst in trace.leaves:
+        folded = inst.frames[1:]
+        assert all(f.state == SUMMARIZED and f.cellmap == {} for f in folded)
+        assert len(folded) == res.stats["summarized"] == 12
+        assert inst.dormant == []
 
 
 def test_gc_never_drops_the_shared_constant_cell():
     # every frame's `one` names the one cell of the value 1, which folding
     # keeps, as it keeps the root's cells; each of the 12 folded frames
     # drops the 2 cells it owns, nm1 and rest
-    prog = parse(COUNT)
+    prog = parse(below(COUNT, "count"))
     assert prog.constants == (exact(1),)
-    q = Query(entry="count", bindings=(("n", 12),), show=("r",))
+    q = main_query(11)
     leaves = _Leaves()
-    plain = solve(prog, q, trace=leaves)
-    folded = solve(prog, q, trace=leaves, gc=True)
-    assert folded.solutions == plain.solutions == [{"cells": {"r": 12}}]
+    with no_folding():
+        plain = solve(prog, q, trace=leaves)
+    folded = solve(prog, q, trace=leaves)
+    assert folded.solutions == plain.solutions
+    assert plain.stats["summarized"] == 0
     assert folded.stats["summarized"] == 12
-    unfolded, inst = leaves.leaves
-    assert {f.cellmap["one"] for f in unfolded.frames} == {0}
+    unfolded, _, inst, _ = leaves.leaves
+    assert {f.cellmap["one"] for f in unfolded.frames[1:]} == {0}
     net = inst.network
     assert net.origins[0] == ("", "(const 1)") and net.contents[0] == exact(1)
     assert sum(info is None for info in net.contents) == 24
@@ -789,9 +798,8 @@ GUARDED_COUNT = COUNT.replace("(const one 1)",
 
 
 def test_gc_folds_a_frame_whose_dormant_branch_posts_no_search():
-    q = Query(entry="count", bindings=(("n", 6),), show=("r",))
-    res = solve(parse(GUARDED_COUNT), q, gc=True)
-    assert res.assignments() == [{"r": 6}]
+    res = solve(parse(below(GUARDED_COUNT, "count")), main_query(5))
+    assert res.assignments() == [{"r": 5}] * 2
     assert res.stats["summarized"] == res.stats["expansions"] == 6
 
 
@@ -828,67 +836,82 @@ def test_jobshop_branch_attaches_one_ordering_lesseq():
 
 
 def test_solve_gc_on_a_long_chain():
-    # deeper than the Python stack limit: summarization must not recurse
-    # along the chain, and the whole chain folds
-    prog = parse(COUNT)
+    # deeper than the Python stack limit: folding must not recurse along
+    # the chain, and the whole chain folds
+    prog = parse(below(COUNT, "count"))
     for n in (1200, 5000):
-        q = Query(entry="count", bindings=(("n", n),), show=("r",))
-        res = solve(prog, q, gc=True)
-        assert res.assignments() == [{"r": n}]
-        assert res.stats["expansions"] == res.stats["summarized"] == n
+        res = solve(prog, main_query(n))
+        assert res.assignments() == [{"r": n}] * 2
+        assert res.stats["expansions"] == res.stats["summarized"] == n + 1
 
 
-# x is pinned in every recursive frame but open at the bottom one, where
-# the choice d waits in the dormant branch of `if x`; the parent is decided
-# first and must not fold while that child could still post its choice
-OPEN_BOTTOM = """
-(def (f n r)
-  (cell nm1) (cell rest) (cell x) (cell d)
-  (const one 1)
-  (sum nm1 one n)
-  (choose x 0 1)
-  (if n ((const x 1)) ())
-  (if x ((choose d 3 4)) ())
-  (if n ((call f nm1 rest) (sum rest one r)) ((const r 0))))
+# `hold` owns the gate cell g of the `gate` it calls, which has yet to
+# choose g: `hold` is finished but for its child, and must not fold (and
+# drop g) while that child is live; the count chain beside it folds
+PARENT_GATE = COUNT + """
+(def (gate g d) (choose g 0 1) (if g ((choose d 3 4)) ()))
+(def (hold k) (cell g) (cell d) (call gate g d))
+(def (main n r k) (const k 1) (call count n r) (call hold k))
 """
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_gc_keeps_a_parent_while_its_child_reads_its_gate(n):
-    prog = parse(OPEN_BOTTOM)
-    q = Query(entry="f", bindings=(("n", n),), show=("r",))
-    plain = solve(prog, q)
-    folded = solve(prog, q, gc=True)
-    assert len(plain.assignments()) == 3 * 2 ** n
+    prog = parse(PARENT_GATE)
+    with no_folding():
+        plain = solve(prog, main_query(n))
+    folded = solve(prog, main_query(n))
+    assert plain.assignments() == [{"r": n}] * 3
+    assert folded.solutions == plain.solutions
     assert folded.stats["complete"]
-    assert folded.assignments()
-    assert {s["r"] for s in folded.assignments()} == {n}
+    assert folded.stats["summarized"] == n + 1
 
 
-# every frame chooses c, but r never reads it: each frame's boundary is
-# exact before search branches on its c, and the repeats must survive
+# every frame above the bottom one chooses c, but r never reads it: each
+# frame's boundary is exact before search branches on its c, and the
+# repeats must survive; the bottom frame has no choice, and folds
 OPEN_CHOICE = """
 (def (rec n r)
   (cell nm1) (cell rest) (cell c)
-  (choose c 1 2)
   (const one 1)
   (sum nm1 one n)
-  (if n ((call rec nm1 rest) (product n rest r)) ((const r 0))))
+  (if n ((choose c 1 2) (call rec nm1 rest) (product n rest r))
+        ((const r 0))))
 """
 
 
 def test_gc_keeps_a_frame_with_an_open_choice():
     prog = parse(OPEN_CHOICE)
     q = Query(entry="rec", bindings=(("n", 2),), show=("r",))
-    plain = solve(prog, q)
-    folded = solve(prog, q, gc=True)
-    assert plain.assignments() == [{"r": 0}] * 8
-    # the second value of each of the two upper choices repeats the first:
-    # 7 nodes, where the full tree of three binary choices has 15
-    assert plain.stats["nodes"] == 7 and plain.stats["memo_hits"] == 2
+    with no_folding():
+        plain = solve(prog, q)
+    folded = solve(prog, q)
+    assert plain.assignments() == [{"r": 0}] * 4
+    # the second value of the upper choice repeats the first: 5 nodes,
+    # where the full tree of two binary choices has 7
+    assert plain.stats["nodes"] == 5 and plain.stats["memo_hits"] == 1
     assert folded.solutions == plain.solutions
     assert folded.stats["nodes"] == plain.stats["nodes"]
-    assert folded.stats["summarized"] > 0
+    assert folded.stats["summarized"] == 1
+
+
+# `twice` is expanded and calls nothing, but its parameters stay open until
+# search chooses x: it must not fold (and drop t) before they are exact
+OPEN_BOUNDARY = COUNT + """
+(def (twice a b) (cell t) (sum a a t) (equal t b))
+(def (main n r x y) (call count n r) (choose x 1 2 3) (call twice x y))
+"""
+
+
+def test_gc_keeps_a_frame_whose_boundary_is_open():
+    prog = parse(OPEN_BOUNDARY)
+    with no_folding():
+        plain = solve(prog, main_query(3, "x", "y"))
+    folded = solve(prog, main_query(3, "x", "y"))
+    assert plain.assignments() == [{"r": 3, "x": x, "y": 2 * x}
+                                   for x in (1, 2, 3)]
+    assert folded.solutions == plain.solutions
+    assert folded.stats["summarized"] == 4
 
 
 def test_memo_keys_the_exact_cells_an_open_cell_shares_a_propagator_with():
