@@ -437,8 +437,13 @@ def test_value_order_is_descending_score_then_ascending_value(
     assert list(_order_values(inst, cp, values, _Fixed(scores))) == expected
 
 
-def test_a_choice_branches_only_on_values_its_declaration_admits():
-    prog = parse("(def (p x) (int x 0 9) (choose x 3 4 20))")
+@pytest.mark.parametrize("declared_first", [False, True])
+def test_a_choice_branches_only_on_values_its_declaration_admits(
+        declared_first):
+    # the domain narrows the choice whether it is declared before or after
+    decl, choice = "(int x 0 9)", "(choose x 3 4 20)"
+    body = f"{decl} {choice}" if declared_first else f"{choice} {decl}"
+    prog = parse(f"(def (p x) {body})")
     branches = []
 
     def sink(rec):
