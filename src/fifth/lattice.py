@@ -11,11 +11,16 @@ Every value is an integer; there is no real-valued variant.
 All variants are immutable; construct them through the factory functions
 (int_interval, finite_domain, exact, contradiction), which normalize
 degenerate cases so no non-canonical value is ever reachable.
+
+The kernel builds domains only by slicing one it holds, in merge() and
+`alldifferent`, through sorted_domain(); finite_domain(), which checks and
+sorts every element, serves the language layer.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 # Every finite bound lies strictly within ±INT_LIMIT; an open end is ±inf.
 INT_LIMIT = 2**62
@@ -150,6 +155,13 @@ def finite_domain(elements):
     return FiniteDomain(elems)
 
 
+def sorted_domain(elems):
+    """A sorted tuple of distinct integers as a value, unchecked."""
+    if len(elems) > 1:
+        return FiniteDomain(elems)
+    return Exact(elems[0]) if elems else Contradiction()
+
+
 def exact(value):
     if not isinstance(value, int):
         raise ValueError(f"exact values are integers, got {value!r}")
@@ -171,7 +183,7 @@ def merge(a: PartialInfo, b: PartialInfo) -> PartialInfo:
     an exact a equal to an exact b or inside an interval or finite domain
     b; an interval or finite domain inside an interval b. When b already
     is the join, b itself is returned: over Nothing; an exact b inside a's
-    finite domain or interval; an interval b inside an interval a.
+    finite domain or interval; an interval or domain b inside a of its kind.
     """
     ka, kb = a.kind, b.kind
     if ka == "nothing":
@@ -217,13 +229,16 @@ def merge(a: PartialInfo, b: PartialInfo) -> PartialInfo:
         return Contradiction()
 
     if ka == "finite_domain" and kb == "finite_domain":
-        return finite_domain(set(a.elements) & set(b.elements))
+        held = set(a.elements)
+        kept = tuple(e for e in b.elements if e in held)
+        return b if len(kept) == len(b.elements) else sorted_domain(kept)
 
-    # Domain against interval: filtering the explicit set by the bounds is
-    # the exact intersection, so no widening is ever needed.
+    # Domain against interval: the slice of the sorted elements within the
+    # bounds is the exact intersection, so no widening is ever needed.
     if ka != "finite_domain":
         a, b = b, a
-    return finite_domain(e for e in a.elements if b.lo <= e <= b.hi)
+    e = a.elements
+    return sorted_domain(e[bisect_left(e, b.lo):bisect_right(e, b.hi)])
 
 
 def refines(a: PartialInfo, b: PartialInfo) -> bool:

@@ -48,13 +48,18 @@ Scheduling order is semantically irrelevant (the catalog propagators are
 monotone, so the quiescent state is confluent) but FIFO keeps runs
 reproducible.
 
-A propagator's own refining write does not alert it again when a rerun
-could write nothing (Schulte & Stuckey, TOPLAS 2008): with distinct cells,
-`equal` (both sides then hold one join), `less_equal` into interval bounds
-(neither direction reads the bound it moves), and `sum` writing into an
-integer interval or an empty cell (integer projections of a + b = c are a
-fixpoint of each other, and a widened end only loosens what a rerun
-reads).
+A refinement wakes watchers by event (Schulte & Stuckey, TOPLAS 2008),
+skipping only those whose rerun would write nothing. A domain event narrows
+a finite domain to a smaller one, not exact. If both ends stay, it wakes
+only `equal`: `sum`, `product` and `less_equal` read only bounds, and
+`alldifferent` reads exact values and domain membership, which only
+shrinks. If an end moves, it wakes all but `alldifferent`. Any other
+refinement wakes every watcher. Nor does a propagator's own write wake it
+when `_IDLE_AFTER` lists the old kind and its cells are distinct: `equal`
+(both sides then hold one join), `less_equal` into interval bounds
+(neither direction reads the bound it moves), `sum` into an integer
+interval or empty cell (integer projections of a + b = c are a fixpoint of
+each other; a widened end loosens only what a rerun reads).
 
 A propagator's writes carry its integer id as their write id. The name
 `p{id}:{kind}` is rendered only where a person reads it: in a
@@ -76,10 +81,10 @@ from fifth.lattice import (
     NOTHING,
     Contradiction,
     bounds_of,
-    finite_domain,
     int_interval,
     merge,
     render,
+    sorted_domain,
 )
 
 
@@ -123,7 +128,7 @@ class Network:
     __slots__ = (
         "contents", "watchers", "origins", "contributors", "propagators",
         "queue", "pending", "write_counter", "steps_total", "contradiction",
-        "trace_sink",
+        "trace_sink", "splits",
     )
 
     def __init__(self):
@@ -138,6 +143,7 @@ class Network:
         self.steps_total = 0
         self.contradiction = None  # cell id
         self.trace_sink = None  # callable(dict) or None
+        self.splits = {}  # id(watchers) -> (end moved, ends stayed, watchers)
 
     # -- structure -------------------------------------------------------
 
@@ -208,16 +214,30 @@ class Network:
             return WriteResult.CONTRADICTION
         contents[cid] = new
         self.contributors[cid] = (write_id, self.contributors[cid])
-        skip = write_id if type(write_id) is int and _idle_after(
-            self.propagators[write_id], old) else None
+        watchers, kind = self.watchers[cid], old.kind
+        if kind == "finite_domain" and new.kind == "finite_domain":
+            split = self.splits.get(id(watchers)) or self._split(watchers)
+            o, n = old.elements, new.elements
+            watchers = split[o[0] == n[0] and o[-1] == n[-1]]
+        skip = write_id if type(write_id) is int and (
+            prop := self.propagators[write_id]).distinct and (
+            kind in _IDLE_AFTER.get(prop.kind, ())) else None
         pending = self.pending
-        for pid in self.watchers[cid]:
+        for pid in watchers:
             if pid not in pending and pid != skip:
                 pending.add(pid)
                 self.queue.append(pid)
         if self.trace_sink is not None:
             self._trace(cid, old, new, write_id)
         return WriteResult.REFINED
+
+    def _split(self, watchers):
+        # shared by clones: a tuple names the same propagators in every
+        # clone that holds it, and its entry keeps its id from reuse
+        props = self.propagators
+        return self.splits.setdefault(id(watchers), (
+            tuple(p for p in watchers if props[p].kind != "alldifferent"),
+            tuple(p for p in watchers if props[p].kind == "equal"), watchers))
 
     def _write_name(self, write_id):
         if type(write_id) is int:
@@ -282,6 +302,7 @@ class Network:
         net.steps_total = self.steps_total
         net.contradiction = self.contradiction
         net.trace_sink = self.trace_sink
+        net.splits = self.splits
         return net
 
     def drop_cell(self, cid):
@@ -298,14 +319,9 @@ class Network:
         self.contributors[cid] = None
 
 
-def _idle_after(prop, old):
-    """Whether `prop` rerun right after its own write over `old` is idle."""
-    kind = prop.kind if prop.distinct else None  # repeated cells rerun
-    if kind == "less_equal":
-        return old.kind == "int_interval"
-    if kind == "sum":
-        return old.kind == "int_interval" or old.kind == "nothing"
-    return kind == "equal"
+_IDLE_AFTER = {"equal": ("nothing", "int_interval", "finite_domain"),
+               "sum": ("nothing", "int_interval"),
+               "less_equal": ("int_interval",)}
 
 
 # -- interval helpers ----------------------------------------------------------
@@ -487,10 +503,9 @@ def _t_alldifferent(net, prop):
                 if info.value == v and cj > ci:
                     writes.append((cj, Contradiction()))
             elif k == "finite_domain":
-                if v in info.elements:
-                    writes.append(
-                        (cj, finite_domain(e for e in info.elements if e != v))
-                    )
+                if v in (e := info.elements):
+                    i = e.index(v)
+                    writes.append((cj, sorted_domain(e[:i] + e[i + 1:])))
             elif k == "int_interval":  # a shaved end may reach the limit
                 if v == info.lo:
                     writes.append((cj, _range_write(net, cj, v + 1, info.hi)))

@@ -105,6 +105,8 @@ def test_merge_that_cannot_refine_returns_its_first_argument(a, b):
     (int_interval(-TOP, TOP), exact(BIG)),
     (int_interval(0, 9), int_interval(2, 5)),
     (int_interval(0, 9), int_interval(0, 5)),
+    (finite_domain({1, 4, 7}), finite_domain({1, 7})),
+    (finite_domain({1, 4, 7}), finite_domain({1, 4, 7})),
 ])
 def test_merge_that_already_is_the_join_returns_its_second_argument(a, b):
     assert merge(a, b) is b
@@ -233,6 +235,8 @@ def _already_the_join(a, b):
             return b.value in a.elements
         if a.kind == "int_interval":
             return a.lo <= b.value <= a.hi
+    if a.kind == b.kind == "finite_domain":
+        return set(b.elements) <= set(a.elements)
     # an equal interval is handed back as a, the first argument
     return (a.kind == b.kind == "int_interval" and a != b
             and a.lo <= b.lo and b.hi <= a.hi)
@@ -251,11 +255,40 @@ def test_merge_hands_back_a_second_argument_that_already_is_the_join(
         candidates.append(int_interval(max(lo, min(x, y)), min(hi, max(x, y))))
         if a.kind == "finite_domain":
             candidates.append(exact(a.elements[x % len(a.elements)]))
+            candidates.append(finite_domain(a.elements[::1 + x % 3]))
     for b in candidates:
         if _already_the_join(a, b):
             out = merge(a, b)
             assert out is b
             assert out == merge(b, a)
+
+
+domains = st.sets(ints | edges, min_size=2, max_size=8).map(finite_domain)
+intervals = st.tuples(low_ends | ints, high_ends).map(sorted).filter(
+    lambda r: r[0] < r[1]).map(lambda r: int_interval(*r))
+
+
+def _set_formula(a, b):
+    """The meet of a domain a with a domain or interval b by the plain set
+    formulas: a set intersection, or a filter by bounds, each through
+    finite_domain()."""
+    if b.kind == "finite_domain":
+        return finite_domain(set(a.elements) & set(b.elements))
+    return finite_domain(e for e in a.elements if b.lo <= e <= b.hi)
+
+
+@settings(max_examples=500, deadline=None)
+@given(domains, domains | intervals,
+       st.lists(st.booleans(), min_size=8, max_size=8))
+def test_merge_of_a_domain_equals_the_set_formulas(a, b, keep):
+    # besides b as drawn, a domain inside a, so that the fast path is hit
+    inside = tuple(e for e, k in zip(a.elements, keep) if k)
+    for other in (b, finite_domain(inside if len(inside) > 1 else a.elements)):
+        met = _set_formula(a, other)
+        assert merge(a, other) == met == merge(other, a)
+        if other.kind == "finite_domain" and set(other.elements) <= set(
+                a.elements):
+            assert merge(a, other) is other
 
 
 @settings(max_examples=300, deadline=None)

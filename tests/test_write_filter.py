@@ -7,6 +7,7 @@ is recovered by running the transfer again with the cell emptied: an empty
 cell holds no bounds, so nothing is dropped for it.
 """
 
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 
@@ -34,7 +35,9 @@ from fifth.network import (
     _mul_hull,
     _range_write,
 )
+from fifth.rng import SplitMix64
 from fifth.search import optimize, solve
+from fifth.selftest import random_network
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -281,6 +284,7 @@ class _QuiescedNodes:
 @pytest.mark.parametrize("name", [
     "queens/q8.5th", "jobshop/js-3x3-a.5th", "horizon/line-h4.5th",
     "crypt/sendmore.5th", "fact/fact10.5th", "queens/q6.5th",
+    "csp/eval/eval-00.5th", "queens/q5.5th",
 ])
 def test_quiesced_nodes_have_no_writes_left(name):
     program = parse((CORPUS / name).read_text())
@@ -288,3 +292,34 @@ def test_quiesced_nodes_have_no_writes_left(name):
     nodes = _QuiescedNodes()
     (optimize if query.minimize else solve)(program, query, trace=nodes)
     assert nodes.checked > 0
+
+
+def _domain_event(rec):
+    """None for a trace record that is not a domain event, else whether
+    both ends of the domain stayed."""
+    old, new = rec["old"], rec["new"]
+    if old[0] != "{" or new[0] != "{":
+        return None
+    old, new = old[1:-1].split(","), new[1:-1].split(",")
+    return (old[0], old[-1]) == (new[0], new[-1])
+
+
+def test_random_networks_quiesce_with_no_writes_left():
+    """Writes wake only the propagators that can act on them, so once a
+    random network from the self-check quiesces without a contradiction,
+    every propagator, woken or skipped, has nothing left to write."""
+    checked, events = 0, Counter()
+    for seed in range(500):
+        net, writes = random_network(SplitMix64(seed))
+        for cid, info in writes:
+            net.write(cid, info, f"init:{cid}")
+        seen = []
+        net.trace_sink = lambda rec: seen.append(_domain_event(rec))
+        if not net.run_to_quiescence(20_000).quiescent:
+            continue
+        for prop in net.propagators:
+            assert _TRANSFER[prop.kind](net, prop) == [], (seed, prop)
+        checked += 1
+        events.update(seen)
+    # both domain events come up: ends that stay, and an end that moves
+    assert checked > 250 and events[True] > 10 and events[False] > 100
